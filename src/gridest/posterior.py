@@ -9,8 +9,11 @@ bordered system
 
 whose leading n x n block of M^{-1} bounds the state covariance; physics
 constraints C and consensus coupling A both remove uncertainty.  M is
-factored once (symmetric indefinite) and the covariance block is obtained
-by solving against identity columns, never by forming the full inverse.
+factored once and the covariance block is obtained by solving against
+identity columns, never by forming the full inverse.  M is block diagonal
+per region plus the coupling border (on a 480-bus grid 3510 rows, well under
+1 % nonzero), so it is assembled in scipy.sparse form and factored with the
+sparse LU of the linear algebra kernel.
 
 Standard deviations are reported per node channel.  Relative deviations
 divide by the nominal magnitude and are undefined where the nominal is
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import grid, measurements, partition as partition_mod
 from .errors import DimensionMismatch, SingularBordered, SingularMatrix
-from .linalg import SymmetricFactor, bordered_matrix
+from .linalg import SparseFactor, bordered_matrix, stack_region_blocks
 
 REL_EXCLUDE_BELOW = 1e-3
 CHANNELS = ("theta", "v", "p", "q")
@@ -45,16 +47,13 @@ def covariance_bound(
     """
     if len(fit_jacobians) != len(constraint_jacobians):
         raise DimensionMismatch("one constraint jacobian per fit jacobian required")
-    hess = block_diag(*[bj.T @ bj for bj in fit_jacobians])
-    cons = block_diag(*constraint_jacobians)
-    if couplings is not None:
-        if len(couplings) != len(fit_jacobians):
-            raise DimensionMismatch("one coupling block per region required")
-        cons = np.vstack([cons, np.hstack([np.asarray(a, dtype=float) for a in couplings])])
+    if couplings is not None and len(couplings) != len(fit_jacobians):
+        raise DimensionMismatch("one coupling block per region required")
+    hess, cons = stack_region_blocks([bj.T @ bj for bj in fit_jacobians], constraint_jacobians, couplings)
     n = hess.shape[0]
     bordered = bordered_matrix(hess, cons)
     try:
-        factor = SymmetricFactor(bordered)
+        factor = SparseFactor(bordered)
     except SingularMatrix as exc:
         raise SingularBordered(f"posterior system singular: {exc}") from exc
     rhs = np.zeros((bordered.shape[0], n))

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gridest import coordinator
+from gridest import aladin, coordinator, linalg
 from gridest.errors import DimensionMismatch
 
 
@@ -115,3 +118,67 @@ def test_dimension_mismatches_are_rejected():
     )
     with pytest.raises(DimensionMismatch):
         coordinator.solve_consensus([bad], [rng.standard_normal((2, 4))])
+
+
+def _consensus_calls(monkeypatch, part, mset):
+    """Every (uploads, couplings) a default estimator run hands the coordinator."""
+    calls = []
+    solve = coordinator.solve_consensus
+
+    def record(uploads, couplings):
+        calls.append((uploads, couplings))
+        return solve(uploads, couplings)
+
+    monkeypatch.setattr(coordinator, "solve_consensus", record)
+    aladin.run_aladin(part, mset)
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _scenario(request, name):
+    if name == "ieee30":
+        return request.getfixturevalue("part30"), request.getfixturevalue("mset30")
+    return request.getfixturevalue("two_tile30")
+
+
+def _dense_consensus(uploads, couplings):
+    """Reference: dense bordered matrix factored with Bunch-Kaufman."""
+    hessian = scipy.linalg.block_diag(*[2.0 * up.fit_hessian for up in uploads])
+    jac = np.vstack(
+        [scipy.linalg.block_diag(*[up.constraint_jacobian for up in uploads]), np.hstack(couplings)]
+    )
+    n, m = hessian.shape[0], jac.shape[0] - couplings[0].shape[0]
+    rhs = np.concatenate(
+        [-2.0 * np.concatenate([up.fit_gradient for up in uploads]), np.zeros(m),
+         -np.sum([up.coupling_image for up in uploads], axis=0)]
+    )
+    sol = linalg.SymmetricFactor(linalg.bordered_matrix(hessian, jac)).solve(rhs)
+    return sol[:n], sol[n : n + m], sol[n + m :]
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_sparse_consensus_matches_the_dense_reference(request, monkeypatch, name):
+    part, mset = _scenario(request, name)
+    for uploads, couplings in _consensus_calls(monkeypatch, part, mset):
+        sol = coordinator.solve_consensus(uploads, couplings)
+        steps, kappas, lam = _dense_consensus(uploads, couplings)
+        assert not sol.regularized
+        assert np.abs(np.concatenate(sol.steps) - steps).max() <= 1e-10
+        assert np.abs(np.concatenate(sol.kappas) - kappas).max() <= 1e-10 * np.abs(kappas).max()
+        assert np.abs(sol.lam - lam).max() <= 1e-10 * np.abs(lam).max()
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name):
+    # Region 0 without a fit term leaves its states free along the null
+    # space of its physics and coupling rows: the bordered matrix is singular.
+    uploads, couplings = _consensus_calls(monkeypatch, *_scenario(request, name))[0]
+    uploads = [dataclasses.replace(uploads[0], fit_hessian=np.zeros_like(uploads[0].fit_hessian))] + uploads[1:]
+    with pytest.warns(UserWarning, match="ridge"):
+        sol = coordinator.solve_consensus(uploads, couplings)
+    assert sol.regularized
+    # The ridge touches only the Hessian block, so consensus still closes.
+    gap = np.sum([up.coupling_image for up in uploads], axis=0)
+    closed = gap + sum(a @ step for a, step in zip(couplings, sol.steps))
+    assert np.abs(closed).max() <= 1e-8

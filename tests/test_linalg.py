@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,3 +174,115 @@ def test_solve_kkt_stationarity_and_feasibility(n, seed):
     feasibility = j @ sol.step + r
     assert np.abs(stationarity).max(initial=0.0) <= 1e-8
     assert np.abs(feasibility).max(initial=0.0) <= 1e-8
+
+
+def test_sparse_factor_indefinite_system():
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    eig = np.array([-4.0, -2.0, -1.0, -0.5, 0.3, 1.0, 2.0, 3.0, 5.0])
+    m = q @ np.diag(eig) @ q.T
+    m = 0.5 * (m + m.T)
+    factor = linalg.SparseFactor(scipy.sparse.csc_array(m))
+    b = rng.standard_normal((9, 3))
+    x = factor.solve(b)
+    assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
+def test_sparse_factor_rejects_singular_matrix():
+    # Structurally singular (empty first column), an exactly zero pivot
+    # (SuperLU refuses) and one below PIVOT_RTOL.
+    for m in ([[0.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2e-16]]):
+        with pytest.raises(SingularMatrix):
+            linalg.SparseFactor(scipy.sparse.csc_array(m))
+
+
+def test_sparse_solve_kkt_ridge_recovers_a_singular_hessian_block():
+    system = linalg.KktSystem(
+        hessian=scipy.sparse.csr_array((2, 2)),
+        constraint_jacobian=scipy.sparse.csr_array([[1.0, 0.0]]),
+        gradient=np.array([0.0, 0.0]),
+        residual=np.array([1.0]),
+    )
+    with pytest.warns(UserWarning):
+        sol = linalg.solve_kkt(system)
+    assert sol.regularized
+    assert abs(sol.step[0] + 1.0) <= 1e-9
+
+
+def test_sparse_solve_kkt_raises_when_ridge_cannot_help():
+    system = linalg.KktSystem(
+        hessian=scipy.sparse.csr_array((2, 2)),
+        constraint_jacobian=scipy.sparse.csr_array([[1.0, 0.0], [1.0, 0.0]]),
+        gradient=np.zeros(2),
+        residual=np.zeros(2),
+    )
+    with pytest.warns(UserWarning):
+        with pytest.raises(SingularKkt):
+            linalg.solve_kkt(system)
+
+
+def test_sparse_kkt_system_validation():
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.KktSystem(
+            hessian=scipy.sparse.csr_array([[1.0, 2.0], [0.0, 1.0]]),
+            constraint_jacobian=scipy.sparse.csr_array((0, 2)),
+            gradient=np.zeros(2),
+            residual=np.zeros(0),
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.KktSystem(
+            hessian=scipy.sparse.csr_array([[1.0, 0.0], [0.0, np.inf]]),
+            constraint_jacobian=scipy.sparse.csr_array((0, 2)),
+            gradient=np.zeros(2),
+            residual=np.zeros(0),
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.KktSystem(
+            hessian=scipy.sparse.eye_array(2),
+            constraint_jacobian=scipy.sparse.csr_array([[np.nan, 1.0]]),
+            gradient=np.zeros(2),
+            residual=np.zeros(1),
+        )
+    with pytest.raises(DimensionMismatch):
+        linalg.KktSystem(
+            hessian=scipy.sparse.csr_array((2, 3)),
+            constraint_jacobian=scipy.sparse.csr_array((0, 3)),
+            gradient=np.zeros(2),
+            residual=np.zeros(0),
+        )
+    with pytest.raises(DimensionMismatch):
+        linalg.KktSystem(
+            hessian=scipy.sparse.eye_array(2),
+            constraint_jacobian=scipy.sparse.csr_array((1, 3)),
+            gradient=np.zeros(2),
+            residual=np.zeros(1),
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
+def test_sparse_solve_kkt_stationarity_feasibility_and_dense_agreement(n, seed):
+    """The sparse path keeps the post-condition and matches the dense path."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((n + 2, n))
+    h = root.T @ root + 0.1 * np.eye(n)
+    m = rng.integers(0, n)
+    j = rng.standard_normal((m, n))
+    g = rng.standard_normal(n)
+    r = rng.standard_normal(m)
+    sol = linalg.solve_kkt(
+        linalg.KktSystem(
+            hessian=scipy.sparse.csr_array(h),
+            constraint_jacobian=scipy.sparse.csr_array(j),
+            gradient=g,
+            residual=r,
+        )
+    )
+    stationarity = h @ sol.step + g + j.T @ sol.multipliers
+    feasibility = j @ sol.step + r
+    assert np.abs(stationarity).max(initial=0.0) <= 1e-8
+    assert np.abs(feasibility).max(initial=0.0) <= 1e-8
+    dense = linalg.solve_kkt(linalg.KktSystem(hessian=h, constraint_jacobian=j, gradient=g, residual=r))
+    assert not sol.regularized and not dense.regularized
+    assert np.abs(sol.step - dense.step).max() <= 1e-10
+    assert np.abs(sol.multipliers - dense.multipliers).max(initial=0.0) <= 1e-10

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gridest import central, grid, measurements, posterior
+from gridest import aladin, central, grid, linalg, measurements, posterior
 
 
 def _single_bus_report(w_theta=1e4, w_v=1e5, w_p=1e4, w_q=1e4):
@@ -127,3 +128,45 @@ def test_monte_carlo_consistency(case6, truth6):
     assert meaningful.sum() >= 12
     ratio = mc_std[meaningful] / bound[meaningful]
     assert np.abs(ratio - 1.0).max() <= 0.25
+
+
+def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
+    """Reference: dense bordered matrix factored with Bunch-Kaufman."""
+    hess = scipy.linalg.block_diag(*[bj.T @ bj for bj in fit_jacobians])
+    cons = scipy.linalg.block_diag(*constraint_jacobians)
+    if couplings is not None:
+        cons = np.vstack([cons, np.hstack(couplings)])
+    bordered = linalg.bordered_matrix(hess, cons)
+    n = hess.shape[0]
+    rhs = np.zeros((bordered.shape[0], n))
+    rhs[:n] = np.eye(n)
+    cov = linalg.SymmetricFactor(bordered).solve(rhs)[:n]
+    return 0.5 * (cov + cov.T)
+
+
+def _covariance_inputs(request, name):
+    """covariance_bound arguments at an estimate of the named scenario."""
+    if name == "central30":
+        case30, mset30 = request.getfixturevalue("case30"), request.getfixturevalue("mset30")
+        x = request.getfixturevalue("central30").x
+        return [measurements.RegionResidual(case30, mset30).jacobian(x)], [grid.PowerFlowModel(case30).jacobian(x)]
+    if name == "ieee30":
+        part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
+        zs = request.getfixturevalue("aladin30").zs
+    else:
+        part, mset = request.getfixturevalue("two_tile30")
+        zs = aladin.run_aladin(part, mset).zs
+    fit, cons = [], []
+    for region, region_set, z in zip(part.regions, measurements.split_by_region(mset, part), zs):
+        fit.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
+        cons.append(grid.PowerFlowModel(region.case).jacobian(z))
+    return fit, cons, list(part.coupling)
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30", "central30"])
+def test_covariance_bound_matches_the_dense_reference(request, name):
+    args = _covariance_inputs(request, name)
+    cov = posterior.covariance_bound(*args)
+    reference = _dense_covariance(*args)
+    assert np.array_equal(cov, cov.T)
+    assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()

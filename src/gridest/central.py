@@ -4,11 +4,18 @@ Reference solution the distributed runs are judged against.  Same inner
 machinery as the regional subproblems, with no proximal term and a tiny
 Levenberg ridge so the normal matrix stays comfortably definite on the
 full-size problem.
+
+Unlike a region, the whole grid is large and its Jacobians are well under
+1 % nonzero, so the residual and power-flow Jacobians are requested in
+scipy.sparse form: the Gauss-Newton Hessian 2 B^T B + mu I is formed
+sparse and every step's KKT system is factored with sparse LU.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,7 +43,7 @@ def solve_central(
     model = grid.PowerFlowModel(case)
     x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
     sol = local_solver.solve_local(
-        residual, model, y0=x0, mu=mu, tol=tol, max_inner=max_iter
+        _sparse(residual), _sparse(model), y0=x0, mu=mu, tol=tol, max_inner=max_iter
     )
     if not sol.converged:
         raise Diverged(
@@ -49,3 +56,8 @@ def solve_central(
         inner_iterations=sol.inner_iterations,
         kkt_residual=sol.kkt_residual,
     )
+
+
+def _sparse(model) -> SimpleNamespace:
+    """model's eval, with its Jacobian in scipy.sparse form."""
+    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True))

@@ -28,6 +28,13 @@ Conventions used across the whole package:
       f_i = (f_p^2 + f_q^2) / v_k^2
 
   f_i is the squared current magnitude, which needs v_k > 0.
+
+Jacobians are assembled on fixed sparsity patterns: the power-flow
+derivatives are evaluated entry by entry on the pattern of Y (O(nnz), no
+dense N x N products), and line quantities for all lines at once.  A
+SparsityPattern puts the same values into a dense array or a CSR array,
+so callers choose the container and get identical numbers.  line_flow and
+line_flow_jacobian, one line at a time, stay as the reference.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     DuplicateLine,
@@ -222,45 +230,109 @@ def power_flow_residual(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarr
     return out
 
 
-def _injection_voltage_jacobians(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # dS/dtheta and dS/dv of S = V conj(Y V), both complex N x N.
+class SparsityPattern:
+    """Fixed positions of a Jacobian's entries; values in, matrix out.
+
+    rows and cols are set once, without repeated positions.  assemble()
+    takes the values in the same order and puts them into a dense array,
+    or into a scipy.sparse CSR array when sparse is set; both hold the same
+    numbers.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        self.shape = shape
+        self._flat = rows * shape[1] + cols
+        self._order = np.lexsort((cols, rows))
+        self._indices = cols[self._order]
+        self._indptr = np.searchsorted(rows[self._order], np.arange(shape[0] + 1))
+
+    def assemble(self, values: np.ndarray, sparse: bool = False):
+        if sparse:
+            return scipy.sparse.csr_array(
+                (values[self._order], self._indices.copy(), self._indptr.copy()), shape=self.shape
+            )
+        out = np.zeros(self.shape)
+        out.flat[self._flat] = values
+        return out
+
+
+def admittance_pattern(g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and complex values of Y = G + jB on its pattern.
+
+    The off-diagonal nonzeros come first in row-major order, then the whole
+    diagonal (stored even where it is zero), so the last N entries are
+    Y_00, Y_11, ...
+    """
+    off = (g != 0.0) | (b != 0.0)
+    np.fill_diagonal(off, False)
+    r, c = np.nonzero(off)
+    diag = np.arange(g.shape[0])
+    rows = np.concatenate([r, diag])
+    cols = np.concatenate([c, diag])
+    return rows, cols, g[rows, cols] + 1j * b[rows, cols]
+
+
+def _injection_voltage_jacobians(
+    rows: np.ndarray, cols: np.ndarray, y: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """dS/dtheta and dS/dv of S = V conj(Y V) on the pattern of Y.
+
+    rows, cols and y are as admittance_pattern returns them.  Entry (k, l)
+    of the two derivatives is
+
+        dS_k/dtheta_l = -j V_k conj(Y_kl V_l)   [+ j V_k conj(I_k) if k = l]
+        dS_k/dv_l     = V_k conj(Y_kl V_l / v_l) [+ conj(I_k) V_k / v_k if k = l]
+
+    with I = Y V; both come back as complex values in pattern order.
+    """
     vc = complex_voltage(x)
-    _, v, _, _ = unpack_state(x)
-    y = g + 1j * b
-    ibus = y @ vc
-    diag_v = np.diag(vc)
-    diag_i = np.diag(ibus)
-    diag_vnorm = np.diag(vc / v)
-    ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-    ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    n = len(vc)
+    vnorm = vc / x[V::4]
+    yv = y * vc[cols]
+    ibus = np.bincount(rows, yv.real, n) + 1j * np.bincount(rows, yv.imag, n)
+    ds_dva = -1j * vc[rows] * np.conj(yv)
+    ds_dvm = vc[rows] * np.conj(y * vnorm[cols])
+    ds_dva[-n:] += 1j * vc * np.conj(ibus)
+    ds_dvm[-n:] += np.conj(ibus) * vnorm
     return ds_dva, ds_dvm
 
 
+def _power_flow_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsityPattern:
+    # Four blocks on the pattern of Y (p and q rows against theta and v
+    # columns), then the unit injection entries; _power_flow_values matches.
+    node = np.arange(n)
+    return SparsityPattern(
+        np.concatenate([2 * rows, 2 * rows, 2 * rows + 1, 2 * rows + 1, 2 * node, 2 * node + 1]),
+        np.concatenate([4 * cols + THETA, 4 * cols + V, 4 * cols + THETA, 4 * cols + V, 4 * node + P, 4 * node + Q]),
+        (2 * n, 4 * n),
+    )
+
+
+def _power_flow_values(rows: np.ndarray, cols: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    ds_dva, ds_dvm = _injection_voltage_jacobians(rows, cols, y, x)
+    return np.concatenate(
+        [-ds_dva.real, -ds_dvm.real, -ds_dva.imag, -ds_dvm.imag, np.ones(len(x) // 2)]
+    )
+
+
 def jacobian_power_flow(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Jacobian of power_flow_residual, shape (2 N, 4 N)."""
-    n = len(x) // 4
-    ds_dva, ds_dvm = _injection_voltage_jacobians(g, b, x)
-    jac = np.zeros((2 * n, 4 * n))
-    jac[0::2, THETA::4] = -ds_dva.real
-    jac[0::2, V::4] = -ds_dvm.real
-    jac[1::2, THETA::4] = -ds_dva.imag
-    jac[1::2, V::4] = -ds_dvm.imag
-    rows = np.arange(n)
-    jac[2 * rows, 4 * rows + P] = 1.0
-    jac[2 * rows + 1, 4 * rows + Q] = 1.0
-    return jac
+    """Jacobian of power_flow_residual, shape (2 N, 4 N), dense."""
+    rows, cols, y = admittance_pattern(g, b)
+    return _power_flow_pattern(rows, cols, len(x) // 4).assemble(_power_flow_values(rows, cols, y, x))
 
 
 class PowerFlowModel:
     """Equality constraints H(x) = 0 of one network, with Jacobian.
 
-    Wraps the admittance matrix of a case so solvers can evaluate the
-    physics without rebuilding it.
+    Wraps the admittance matrix of a case, and the sparsity pattern of the
+    Jacobian, so solvers can evaluate the physics without rebuilding them.
     """
 
     def __init__(self, case: GridCase):
         self.case = case
         self.g, self.b = build_admittance(case)
+        self._rows, self._cols, self._y = admittance_pattern(self.g, self.b)
+        self._pattern = _power_flow_pattern(self._rows, self._cols, case.n_bus)
 
     @property
     def n_constraints(self) -> int:
@@ -273,8 +345,9 @@ class PowerFlowModel:
     def eval(self, x: np.ndarray) -> np.ndarray:
         return power_flow_residual(self.g, self.b, x)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return jacobian_power_flow(self.g, self.b, x)
+    def jacobian(self, x: np.ndarray, sparse: bool = False):
+        """Jacobian of eval at x: dense, or scipy.sparse CSR when sparse is set."""
+        return self._pattern.assemble(_power_flow_values(self._rows, self._cols, self._y, x), sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +400,51 @@ def line_flow_jacobian(x_k: np.ndarray, x_l: np.ndarray, g: float, b: float) -> 
     inv_vk2 = 1.0 / (vk * vk)
     jac[2, :] = (2.0 * f_p * jac[0, :] + 2.0 * f_q * jac[1, :]) * inv_vk2
     jac[2, V] -= 2.0 * (f_p * f_p + f_q * f_q) / (vk * vk * vk)
+    return jac
+
+
+def _line_terms(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray):
+    vk, vl = x[4 * k + V], x[4 * l + V]
+    if np.any(vk <= 0.0):
+        raise ZeroVoltage("line measurement functions need v_k > 0")
+    th = x[4 * k + THETA] - x[4 * l + THETA]
+    cos, sin = np.cos(th), np.sin(th)
+    f_p = vk * (vk * g - vl * g * cos) - vk * vl * b * sin
+    f_q = -vk * (vk * b - vl * b * cos) + vk * vl * g * sin
+    return vk, vl, cos, sin, f_p, f_q
+
+
+def line_flows(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """line_flow for many directed lines at once, shape (lines, 3).
+
+    x is a network state; line j runs from node position k[j] to l[j] and
+    has series admittance parts g[j], b[j].
+    """
+    vk, _, _, _, f_p, f_q = _line_terms(x, k, l, g, b)
+    return np.stack([f_p, f_q, (f_p * f_p + f_q * f_q) / (vk * vk)], axis=1)
+
+
+def line_flow_derivatives(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonzero columns of line_flow_jacobian for many lines, shape (lines, 3, 4).
+
+    Arguments as for line_flows; the columns are theta_k, v_k, theta_l and
+    v_l, the injection columns being zero.
+    """
+    vk, vl, cos, sin, f_p, f_q = _line_terms(x, k, l, g, b)
+    jac = np.empty((len(vk), 3, 4))
+    dfp_dth = vk * vl * (g * sin - b * cos)
+    dfq_dth = vk * vl * (g * cos - b * sin)
+    jac[:, 0, 0] = dfp_dth
+    jac[:, 0, 2] = -dfp_dth
+    jac[:, 0, 1] = 2.0 * vk * g - vl * (g * cos + b * sin)
+    jac[:, 0, 3] = -vk * (g * cos + b * sin)
+    jac[:, 1, 0] = dfq_dth
+    jac[:, 1, 2] = -dfq_dth
+    jac[:, 1, 1] = -2.0 * vk * b + vl * (b * cos + g * sin)
+    jac[:, 1, 3] = vk * (b * cos + g * sin)
+    inv_vk2 = 1.0 / (vk * vk)
+    jac[:, 2, :] = (2.0 * f_p[:, None] * jac[:, 0, :] + 2.0 * f_q[:, None] * jac[:, 1, :]) * inv_vk2[:, None]
+    jac[:, 2, 1] -= 2.0 * (f_p * f_p + f_q * f_q) / (vk * vk * vk)
     return jac
 
 

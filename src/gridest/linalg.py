@@ -1,19 +1,22 @@
 """Direct solvers used everywhere else in the package.
 
-Square general systems go through partially pivoted dense LU.  KKT systems
-are symmetric but indefinite, which rules out Cholesky; they are factored
-once as a whole bordered matrix (no Schur complement, so no assumption that
-the Hessian block alone is invertible).
+Square general systems go through partially pivoted LU.  KKT systems are
+symmetric but indefinite, which rules out Cholesky; they are factored once
+as a whole bordered matrix (no Schur complement, so no assumption that the
+Hessian block alone is invertible).
 
-A KKT system given as dense arrays is factored with dense Bunch-Kaufman
-LDL^T, O(n^3).  That serves the region and central Gauss-Newton steps: a
-region system has under a hundred rows and is 8-12 % nonzero, where a
-sparse factorization saves nothing.  A KKT system given as scipy.sparse
-blocks is factored with sparse LU (SuperLU, COLAMD column ordering).  That
-serves the systems that span every region, the consensus QP and the
-posterior bound: block diagonal plus a thin coupling border, thousands of
-rows on tiled grids and well under 1 % nonzero, so their cost follows the
-fill of the factors instead of n^3.
+The kind of the input picks the factorization, for both solve_linear and
+solve_kkt; there is no size threshold.  Dense input is factored densely:
+LU for a square system, Bunch-Kaufman LDL^T (LAPACK dsytrf) for a KKT
+system, O(n^3).  That serves the region Gauss-Newton steps: a region
+system has 72-220 bordered rows and is 4-10 % nonzero, where SuperLU
+measured 2-4x slower than dense LDL^T.  scipy.sparse input is factored
+with sparse LU (SuperLU, COLAMD column ordering).  That serves every system
+that spans the whole grid: the consensus QP and the posterior bound (block
+diagonal plus a thin coupling border), the central Gauss-Newton step and
+the Newton power flow (the network's own sparsity).  They have hundreds to
+thousands of rows and are well under 1 % nonzero, so their cost follows
+the fill of the factors instead of n^3.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -35,24 +39,29 @@ PIVOT_RTOL = 1e-14
 RIDGE_SCALE = 1e-9
 
 
-def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a dense square system with partially pivoted LU.
+def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a square system: dense LU, or SparseFactor for scipy.sparse input.
 
-    One step of iterative refinement keeps the backward error at
+    A dense matrix is factored with partially pivoted LU.  One step of
+    iterative refinement keeps the backward error at
     norm(A x - rhs, inf) <= 1e-9 (1 + norm(rhs, inf)) for anything this
     package produces.
 
     Raises SingularMatrix when a pivot falls below PIVOT_RTOL times the
-    largest absolute entry of the matrix.
+    largest absolute entry of the matrix (and as SparseFactor describes
+    for sparse input).
     """
-    a = np.asarray(matrix, dtype=float)
+    sparse = scipy.sparse.issparse(matrix)
+    a = scipy.sparse.csc_array(matrix, dtype=float) if sparse else np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {a.shape[0]}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.all(np.isfinite(a.data if sparse else a)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in linear system")
+    if sparse:
+        return SparseFactor(a).solve(b)
     scale = max(np.abs(a).max(), np.finfo(float).tiny)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -67,8 +76,12 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class SymmetricFactor:
     """Bunch-Kaufman LDL^T factorization of a symmetric indefinite matrix.
 
-    Factor once, solve many right-hand sides.  solve() applies one step of
-    iterative refinement against the retained matrix.
+    LAPACK dsytrf factors, dsytrs solves.  Factor once, solve many
+    right-hand sides (a vector or the columns of a 2-D array); solve()
+    applies one step of iterative refinement against the retained matrix.
+    Raises SingularMatrix when a 1x1 pivot, or the smaller eigenvalue in
+    magnitude of a 2x2 pivot block, is at most PIVOT_RTOL times the largest
+    absolute entry of the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -77,46 +90,31 @@ class SymmetricFactor:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         self.matrix = m
         n = m.shape[0]
-        self._lu, self._d, self._perm = scipy.linalg.ldl(m)
-        self._tri = self._lu[self._perm, :]
-        scale = max(np.abs(m).max(), np.finfo(float).tiny)
-        tol = PIVOT_RTOL * scale
-        # Walk the block diagonal of D: a nonzero subdiagonal marks a 2x2 block.
-        blocks: list[tuple[int, int]] = []
-        i = 0
-        while i < n:
-            if i + 1 < n and self._d[i + 1, i] != 0.0:
-                blocks.append((i, 2))
-                i += 2
-            else:
-                blocks.append((i, 1))
-                i += 1
-        self._blocks = blocks
-        for start, size in blocks:
-            if size == 1:
-                if abs(self._d[start, start]) <= tol:
-                    raise SingularMatrix("zero pivot in LDL^T factorization")
-            else:
-                a, b, c = self._d[start, start], self._d[start + 1, start], self._d[start + 1, start + 1]
-                half_tr = 0.5 * (a + c)
-                disc = np.hypot(0.5 * (a - c), b)
-                if min(abs(half_tr - disc), abs(half_tr + disc)) <= tol:
-                    raise SingularMatrix("singular 2x2 pivot block in LDL^T factorization")
+        # Without the workspace query dsytrf gets lwork = n and falls back
+        # to the unblocked dsytf2, several times slower at a few hundred rows.
+        lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n, lower=1)
+        self._ldu, self._ipiv, info = scipy.linalg.lapack.dsytrf(m, lower=1, lwork=max(int(lwork), 1))
+        if info > 0:
+            raise SingularMatrix("zero pivot in LDL^T factorization")
+        tol = PIVOT_RTOL * max(np.abs(m).max(initial=0.0), np.finfo(float).tiny)
+        # A negative ipiv entry marks a row of a 2x2 block of D; a block takes
+        # two consecutive negative entries, so each run of them splits into
+        # pairs from its start.
+        d = self._ldu.diagonal()
+        pos = np.arange(n)
+        two = self._ipiv < 0
+        run_start = np.maximum.accumulate(np.where(two, 0, pos + 1))
+        first = np.flatnonzero(two & ((pos - run_start) % 2 == 0))
+        if np.any(np.abs(d[~two]) <= tol):
+            raise SingularMatrix("zero pivot in LDL^T factorization")
+        a, b, c = d[first], self._ldu[first + 1, first], d[first + 1]
+        half_tr = 0.5 * (a + c)
+        disc = np.hypot(0.5 * (a - c), b)
+        if np.any(np.minimum(np.abs(half_tr - disc), np.abs(half_tr + disc)) <= tol):
+            raise SingularMatrix("singular 2x2 pivot block in LDL^T factorization")
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        w = scipy.linalg.solve_triangular(
-            self._tri, rhs[self._perm], lower=True, unit_diagonal=True
-        )
-        for start, size in self._blocks:
-            if size == 1:
-                w[start] /= self._d[start, start]
-            else:
-                block = self._d[start : start + 2, start : start + 2]
-                w[start : start + 2] = scipy.linalg.solve(block, w[start : start + 2])
-        v = scipy.linalg.solve_triangular(self._tri.T, w, lower=False, unit_diagonal=True)
-        out = np.empty_like(v)
-        out[self._perm] = v
-        return out
+        return scipy.linalg.lapack.dsytrs(self._ldu, self._ipiv, rhs, lower=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = np.asarray(rhs, dtype=float)

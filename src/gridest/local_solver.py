@@ -9,7 +9,8 @@ where F is a weighted measurement residual and H the power flow physics of
 one region.  The quadratic model uses the Gauss-Newton Hessian
 2 B^T B + rho P^T P + mu I (B the residual Jacobian, P the prox selector),
 each step solves one KKT system, and steps are globalized with a
-backtracking Armijo search on the exact l1 merit function.
+backtracking Armijo search on the exact l1 merit function.  The Hessian
+and the KKT factorization are dense or sparse as the Jacobians are.
 
 The same routine serves three callers: the distributed consensus loop
 (prox over all coordinates, lin from the coupling duals), the alternating
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .errors import InnerDiverged, ZeroVoltage
@@ -33,7 +35,9 @@ MAX_BACKTRACKS = 20
 # The merit is a sum of nonnegative pieces whose float rounding scales
 # with the pieces, not with the (possibly tiny) total, so the slack must
 # be measured against the pieces or the search falsely stalls at the
-# noise floor while the KKT residual is still polishable.
+# noise floor while the KKT residual is still polishable.  For the
+# penalty nu |h|_1 the pieces are the terms summed into each h_k, of
+# size (|C| |y|)_k, not |h_k|, which is pure rounding at a feasible point.
 MERIT_NOISE = 1e-12
 
 
@@ -42,8 +46,8 @@ class LocalSolution:
     y: np.ndarray
     kappa: np.ndarray
     residual: np.ndarray
-    residual_jacobian: np.ndarray
-    constraint_jacobian: np.ndarray
+    residual_jacobian: np.ndarray | scipy.sparse.sparray
+    constraint_jacobian: np.ndarray | scipy.sparse.sparray
     fit: float
     inner_iterations: int
     kkt_residual: float
@@ -64,7 +68,9 @@ def solve_local(
 ) -> LocalSolution:
     """Run the SQP from y0 until the KKT residual drops below tol.
 
-    residual and constraints expose eval(y) and jacobian(y).  prox_idx
+    residual and constraints expose eval(y) and jacobian(y); the
+    Jacobians may be dense or scipy.sparse, and the Gauss-Newton Hessian
+    and the KKT factorization follow the residual Jacobian's kind.  prox_idx
     selects the coordinates the proximal term acts on (None means all of
     them); prox_target must match its length.  Returns the last iterate
     with converged=False when max_inner runs out; raises InnerDiverged when
@@ -108,8 +114,13 @@ def solve_local(
         # so it cannot be driven below the rounding of that sum.  Once the
         # accepted steps are pure rounding dust at a feasible iterate, the
         # solution is as stationary as float64 can express; stopping there
-        # is convergence, not failure.  The achieved residual is reported.
+        # is convergence, not failure.  kappa still comes from the KKT solve
+        # at the previous iterate, so it is refitted by least squares,
+        # min ||grad + C^T kappa||, at this one; the smaller residual of the
+        # two multiplier vectors is the one returned and reported.
         at_floor = dust_steps >= 3 and np.abs(h).max(initial=0.0) <= tol
+        if at_floor and kkt_res > tol:
+            kappa, kkt_res = _refit_multipliers(grad, big_c, h, kappa, kkt_res)
         if kkt_res <= tol or at_floor:
             return LocalSolution(
                 y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
@@ -119,10 +130,12 @@ def solve_local(
         if inner == max_inner:
             break
         hess = 2.0 * (big_b.T @ big_b)
-        if mu != 0.0:
-            hess += mu * np.eye(n)
-        if rho != 0.0:
-            hess[idx, idx] += rho
+        shift = np.full(n, mu)
+        shift[idx] += rho
+        if scipy.sparse.issparse(hess):
+            hess = hess + scipy.sparse.diags_array(shift)
+        else:
+            hess[np.diag_indices(n)] += shift
         sol = linalg.solve_kkt(
             linalg.KktSystem(
                 hessian=hess, constraint_jacobian=big_c, gradient=grad, residual=h
@@ -136,7 +149,8 @@ def solve_local(
         slope = float(grad @ step) - nu * h_l1
         slope = min(slope, 0.0)
         alpha = 1.0
-        noise = float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * h_l1 + 1.0
+        h_terms = float(np.sum(abs(big_c) @ np.abs(y)))
+        noise = float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * (h_l1 + h_terms) + 1.0
         if rho != 0.0:
             d = y[idx] - target
             noise += 0.5 * rho * float(d @ d)
@@ -173,3 +187,19 @@ def solve_local(
         constraint_jacobian=big_c, fit=float(b @ b),
         inner_iterations=inner, kkt_residual=kkt_res, converged=False,
     )
+
+
+def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
+    """The least-squares multipliers at a fixed iterate, if they do better.
+
+    Solves [I C^T; C 0] [s; k] = [-grad; 0], whose k minimizes
+    ||grad + C^T k||.  Returns (kappa, kkt_res) of whichever of the given
+    and the refitted multipliers has the smaller KKT residual.
+    """
+    n = len(grad)
+    eye = scipy.sparse.eye_array(n) if scipy.sparse.issparse(big_c) else np.eye(n)
+    fitted = linalg.solve_kkt(
+        linalg.KktSystem(hessian=eye, constraint_jacobian=big_c, gradient=grad, residual=np.zeros(len(h)))
+    ).multipliers
+    res = max(np.abs(grad + big_c.T @ fitted).max(initial=0.0), np.abs(h).max(initial=0.0))
+    return (fitted, res) if res < kkt_res else (kappa, kkt_res)

@@ -10,6 +10,11 @@ variance rel_var * max(value^2, floor^2): relative noise with an absolute
 floor so near-zero channels (unloaded buses, small flows) are not measured
 impossibly well.  Weights are fixed diagonal matrices chosen a priori, not
 refitted per sample.
+
+RegionResidual evaluates every measured line at once (grid.line_flows and
+grid.line_flow_derivatives); the positions of its Jacobian entries are
+fixed when it is built, and jacobian() returns them dense or, with
+sparse=True, as CSR.
 """
 
 from __future__ import annotations
@@ -217,10 +222,27 @@ class RegionResidual:
             lines.append((ends, line.g, line.b, j))
         lines.sort(key=lambda item: item[0])
         self.line_ends = tuple(item[0] for item in lines)
-        self.line_gb = [(g, b) for _, g, b, _ in lines]
+        self.line_k = np.array([case.index[k] for k, _ in self.line_ends], dtype=int)
+        self.line_l = np.array([case.index[l] for _, l in self.line_ends], dtype=int)
+        self.line_g = np.array([item[1] for item in lines], dtype=float)
+        self.line_b = np.array([item[2] for item in lines], dtype=float)
         rows = [item[3] for item in lines]
         self.line_values = mset.line_values[rows].reshape(len(rows), 3)
         self.line_sqrt_w = np.sqrt(mset.line_weights[rows].reshape(len(rows), 3))
+
+        # Jacobian entries: node row 4 i + c has one, in column 4 pos + c;
+        # line row r of line j has four, in the theta and v columns of its
+        # two ends (the order of grid.line_flow_derivatives).
+        nn, nl = len(self.node_ids), len(self.line_ends)
+        line_cols = np.stack([4 * self.line_k + grid.THETA, 4 * self.line_k + grid.V,
+                              4 * self.line_l + grid.THETA, 4 * self.line_l + grid.V], axis=1)
+        line_rows = 4 * nn + 3 * np.arange(nl)[:, None] + np.arange(3)
+        self._pattern = grid.SparsityPattern(
+            np.concatenate([np.arange(4 * nn), np.repeat(line_rows.ravel(), 4)]),
+            np.concatenate([(4 * self.node_pos[:, None] + np.arange(4)).ravel(),
+                            np.broadcast_to(line_cols[:, None, :], (nl, 3, 4)).ravel()]),
+            (self.n_rows, self.n_states),
+        )
 
     @property
     def n_rows(self) -> int:
@@ -231,26 +253,12 @@ class RegionResidual:
         return 4 * self.case.n_bus
 
     def eval(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_rows)
-        nn = len(self.node_ids)
-        for i, pos in enumerate(self.node_pos):
-            out[4 * i : 4 * i + 4] = self.node_sqrt_w[i] * (z[4 * pos : 4 * pos + 4] - self.node_values[i])
-        for j, ((k, l), (g, b)) in enumerate(zip(self.line_ends, self.line_gb)):
-            pk, pl = self.case.index[k], self.case.index[l]
-            flow = grid.line_flow(z[4 * pk : 4 * pk + 4], z[4 * pl : 4 * pl + 4], g, b)
-            out[4 * nn + 3 * j : 4 * nn + 3 * j + 3] = self.line_sqrt_w[j] * (flow - self.line_values[j])
-        return out
+        node = self.node_sqrt_w * (z.reshape(-1, 4)[self.node_pos] - self.node_values)
+        flows = grid.line_flows(z, self.line_k, self.line_l, self.line_g, self.line_b)
+        return np.concatenate([node.ravel(), (self.line_sqrt_w * (flows - self.line_values)).ravel()])
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        jac = np.zeros((self.n_rows, self.n_states))
-        nn = len(self.node_ids)
-        for i, pos in enumerate(self.node_pos):
-            for c in range(4):
-                jac[4 * i + c, 4 * pos + c] = self.node_sqrt_w[i, c]
-        for j, ((k, l), (g, b)) in enumerate(zip(self.line_ends, self.line_gb)):
-            pk, pl = self.case.index[k], self.case.index[l]
-            block = grid.line_flow_jacobian(z[4 * pk : 4 * pk + 4], z[4 * pl : 4 * pl + 4], g, b)
-            row = 4 * nn + 3 * j
-            jac[row : row + 3, 4 * pk : 4 * pk + 4] = self.line_sqrt_w[j][:, None] * block[:, :4]
-            jac[row : row + 3, 4 * pl : 4 * pl + 4] = self.line_sqrt_w[j][:, None] * block[:, 4:]
-        return jac
+    def jacobian(self, z: np.ndarray, sparse: bool = False):
+        """Jacobian of eval at z: dense, or scipy.sparse CSR when sparse is set."""
+        lines = grid.line_flow_derivatives(z, self.line_k, self.line_l, self.line_g, self.line_b)
+        values = np.concatenate([self.node_sqrt_w.ravel(), (self.line_sqrt_w[:, :, None] * lines).ravel()])
+        return self._pattern.assemble(values, sparse)

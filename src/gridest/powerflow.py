@@ -5,6 +5,10 @@ everywhere except the slack bus, magnitudes are unknown at PQ buses.  After
 convergence the injections at every bus are back-computed from the final
 voltages so the returned state satisfies the full power flow residual to
 machine precision, not just to the mismatch tolerance.
+
+Each Newton matrix is the reduced block of the sparse power-flow Jacobian
+(grid.PowerFlowModel.jacobian with sparse=True), factored with sparse LU:
+like the network it has a few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -41,50 +45,38 @@ def solve_power_flow(case: grid.GridCase, tol: float = 1e-10, max_iter: int = 30
     slack = [i for i, bus in enumerate(case.buses) if bus.kind == "slack"]
     if len(slack) != 1:
         raise ValidationError(f"power flow needs exactly one slack bus, case has {len(slack)}")
-    g, b = grid.build_admittance(case)
+    model = grid.PowerFlowModel(case)
     n = case.n_bus
     kinds = np.array([bus.kind for bus in case.buses])
     pq = np.flatnonzero(kinds == "pq")
     non_slack = np.flatnonzero(kinds != "slack")
+    # Mismatch rows: p off the slack bus, q at PQ buses.  Unknowns: theta
+    # off the slack bus, v at PQ buses.
+    rows = np.concatenate([2 * non_slack, 2 * pq + 1])
+    cols = np.concatenate([4 * non_slack + grid.THETA, 4 * pq + grid.V])
 
     p_spec = np.array([bus.p_injection for bus in case.buses])
     q_spec = np.array([bus.q_injection for bus in case.buses])
-    theta = np.zeros(n)
     v = np.ones(n)
     for i, bus in enumerate(case.buses):
         if bus.kind in ("slack", "pv"):
             v[i] = bus.v_setpoint
+    x = grid.pack_state(np.zeros(n), v, p_spec, q_spec)
 
-    def mismatch_vector(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = grid.pack_state(theta, v, p_spec, q_spec)
-        s = grid.calculated_injections(g, b, x)
-        return np.concatenate([(p_spec - s.real)[non_slack], (q_spec - s.imag)[pq]])
-
-    mis = mismatch_vector(theta, v)
+    mis = model.eval(x)[rows]
     for it in range(1, max_iter + 1):
-        x = grid.pack_state(theta, v, p_spec, q_spec)
-        ds_dva, ds_dvm = grid._injection_voltage_jacobians(g, b, x)
-        jac = np.block(
-            [
-                [ds_dva.real[np.ix_(non_slack, non_slack)], ds_dvm.real[np.ix_(non_slack, pq)]],
-                [ds_dva.imag[np.ix_(pq, non_slack)], ds_dvm.imag[np.ix_(pq, pq)]],
-            ]
-        )
+        jac = model.jacobian(x, sparse=True)[rows][:, cols]
         try:
-            step = linalg.solve_linear(jac, mis)
+            step = linalg.solve_linear(jac, -mis)
         except SingularMatrix as exc:
             raise SingularJacobian(f"power flow Jacobian singular at iteration {it}") from exc
-        theta = theta.copy()
-        v = v.copy()
-        theta[non_slack] += step[: len(non_slack)]
-        v[pq] += step[len(non_slack) :]
-        mis = mismatch_vector(theta, v)
+        x[cols] += step
+        mis = model.eval(x)[rows]
         norm = np.abs(mis).max(initial=0.0)
         if not np.isfinite(norm) or norm > _BLOWUP:
             raise Diverged(f"power flow mismatch blew up at iteration {it}")
         if norm <= tol:
-            x = grid.pack_state(theta, v, p_spec, q_spec)
-            s = grid.calculated_injections(g, b, x)
-            state = grid.pack_state(theta, v, s.real, s.imag)
-            return PowerFlowSolution(state=state, iterations=it, mismatch=norm)
+            s = grid.calculated_injections(model.g, model.b, x)
+            x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
+            return PowerFlowSolution(state=x, iterations=it, mismatch=norm)
     raise Diverged(f"power flow did not reach tol {tol:g} in {max_iter} iterations")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridest import central, measurements
+from gridest import central, grid, local_solver, measurements, partition
 from gridest.errors import Diverged
 
 
@@ -43,3 +43,35 @@ def test_custom_start_point(case30, truth30, mset30, central30):
 def test_exhausted_budget_raises(case30, mset30):
     with pytest.raises(Diverged):
         central.solve_central(case30, mset30, max_iter=1)
+
+
+def test_kkt_quality_holds_across_measurement_seeds(case30, part30, truth30):
+    """Seeds 0-29 of the default scenario: every solve reaches 1e-8.
+
+    Near the rounding floor the line search used to reject full steps on
+    the noise of the penalty term and the exit reported multipliers from
+    the previous iterate; 7 of these 30 seeds then stopped above 1e-8
+    (seed 1 at 3.4e-5).
+    """
+    lines = partition.internal_line_keys(part30)
+    for seed in range(30):
+        mset = measurements.simulate_measurements(case30, truth30, rng=seed, measured_lines=lines)
+        sol = central.solve_central(case30, mset)
+        assert sol.kkt_residual <= 1e-8, f"seed {seed}"
+        assert sol.inner_iterations <= 30, f"seed {seed}"
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_sparse_solve_matches_the_dense_jacobian_solve(request, name):
+    if name == "ieee30":
+        case, mset = request.getfixturevalue("case30"), request.getfixturevalue("mset30")
+    else:
+        part, mset = request.getfixturevalue("two_tile30")
+        case = part.case
+    sol = central.solve_central(case, mset)
+    dense = local_solver.solve_local(
+        measurements.RegionResidual(case, mset), grid.PowerFlowModel(case),
+        y0=grid.flat_state(case.n_bus), mu=1e-8, tol=1e-9, max_inner=100,
+    )
+    assert dense.converged
+    assert np.abs(sol.x - dense.y).max() <= 1e-8

@@ -174,6 +174,38 @@ def test_model_wrapper_shapes(case30):
     assert model.jacobian(x).shape == (2 * case30.n_bus, 4 * case30.n_bus)
 
 
+def _dense_injection_jacobians(g, b, x):
+    """Reference: dS/dtheta and dS/dv of S = V conj(Y V) as dense matrix products."""
+    vc = grid.complex_voltage(x)
+    y = g + 1j * b
+    diag_v = np.diag(vc)
+    diag_i = np.diag(y @ vc)
+    diag_vnorm = np.diag(vc / x[grid.V :: 4])
+    ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
+    ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    return ds_dva, ds_dvm
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_model_jacobian_matches_the_dense_matrix_formulas(request, name):
+    """The pattern-wise Jacobian equals the dense matrix-product formulas to
+    rounding, jacobian_power_flow exactly, and its sparse form exactly."""
+    case = request.getfixturevalue("case30") if name == "ieee30" else request.getfixturevalue(name)[0].case
+    model = grid.PowerFlowModel(case)
+    n = case.n_bus
+    for x in list(random_states(n, 2, seed=3)) + [grid.flat_state(n)]:
+        jac = model.jacobian(x)
+        ds_dva, ds_dvm = _dense_injection_jacobians(model.g, model.b, x)
+        ref = np.zeros((2 * n, 4 * n))
+        ref[0::2, 0::4], ref[0::2, 1::4] = -ds_dva.real, -ds_dvm.real
+        ref[1::2, 0::4], ref[1::2, 1::4] = -ds_dva.imag, -ds_dvm.imag
+        ref[2 * np.arange(n), 4 * np.arange(n) + grid.P] = 1.0
+        ref[2 * np.arange(n) + 1, 4 * np.arange(n) + grid.Q] = 1.0
+        assert np.abs(jac - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(grid.jacobian_power_flow(model.g, model.b, x), jac)
+        assert np.array_equal(model.jacobian(x, sparse=True).toarray(), jac)
+
+
 # ---------------------------------------------------------------------------
 # line measurement functions
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gridest import grid, measurements, partition
-from gridest.errors import DimensionMismatch, UnknownBusReference, ValidationError
+from gridest.errors import DimensionMismatch, UnknownBusReference, ValidationError, ZeroVoltage
 
-from conftest import fd_jacobian
+from conftest import fd_jacobian, random_states
 
 
 def test_same_seed_same_realization(case30, truth30):
@@ -178,3 +178,58 @@ def test_region_residual_fit_is_the_weighted_square_sum(case6, truth6):
         d = grid.line_flow(x_k, x_l, line.g, line.b) - mset.line_values[j]
         direct += float(np.sum(mset.line_weights[j] * d * d))
     assert float(r @ r) == pytest.approx(direct, rel=1e-12)
+
+
+def _per_line_reference(residual, z):
+    """eval and jacobian of a RegionResidual, one node and one line at a time."""
+    case = residual.case
+    by_key = {line.key(): line for line in case.lines}
+    nn = len(residual.node_ids)
+    out = np.empty(residual.n_rows)
+    jac = np.zeros((residual.n_rows, residual.n_states))
+    for i, pos in enumerate(residual.node_pos):
+        out[4 * i : 4 * i + 4] = residual.node_sqrt_w[i] * (z[4 * pos : 4 * pos + 4] - residual.node_values[i])
+        jac[4 * i : 4 * i + 4, 4 * pos : 4 * pos + 4] = np.diag(residual.node_sqrt_w[i])
+    for j, (k, l) in enumerate(residual.line_ends):
+        line = by_key[(min(k, l), max(k, l))]
+        pk, pl = case.index[k], case.index[l]
+        x_k, x_l = z[4 * pk : 4 * pk + 4], z[4 * pl : 4 * pl + 4]
+        w = residual.line_sqrt_w[j]
+        row = 4 * nn + 3 * j
+        out[row : row + 3] = w * (grid.line_flow(x_k, x_l, line.g, line.b) - residual.line_values[j])
+        block = grid.line_flow_jacobian(x_k, x_l, line.g, line.b)
+        jac[row : row + 3, 4 * pk : 4 * pk + 4] = w[:, None] * block[:, :4]
+        jac[row : row + 3, 4 * pl : 4 * pl + 4] = w[:, None] * block[:, 4:]
+    return out, jac
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_region_residual_matches_the_per_line_reference(request, name):
+    """Whole case and every region: vectorized eval and jacobian against a
+    loop over grid.line_flow and grid.line_flow_jacobian; the sparse
+    Jacobian holds exactly the dense one's numbers."""
+    if name == "ieee30":
+        part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
+    else:
+        part, mset = request.getfixturevalue("two_tile30")
+    residuals = [measurements.RegionResidual(part.case, mset)] + [
+        measurements.RegionResidual(region.case, region_set)
+        for region, region_set in zip(part.regions, measurements.split_by_region(mset, part))
+    ]
+    for seed, residual in enumerate(residuals):
+        for z in random_states(residual.case.n_bus, 2, seed=seed):
+            ref_out, ref_jac = _per_line_reference(residual, z)
+            out, jac = residual.eval(z), residual.jacobian(z)
+            assert np.abs(out - ref_out).max() <= 1e-14 * np.abs(ref_out).max()
+            assert np.abs(jac - ref_jac).max() <= 1e-14 * np.abs(ref_jac).max()
+            assert np.array_equal(residual.jacobian(z, sparse=True).toarray(), jac)
+
+
+def test_region_residual_rejects_zero_voltage_at_a_measured_line_end(case6, truth6):
+    residual = measurements.RegionResidual(case6, measurements.simulate_measurements(case6, truth6, rng=4))
+    x = truth6.copy()
+    x[4 * case6.index[residual.line_ends[0][0]] + grid.V] = 0.0
+    with pytest.raises(ZeroVoltage):
+        residual.eval(x)
+    with pytest.raises(ZeroVoltage):
+        residual.jacobian(x, sparse=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridest import grid, powerflow
-from gridest.errors import Diverged, ValidationError
+from gridest.errors import Diverged, SingularJacobian, ValidationError
 
 
 def test_thirty_bus_solution_quality(case30):
@@ -90,3 +90,44 @@ def test_infeasible_load_diverges():
     )
     with pytest.raises(Diverged):
         powerflow.solve_power_flow(case)
+
+
+def test_isolated_bus_makes_the_newton_matrix_singular():
+    # Bus 3 has no line, so its rows and columns of the Newton matrix are empty.
+    case = grid.GridCase(
+        "t", 100.0,
+        (grid.Bus(1, "slack"), grid.Bus(2, "pq", p_load=0.1), grid.Bus(3, "pq", p_load=0.1)),
+        (grid.Line(1, 2, 0.02, 0.1),),
+    )
+    with pytest.raises(SingularJacobian):
+        powerflow.solve_power_flow(case)
+
+
+def _dense_newton(case, tol=1e-10, max_iter=30):
+    """Reference: the same Newton iteration on the dense Jacobian, dense LU."""
+    g, b = grid.build_admittance(case)
+    kinds = np.array([bus.kind for bus in case.buses])
+    non_slack, pq = np.flatnonzero(kinds != "slack"), np.flatnonzero(kinds == "pq")
+    rows = np.concatenate([2 * non_slack, 2 * pq + 1])
+    cols = np.concatenate([4 * non_slack + grid.THETA, 4 * pq + grid.V])
+    x = grid.pack_state(
+        np.zeros(case.n_bus),
+        np.array([bus.v_setpoint if bus.kind != "pq" else 1.0 for bus in case.buses]),
+        np.array([bus.p_injection for bus in case.buses]),
+        np.array([bus.q_injection for bus in case.buses]),
+    )
+    for _ in range(max_iter):
+        mis = grid.power_flow_residual(g, b, x)[rows]
+        if np.abs(mis).max() <= tol:
+            s = grid.calculated_injections(g, b, x)
+            x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
+            return x
+        x[cols] -= np.linalg.solve(grid.jacobian_power_flow(g, b, x)[np.ix_(rows, cols)], mis)
+    raise AssertionError("dense reference did not converge")
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_sparse_newton_matches_the_dense_reference(request, name):
+    case = request.getfixturevalue("case30") if name == "ieee30" else request.getfixturevalue(name)[0].case
+    state = powerflow.solve_power_flow(case).state
+    assert np.abs(state - _dense_newton(case)).max() <= 1e-12

@@ -12,22 +12,20 @@ copies; for an injection row (signs +1/+1) it splits the midpoint's power
 imbalance evenly, so the targets are opposite.  The scaled multipliers take
 the usual residual update.
 
-The reported consensus violation uses the same metric as the
-Gauss-Newton driver, ||sum_i A_i y_i||_inf, so the two histories compare
-like for like.  Per iteration each region uploads its 4|A_i| copies and
-downloads its 4|A_i| targets.
+The outer loop, and with it the reported consensus violation
+||sum_i A_i y_i||_inf, is the Gauss-Newton estimator's (aladin.py), so the
+two histories compare like for like.  Per iteration each region uploads
+its 4|A_i| copies and downloads its 4|A_i| targets.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid, local_solver, measurements, partition as partition_mod
-from .aladin import IterationRecord, build_workspaces
-from .errors import InnerDiverged
+from . import grid, measurements, partition as partition_mod
+from .aladin import _outer_loop, _RunResult
 
 
 @dataclass(frozen=True)
@@ -37,20 +35,11 @@ class AdmmConfig:
     max_outer: int = 200
     inner_tol: float = 1e-8
     max_inner: int = 50
-    workers: int | None = None
 
 
 @dataclass
-class AdmmResult:
-    zs: list[np.ndarray]
-    converged: bool
-    iterations: int
-    history: list[IterationRecord]
-    note: str = ""
-
-    @property
-    def final_violation(self) -> float:
-        return self.history[-1].consensus_violation if self.history else np.nan
+class AdmmResult(_RunResult):
+    """Final iterates and history of one ADMM run."""
 
 
 def run_admm(
@@ -61,7 +50,6 @@ def run_admm(
     truth: np.ndarray | None = None,
 ) -> AdmmResult:
     config = config or AdmmConfig()
-    spaces = build_workspaces(part, mset)
     # Copy t of region i is state coordinate cols[i][t], coupled with sign
     # signs[i][t] into consensus row rows[i][t].
     rows: list[np.ndarray] = []
@@ -75,6 +63,7 @@ def run_admm(
     counts = np.zeros(part.n_coupling_rows)
     for i in range(part.n_regions):
         np.add.at(counts, rows[i], 1.0)
+    n_copies = sum(len(r) for r in rows)
 
     def project(ys: list[np.ndarray], gap: np.ndarray) -> list[np.ndarray]:
         return [
@@ -85,69 +74,20 @@ def run_admm(
     zs = [grid.flat_state(r.case.n_bus) for r in part.regions] if z0 is None else [np.array(z) for z in z0]
     zeta = project(zs, partition_mod.consensus_gap(part, zs))
     lams = [np.zeros(len(rows[i])) for i in range(part.n_regions)]
-    history: list[IterationRecord] = []
-    converged = False
-    note = ""
 
-    def solve_region(i: int, y_start: np.ndarray) -> local_solver.LocalSolution:
-        ws = spaces[i]
-        lin = np.zeros(y_start.size)
+    def prox_terms(i: int, z_i: np.ndarray):
+        lin = np.zeros(z_i.size)
         np.add.at(lin, cols[i], lams[i])
-        return local_solver.solve_local(
-            ws.residual,
-            ws.model,
-            y0=y_start,
-            rho=config.rho,
-            lin=lin,
-            prox_target=zeta[i],
-            prox_idx=cols[i],
-            tol=config.inner_tol,
-            max_inner=config.max_inner,
-        )
+        return lin, zeta[i], cols[i]
 
-    workers = config.workers or max(1, part.n_regions)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for k in range(1, config.max_outer + 1):
-            try:
-                locals_ = list(pool.map(solve_region, range(part.n_regions), zs))
-            except InnerDiverged as exc:
-                note = f"inner solve diverged at outer iteration {k}: {exc}"
-                break
-            ys = [sol.y for sol in locals_]
-            gap = partition_mod.consensus_gap(part, ys)
-            violation = np.abs(gap).max(initial=0.0)
-            step_norm = max(np.abs(y - z).max(initial=0.0) for y, z in zip(ys, zs))
-            zeta = project(ys, gap)
-            for i in range(part.n_regions):
-                lams[i] = lams[i] + config.rho * (ys[i][cols[i]] - zeta[i])
-            state_error = np.nan
-            if truth is not None:
-                estimate = partition_mod.restrict_state(part, ys)
-                state_error = np.abs(estimate - truth).max(initial=0.0)
-            per_region = [len(rows[i]) for i in range(part.n_regions)]
-            history.append(
-                IterationRecord(
-                    iteration=k,
-                    consensus_violation=violation,
-                    step_norm=step_norm,
-                    objective=sum(sol.fit for sol in locals_),
-                    inner_iterations=tuple(sol.inner_iterations for sol in locals_),
-                    state_error=state_error,
-                    upload_floats=sum(per_region),
-                    download_floats=sum(per_region),
-                    regularized=False,
-                )
-            )
-            zs = ys
-            if violation <= config.tol:
-                converged = True
-                break
-    if not converged and not note and len(history) >= config.max_outer:
-        note = f"consensus not reached within {config.max_outer} outer iterations"
-    return AdmmResult(
-        zs=zs,
-        converged=converged,
-        iterations=len(history),
-        history=history,
-        note=note,
-    )
+    def coordinate(sols, gap, record):
+        nonlocal zeta
+        ys = [sol.y for sol in sols]
+        zeta = project(ys, gap)
+        for i in range(part.n_regions):
+            lams[i] = lams[i] + config.rho * (ys[i][cols[i]] - zeta[i])
+        record.upload_floats = record.download_floats = n_copies
+        return ys, record.consensus_violation <= config.tol
+
+    zs, converged, history, note = _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate)
+    return AdmmResult(zs=zs, converged=converged, iterations=len(history), history=history, note=note)

@@ -1,10 +1,13 @@
 """Distributed Gauss-Newton consensus estimation (ALADIN outer loop).
 
-Each outer iteration solves every region's proximal subproblem in parallel
-(the regional solves only read immutable inputs, so they run on a thread
-pool and join at a barrier), collects the Gauss-Newton sensitivities, and
-either stops or performs the coupled consensus QP followed by the full
-step update z <- y + dy, lam <- lam_QP.
+Each outer iteration solves every region's proximal subproblem, one region
+after another, collects the Gauss-Newton sensitivities, and either stops or
+performs the coupled consensus QP followed by the full step update
+z <- y + dy, lam <- lam_QP.  The loop itself (region solves, iteration
+record, divergence and budget notes) is shared with the ADMM baseline in
+admm.py; each method supplies its subproblem terms and its coordination
+step.  A region whose inner solve ran out of iterations is named in that
+iteration's note.
 
 Termination needs both the consensus mismatch ||sum_i A_i y_i||_inf and
 the largest proximal displacement ||y_i - z_i||_inf to drop below eps.
@@ -24,8 +27,7 @@ than an assumption.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ class AladinConfig:
     max_outer: int = 50
     inner_tol: float = 1e-8
     max_inner: int = 50
-    workers: int | None = None
 
 
 @dataclass
@@ -85,13 +86,13 @@ def comm_counts(part: partition_mod.Partition) -> CommFormula:
 
 
 @dataclass
-class AladinResult:
+class _RunResult:
+    """Fields both estimators report; see AladinResult and admm.AdmmResult."""
+
     zs: list[np.ndarray]
-    lam: np.ndarray
     converged: bool
     iterations: int
     history: list[IterationRecord]
-    formula: CommFormula
     note: str = ""
 
     @property
@@ -99,25 +100,66 @@ class AladinResult:
         return self.history[-1].consensus_violation if self.history else np.nan
 
 
-@dataclass
-class _RegionWorkspace:
-    residual: measurements.RegionResidual
-    model: grid.PowerFlowModel
-    coupling: np.ndarray
+@dataclass(kw_only=True)
+class AladinResult(_RunResult):
+    lam: np.ndarray
+    formula: CommFormula
 
 
-def build_workspaces(
-    part: partition_mod.Partition, mset: measurements.MeasurementSet
-) -> list[_RegionWorkspace]:
+def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
+    """The outer loop shared by ALADIN and the ADMM baseline.
+
+    Each outer iteration solves the regions' subproblems one after another
+    from the current z_i, with prox_terms(i, z_i) giving the subproblem's
+    (lin, prox_target, prox_idx).  It logs the iteration and hands the
+    solutions, the consensus gap sum_i A_i y_i and the record to
+    coordinate(sols, gap, record), which fills in the record's
+    communication fields and returns the next iterates and whether the
+    method has terminated.  config supplies rho, max_outer, inner_tol and
+    max_inner.  Returns (zs, converged, history, note).
+    """
     region_sets = measurements.split_by_region(mset, part)
-    return [
-        _RegionWorkspace(
-            residual=measurements.RegionResidual(region.case, region_set),
-            model=grid.PowerFlowModel(region.case),
-            coupling=coupling,
+    residuals = [measurements.RegionResidual(r.case, s) for r, s in zip(part.regions, region_sets)]
+    models = [grid.PowerFlowModel(r.case) for r in part.regions]
+    history: list[IterationRecord] = []
+    for k in range(1, config.max_outer + 1):
+        sols = []
+        for i, z in enumerate(zs):
+            lin, prox_target, prox_idx = prox_terms(i, z)
+            try:
+                sols.append(local_solver.solve_local(
+                    residuals[i], models[i], y0=z, rho=config.rho, lin=lin,
+                    prox_target=prox_target, prox_idx=prox_idx,
+                    tol=config.inner_tol, max_inner=config.max_inner,
+                ))
+            except InnerDiverged as exc:
+                return zs, False, history, f"inner solve diverged at outer iteration {k}: {exc}"
+        ys = [sol.y for sol in sols]
+        gap = partition_mod.consensus_gap(part, ys)
+        state_error = np.nan
+        if truth is not None:
+            estimate = partition_mod.restrict_state(part, ys)
+            state_error = np.abs(estimate - truth).max(initial=0.0)
+        record = IterationRecord(
+            iteration=k,
+            consensus_violation=np.abs(gap).max(initial=0.0),
+            step_norm=max(np.abs(y - z).max(initial=0.0) for y, z in zip(ys, zs)),
+            objective=sum(sol.fit for sol in sols),
+            inner_iterations=tuple(sol.inner_iterations for sol in sols),
+            state_error=state_error,
+            upload_floats=0,
+            download_floats=0,
+            regularized=False,
         )
-        for region, region_set, coupling in zip(part.regions, region_sets, part.coupling)
-    ]
+        zs, done = coordinate(sols, gap, record)
+        stalled = [str(i) for i, sol in enumerate(sols) if not sol.converged]
+        if stalled:
+            note = "inner solve not converged in regions " + "|".join(stalled)
+            record.note = f"{record.note}; {note}" if record.note else note
+        history.append(record)
+        if done:
+            return zs, True, history, ""
+    return zs, False, history, f"consensus not reached within {config.max_outer} outer iterations"
 
 
 def run_aladin(
@@ -135,93 +177,43 @@ def run_aladin(
     original nodes; it never influences the iteration.
     """
     config = config or AladinConfig()
-    spaces = build_workspaces(part, mset)
     zs = [grid.flat_state(r.case.n_bus) for r in part.regions] if z0 is None else [np.array(z) for z in z0]
     lam = np.zeros(part.n_coupling_rows) if lam0 is None else np.array(lam0, dtype=float)
-    formula = comm_counts(part)
-    history: list[IterationRecord] = []
-    converged = False
-    note = ""
 
-    def solve_region(i: int, z_i: np.ndarray) -> local_solver.LocalSolution:
-        ws = spaces[i]
-        return local_solver.solve_local(
-            ws.residual,
-            ws.model,
-            y0=z_i,
-            rho=config.rho,
-            lin=ws.coupling.T @ lam,
-            prox_target=z_i,
-            tol=config.inner_tol,
-            max_inner=config.max_inner,
-        )
+    def prox_terms(i: int, z_i: np.ndarray):
+        return part.coupling[i].T @ lam, z_i, None
 
-    workers = config.workers or max(1, part.n_regions)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for k in range(1, config.max_outer + 1):
-            try:
-                locals_ = list(pool.map(solve_region, range(part.n_regions), zs))
-            except InnerDiverged as exc:
-                note = f"inner solve diverged at outer iteration {k}: {exc}"
-                break
-            ys = [sol.y for sol in locals_]
-            uploads = [
-                coordinator.SensitivityUpload(
-                    region=i,
-                    fit_hessian=sol.residual_jacobian.T @ sol.residual_jacobian,
-                    fit_gradient=sol.residual_jacobian.T @ sol.residual,
-                    constraint_jacobian=sol.constraint_jacobian,
-                    coupling_image=spaces[i].coupling @ sol.y,
-                )
-                for i, sol in enumerate(locals_)
-            ]
-            upload_floats = sum(up.float_count() for up in uploads)
-            violation = np.abs(
-                np.sum([up.coupling_image for up in uploads], axis=0)
-            ).max(initial=0.0)
-            step_norm = max(
-                np.abs(y - z).max(initial=0.0) for y, z in zip(ys, zs)
+    def coordinate(sols, gap, record):
+        nonlocal lam
+        uploads = [
+            coordinator.SensitivityUpload(
+                region=i,
+                fit_hessian=sol.residual_jacobian.T @ sol.residual_jacobian,
+                fit_gradient=sol.residual_jacobian.T @ sol.residual,
+                constraint_jacobian=sol.constraint_jacobian,
+                coupling_image=part.coupling[i] @ sol.y,
             )
-            objective = sum(sol.fit for sol in locals_)
-            state_error = np.nan
-            if truth is not None:
-                estimate = partition_mod.restrict_state(part, ys)
-                state_error = np.abs(estimate - truth).max(initial=0.0)
-            record = IterationRecord(
-                iteration=k,
-                consensus_violation=violation,
-                step_norm=step_norm,
-                objective=objective,
-                inner_iterations=tuple(sol.inner_iterations for sol in locals_),
-                state_error=state_error,
-                upload_floats=upload_floats,
-                download_floats=0,
-                regularized=False,
-                note="",
-            )
-            if violation <= config.eps and step_norm <= config.eps:
-                zs = ys
-                history.append(record)
-                converged = True
-                break
-            consensus = coordinator.solve_consensus(uploads, list(part.coupling))
-            record.download_floats = sum(
-                consensus.float_count(i) for i in range(part.n_regions)
-            )
-            record.regularized = consensus.regularized
-            if consensus.regularized:
-                record.note = "ridge-regularized consensus step"
-            history.append(record)
-            zs = [y + dy for y, dy in zip(ys, consensus.steps)]
-            lam = consensus.lam
-    if not converged and not note and len(history) >= config.max_outer:
-        note = f"consensus not reached within {config.max_outer} outer iterations"
+            for i, sol in enumerate(sols)
+        ]
+        record.upload_floats = sum(up.float_count() for up in uploads)
+        ys = [sol.y for sol in sols]
+        if record.consensus_violation <= config.eps and record.step_norm <= config.eps:
+            return ys, True
+        consensus = coordinator.solve_consensus(uploads, list(part.coupling))
+        record.download_floats = sum(consensus.float_count(i) for i in range(part.n_regions))
+        record.regularized = consensus.regularized
+        if consensus.regularized:
+            record.note = "ridge-regularized consensus step"
+        lam = consensus.lam
+        return [y + dy for y, dy in zip(ys, consensus.steps)], False
+
+    zs, converged, history, note = _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate)
     return AladinResult(
         zs=zs,
         lam=lam,
         converged=converged,
         iterations=len(history),
         history=history,
-        formula=formula,
+        formula=comm_counts(part),
         note=note,
     )

@@ -97,65 +97,51 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    case, part, truth, mset = _prepare(args)
-    config = aladin.AladinConfig(rho=args.rho, eps=args.eps, max_outer=args.max_iter)
-    result = aladin.run_aladin(part, mset, config=config, truth=truth)
-    meta = _meta(args, _run_config(args, "aladin"))
-    out = _out_dir(args)
-    caseio.write_history_csv(out / "aladin_history.csv", result.history, meta=meta)
-    formula = aladin.comm_counts(part)
-    summary = dict(meta)
-    summary.update(
-        converged=result.converged,
-        iterations=result.iterations,
-        final_violation=float(result.final_violation),
-        upload_floats=sum(r.upload_floats for r in result.history),
-        download_floats=sum(r.download_floats for r in result.history),
-        upload_floats_per_iteration_formula=formula.upload_total,
-        note=result.note,
-    )
-    caseio.write_summary(out / "aladin_summary.yaml", summary)
-    print(f"wrote {out / 'aladin_history.csv'}")
-    print(f"converged={result.converged} iterations={result.iterations} "
-          f"violation={result.final_violation:.3e}")
-    if not result.converged:
-        print(f"estimator did not converge: {result.note}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_admm(args) -> int:
-    case, part, truth, mset = _prepare(args)
+def _solve(args, method: str, part, mset, truth):
+    """Run one method with the --rho, --eps and --max-iter flags."""
+    if method == "aladin":
+        config = aladin.AladinConfig(rho=args.rho, eps=args.eps, max_outer=args.max_iter)
+        return aladin.run_aladin(part, mset, config=config, truth=truth)
     config = admm.AdmmConfig(rho=args.rho, tol=args.eps, max_outer=args.max_iter)
-    result = admm.run_admm(part, mset, config=config, truth=truth)
-    meta = _meta(args, _run_config(args, "admm"))
+    return admm.run_admm(part, mset, config=config, truth=truth)
+
+
+def cmd_run(args) -> int:
+    """`estimate` (method aladin) and `admm`: history CSV and summary YAML."""
+    method = args.method
+    case, part, truth, mset = _prepare(args)
+    result = _solve(args, method, part, mset, truth)
+    meta = _meta(args, _run_config(args, method))
     out = _out_dir(args)
-    caseio.write_history_csv(out / "admm_history.csv", result.history, meta=meta)
+    caseio.write_history_csv(out / f"{method}_history.csv", result.history, meta=meta)
     summary = dict(meta)
     summary.update(
         converged=result.converged,
         iterations=result.iterations,
         final_violation=float(result.final_violation),
-        note=result.note,
     )
-    caseio.write_summary(out / "admm_summary.yaml", summary)
-    print(f"wrote {out / 'admm_history.csv'}")
+    if method == "aladin":
+        summary.update(
+            upload_floats=sum(r.upload_floats for r in result.history),
+            download_floats=sum(r.download_floats for r in result.history),
+            upload_floats_per_iteration_formula=result.formula.upload_total,
+        )
+    summary["note"] = result.note
+    caseio.write_summary(out / f"{method}_summary.yaml", summary)
+    print(f"wrote {out / f'{method}_history.csv'}")
     print(f"converged={result.converged} iterations={result.iterations} "
           f"violation={result.final_violation:.3e}")
     if not result.converged:
-        print(f"baseline did not converge: {result.note}", file=sys.stderr)
+        what = "estimator" if method == "aladin" else "baseline"
+        print(f"{what} did not converge: {result.note}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_compare(args) -> int:
     case, part, truth, mset = _prepare(args)
-    a_res = aladin.run_aladin(
-        part, mset, config=aladin.AladinConfig(rho=args.rho, eps=args.eps), truth=truth)
-    b_res = admm.run_admm(
-        part, mset, config=admm.AdmmConfig(rho=args.rho, tol=args.eps,
-                                           max_outer=args.max_iter), truth=truth)
+    a_res = _solve(args, "aladin", part, mset, truth)
+    b_res = _solve(args, "admm", part, mset, truth)
     meta = _meta(args, _run_config(args, "compare"))
     out = _out_dir(args)
     path = out / "compare.csv"
@@ -173,7 +159,7 @@ def cmd_compare(args) -> int:
 
 def cmd_posterior(args) -> int:
     case, part, truth, mset = _prepare(args)
-    result = aladin.run_aladin(part, mset, truth=truth)
+    result = _solve(args, "aladin", part, mset, truth)
     if not result.converged:
         print(f"estimator did not converge: {result.note}", file=sys.stderr)
         return 1
@@ -291,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="distributed estimation run")
     _add_run_flags(p, max_iter_default=50)
-    p.set_defaults(fn=cmd_estimate)
+    p.set_defaults(fn=cmd_run, method="aladin")
 
     p = sub.add_parser("admm", help="ADMM baseline run")
     _add_run_flags(p, max_iter_default=200)
-    p.set_defaults(fn=cmd_admm)
+    p.set_defaults(fn=cmd_run, method="admm")
 
     p = sub.add_parser("compare", help="run both methods on identical measurements")
     _add_run_flags(p, max_iter_default=200)

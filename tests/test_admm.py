@@ -62,3 +62,4 @@ def test_iteration_budget_is_respected(part30, mset30):
     result = admm.run_admm(part30, mset30, config=admm.AdmmConfig(max_outer=3))
     assert not result.converged
     assert result.iterations == 3
+    assert result.note != ""

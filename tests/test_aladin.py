@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridest import aladin, central, measurements, partition
+from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
+from gridest.errors import InnerDiverged
 
 from conftest import DEFAULT_SEED
 
@@ -112,3 +117,89 @@ def test_state_error_is_logged_only_with_truth(part30, mset30, truth30):
 
 def test_multiplier_vector_has_coupling_size(aladin30, part30):
     assert aladin30.lam.shape == (part30.n_coupling_rows,)
+
+
+# The outer loop is shared; these tests run it through both estimators.
+METHODS = [
+    pytest.param(aladin.run_aladin, aladin.AladinConfig, id="aladin"),
+    pytest.param(admm.run_admm, admm.AdmmConfig, id="admm"),
+]
+
+
+@pytest.mark.parametrize("run, config", METHODS)
+def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, run, config):
+    solve = local_solver.solve_local
+    calls = 0
+
+    def diverge_in_second_iteration(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > part30.n_regions:
+            raise InnerDiverged("line search made no progress")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(local_solver, "solve_local", diverge_in_second_iteration)
+    result = run(part30, mset30, config=config())
+    assert not result.converged
+    assert result.iterations == 1
+    assert result.note.startswith("inner solve diverged at outer iteration 2")
+
+
+@pytest.mark.parametrize("run, config", METHODS)
+def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, mset30, run, config):
+    solve = local_solver.solve_local
+    consensus = coordinator.solve_consensus
+    converged = []
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        converged.append(sol.converged)
+        return sol
+
+    monkeypatch.setattr(local_solver, "solve_local", recording)
+    # Every ALADIN consensus step reports a ridge, so its note comes first.
+    monkeypatch.setattr(coordinator, "solve_consensus",
+                        lambda *a, **k: dataclasses.replace(consensus(*a, **k), regularized=True))
+    result = run(part30, mset30, config=config(max_outer=2, max_inner=1))
+    assert result.iterations == 2
+    assert not all(converged)
+    n = part30.n_regions
+    for record in result.history:
+        flags = converged[(record.iteration - 1) * n: record.iteration * n]
+        stalled = "|".join(str(i) for i, ok in enumerate(flags) if not ok)
+        expected = [f"inner solve not converged in regions {stalled}"] if stalled else []
+        if record.regularized:
+            expected.insert(0, "ridge-regularized consensus step")
+        assert record.note == "; ".join(expected)
+
+
+def _random_connected_assignment(case, n_regions: int, seed: int) -> dict[int, int]:
+    """Grow n_regions regions from random seed buses, one adjacent bus at a time."""
+    rng = np.random.default_rng(seed)
+    neighbours = {b: set() for b in case.bus_ids}
+    for line in case.lines:
+        neighbours[line.from_bus].add(line.to_bus)
+        neighbours[line.to_bus].add(line.from_bus)
+    seeds = rng.choice(case.bus_ids, size=n_regions, replace=False)
+    assignment = {int(b): r for r, b in enumerate(seeds)}
+    while len(assignment) < case.n_bus:
+        frontier = sorted(
+            (b, r) for a, r in assignment.items() for b in neighbours[a] if b not in assignment
+        )
+        bus, region = frontier[rng.integers(len(frontier))]
+        assignment[bus] = region
+    return assignment
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
+    part = partition.partition_grid(case30, _random_connected_assignment(case30, n_regions, seed))
+    mset = measurements.simulate_measurements(
+        case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part),
+    )
+    result = aladin.run_aladin(part, mset, config=aladin.AladinConfig(max_outer=10))
+    assert result.converged, result.note
+    for record in result.history:
+        assert not record.regularized
+        assert record.note == ""

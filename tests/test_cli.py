@@ -86,6 +86,12 @@ def test_posterior_writes_table_and_csv(tmp_path, capsys):
     assert len(rows) == 3 + 1 + 30 + 1
 
 
+def test_posterior_honours_the_iteration_budget(tmp_path, capsys):
+    assert _run("posterior", "--max-iter", 1, "--out", tmp_path) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "posterior.csv").exists()
+
+
 def test_check_passes_on_builtin_data(capsys):
     assert _run("check", "--case", "ieee30", "--partition", "default4") == 0
     out = capsys.readouterr().out

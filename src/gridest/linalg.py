@@ -10,13 +10,34 @@ solve_kkt; there is no size threshold.  Dense input is factored densely:
 LU for a square system, Bunch-Kaufman LDL^T (LAPACK dsytrf) for a KKT
 system, O(n^3).  That serves the region Gauss-Newton steps: a region
 system has 72-220 bordered rows and is 4-10 % nonzero, where SuperLU
-measured 2-4x slower than dense LDL^T.  scipy.sparse input is factored
-with sparse LU (SuperLU, COLAMD column ordering).  That serves every system
-that spans the whole grid: the consensus QP and the posterior bound (block
-diagonal plus a thin coupling border), the central Gauss-Newton step and
-the Newton power flow (the network's own sparsity).  They have hundreds to
-thousands of rows and are well under 1 % nonzero, so their cost follows
-the fill of the factors instead of n^3.
+measured 2-4x slower than dense LDL^T, and the dense solves of the
+posterior bound, which eliminates each region's interior with dense LU.
+scipy.sparse input is factored with sparse LU (SuperLU, COLAMD column
+ordering).  That serves the consensus QP (block diagonal plus a thin
+coupling border), the central Gauss-Newton step and the Newton power flow
+(the network's own sparsity).  They have hundreds to thousands of rows and
+are well under 1 % nonzero, so their cost follows the fill of the factors
+instead of n^3.
+
+Dense products between LAPACK calls use scipy's BLAS
+(scipy.linalg.blas.dgemm), not numpy's matmul.  numpy and scipy each
+bundle their own threaded OpenBLAS, and alternating calls between the two
+stalls both: on 2 vCPUs a 243x132 numpy b.T @ b takes 0.05 ms alone and
+3.9 ms when alternated with a 180x180 scipy lu_factor.  solve_linear's
+refinement product follows the rule; with numpy's product there, and
+every product between the posterior bound's LU solves on scipy's BLAS,
+posterior.analyze on the 480-bus tiled grid took 0.20-0.34 s instead of
+0.067-0.069 s (5 runs each).  A library's worker threads keep spinning
+for a while after a threaded call, so the first calls into the other
+library stall as well; work that follows the last LAPACK call and hands
+its result to numpy code therefore runs on numpy's BLAS.  When the
+posterior bound ended on scipy's BLAS, the tiled480 benchmark's setup_s,
+whose power flow runs on numpy's BLAS right after the previous pass's
+posterior, rose from 0.049 s to 0.057 s; ending on numpy's kept it at
+0.049 s (medians of 8 runs).
+SymmetricFactor's refinement still uses numpy's product, because the region
+Gauss-Newton steps run through it and a different product would change the
+last bits of every iterate.
 """
 
 from __future__ import annotations
@@ -26,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
@@ -69,7 +91,10 @@ def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
     if np.abs(np.diag(lu)).min() <= PIVOT_RTOL * scale:
         raise SingularMatrix("pivot below singularity threshold in LU factorization")
     x = scipy.linalg.lu_solve((lu, piv), b)
-    x += scipy.linalg.lu_solve((lu, piv), b - a @ x)
+    # The product runs on scipy's BLAS, as lu_factor does (see the module
+    # docstring).
+    ax = scipy.linalg.blas.dgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(b.shape)
+    x += scipy.linalg.lu_solve((lu, piv), b - ax)
     return x
 
 

@@ -8,12 +8,17 @@ bordered system
         [   A      0     0  ]
 
 whose leading n x n block of M^{-1} bounds the state covariance; physics
-constraints C and consensus coupling A both remove uncertainty.  M is
-factored once and the covariance block is obtained by solving against
-identity columns, never by forming the full inverse.  M is block diagonal
-per region plus the coupling border (on a 480-bus grid 3510 rows, well under
-1 % nonzero), so it is assembled in scipy.sparse form and factored with the
-sparse LU of the linear algebra kernel.
+constraints C and consensus coupling A both remove uncertainty.  M is never
+factored as a whole.  Each region splits its unknowns by bus: the auxiliary
+buses, whose states the coupling touches, are the boundary, every other bus
+the interior.  The interior is eliminated with small dense LU factors, one
+region at a time, so the regions meet only in a boundary system of 6 rows
+per auxiliary bus plus the coupling rows (720 rows on a 480-bus grid, where
+M has 3600).  The covariance is assembled from the interior factors and the
+boundary system's inverse, one region block at a time.  With no coupling
+(the centralized bound) every bus is interior.  Bi-level ALADIN condenses
+its coordinator the same way (Engelmann, Jiang, Houska and Faulwasser,
+IEEE TCNS 2020).
 
 Standard deviations are reported per node channel.  Relative deviations
 divide by the nominal magnitude and are undefined where the nominal is
@@ -27,13 +32,33 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dgemm
 
-from . import grid, measurements, partition as partition_mod
+from . import grid, linalg, measurements, partition as partition_mod
 from .errors import DimensionMismatch, SingularBordered, SingularMatrix
-from .linalg import SparseFactor, bordered_matrix, stack_region_blocks
 
 REL_EXCLUDE_BELOW = 1e-3
 CHANNELS = ("theta", "v", "p", "q")
+
+
+def _split_region(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior and boundary unknowns of one region's KKT system.
+
+    The unknowns are the region's states followed by its power-flow rows,
+    node major: bus k owns states 4k..4k+3 and rows 2k, 2k+1.  A bus is
+    boundary when the coupling block touches any of its states, interior
+    otherwise.  Each group lists its states first, then its rows.
+    """
+    n_states = coupling.shape[1]
+    on_boundary = (coupling != 0).any(axis=0).reshape(-1, 4).any(axis=1)
+
+    def unknowns(buses):
+        states = (4 * buses[:, None] + np.arange(4)).ravel()
+        rows = (2 * buses[:, None] + np.arange(2)).ravel()
+        return np.concatenate([states, n_states + rows])
+
+    return unknowns(np.flatnonzero(~on_boundary)), unknowns(np.flatnonzero(on_boundary))
 
 
 def covariance_bound(
@@ -41,25 +66,90 @@ def covariance_bound(
     constraint_jacobians: Sequence[np.ndarray],
     couplings: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Leading block of the inverse bordered matrix, block per region.
+    """State block of the inverse bordered matrix, in region state order.
 
     With couplings=None this is the centralized bound for a single block.
+    Each region's interior is eliminated with a dense LU of its interior
+    KKT block K_II, giving W = K_II^{-1} K_IB and the boundary Schur
+    complement S = K_BB - K_IB^T W.  The regions meet only in the boundary
+    system [[diag(S_1, ..., S_N), A_B^T], [A_B, 0]], where A_B holds the
+    coupling columns of the boundary states; G is the boundary block of its
+    inverse.  The covariance is then K_II^{-1} + W G W^T between interior
+    states, -W G between interior and boundary states and G between
+    boundary states.  The result is exactly symmetric.
+
+    The products between the LU solves run on scipy's BLAS, like the
+    solves themselves; the final assembly runs on numpy's.  numpy and scipy
+    bundle separate threaded BLAS libraries that stall each other when
+    calls alternate (see the linalg module docstring).
     """
     if len(fit_jacobians) != len(constraint_jacobians):
         raise DimensionMismatch("one constraint jacobian per fit jacobian required")
-    if couplings is not None and len(couplings) != len(fit_jacobians):
+    if couplings is None:
+        couplings = [np.zeros((0, np.shape(fit)[1])) for fit in fit_jacobians]
+    if len(couplings) != len(fit_jacobians):
         raise DimensionMismatch("one coupling block per region required")
-    hess, cons = stack_region_blocks([bj.T @ bj for bj in fit_jacobians], constraint_jacobians, couplings)
-    n = hess.shape[0]
-    bordered = bordered_matrix(hess, cons)
-    try:
-        factor = SparseFactor(bordered)
-    except SingularMatrix as exc:
-        raise SingularBordered(f"posterior system singular: {exc}") from exc
-    rhs = np.zeros((bordered.shape[0], n))
-    rhs[:n, :] = np.eye(n)
-    cov = factor.solve(rhs)[:n, :]
-    return 0.5 * (cov + cov.T)
+    n_coupling = np.shape(couplings[0])[0]
+    interiors, maps, schurs, borders = [], [], [], []
+    for i, (fit, cons, coupling) in enumerate(zip(fit_jacobians, constraint_jacobians, couplings)):
+        fit = np.asarray(fit, dtype=float)
+        cons = np.asarray(cons, dtype=float)
+        coupling = np.asarray(coupling, dtype=float)
+        n = fit.shape[1]
+        if n % 4 or cons.shape != (n // 2, n) or coupling.shape != (n_coupling, n):
+            raise DimensionMismatch(
+                f"region {i}: expected 4 states, 2 power-flow rows and {n_coupling} coupling rows "
+                f"over {n} states, got a {cons.shape} constraint jacobian and a {coupling.shape} coupling"
+            )
+        kkt = linalg.bordered_matrix(dgemm(1.0, fit, fit, trans_a=1), cons)
+        inner, outer = _split_region(coupling)
+        states_i, states_b = inner[inner < n], outer[outer < n]
+        k_ib = kkt[np.ix_(inner, outer)]
+        # One LU gives the interior states' block of K_II^{-1} and W.
+        rhs = np.hstack([np.eye(inner.size, states_i.size), k_ib])
+        try:
+            sol = linalg.solve_linear(kkt[np.ix_(inner, inner)], rhs)
+        except SingularMatrix as exc:
+            raise SingularBordered(f"posterior system singular in region {i}: {exc}") from exc
+        w = sol[:, states_i.size :]
+        schurs.append(kkt[np.ix_(outer, outer)] - dgemm(1.0, k_ib, w, trans_a=1))
+        interiors.append((states_i, sol[: states_i.size, : states_i.size]))
+        # P_i maps the region's boundary unknowns to its states: -W on the
+        # interior states, the identity on the boundary states.
+        p = np.zeros((n, outer.size))
+        p[states_i] = -w[: states_i.size]
+        p[states_b, np.arange(states_b.size)] = 1.0
+        maps.append(p)
+        border = np.zeros((n_coupling, outer.size))
+        border[:, : states_b.size] = coupling[:, states_b]
+        borders.append(border)
+
+    n_boundary = sum(s.shape[0] for s in schurs)
+    g = np.zeros((0, 0))
+    if n_boundary + n_coupling:
+        system = linalg.bordered_matrix(scipy.linalg.block_diag(*schurs), np.hstack(borders))
+        try:
+            g = linalg.solve_linear(system, np.eye(n_boundary + n_coupling, n_boundary))[:n_boundary]
+        except SingularMatrix as exc:
+            raise SingularBordered(f"posterior boundary system singular: {exc}") from exc
+
+    # covariance = diag(K_II^{-1}) + P G P^T with P = diag(P_1, ..., P_N),
+    # formed one region's rows of P G, then one region's columns, at a time.
+    # These products follow the last LU solve and hand the result to numpy
+    # code, so they run on numpy's BLAS (see the linalg module docstring).
+    states = np.cumsum([0] + [p.shape[0] for p in maps])
+    unknowns = np.cumsum([0] + [p.shape[1] for p in maps])
+    pg = np.empty((states[-1], n_boundary))
+    for i, p in enumerate(maps):
+        pg[states[i] : states[i + 1]] = p @ g[unknowns[i] : unknowns[i + 1]]
+    cov = np.empty((states[-1], states[-1]))
+    for i, p in enumerate(maps):
+        cov[:, states[i] : states[i + 1]] = pg[:, unknowns[i] : unknowns[i + 1]] @ p.T
+    for offset, (states_i, inverse) in zip(states, interiors):
+        cov[np.ix_(offset + states_i, offset + states_i)] += inverse
+    cov = cov + cov.T
+    cov *= 0.5
+    return cov
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,24 @@ def two_tile30(case30):
     return part, mset
 
 
+def random_connected_assignment(case, n_regions: int, seed: int) -> dict[int, int]:
+    """Grow n_regions regions from random seed buses, one adjacent bus at a time."""
+    rng = np.random.default_rng(seed)
+    neighbours = {b: set() for b in case.bus_ids}
+    for line in case.lines:
+        neighbours[line.from_bus].add(line.to_bus)
+        neighbours[line.to_bus].add(line.from_bus)
+    seeds = rng.choice(case.bus_ids, size=n_regions, replace=False)
+    assignment = {int(b): r for r, b in enumerate(seeds)}
+    while len(assignment) < case.n_bus:
+        frontier = sorted(
+            (b, r) for a, r in assignment.items() for b in neighbours[a] if b not in assignment
+        )
+        bus, region = frontier[rng.integers(len(frontier))]
+        assignment[bus] = region
+    return assignment
+
+
 def random_states(n_bus: int, count: int, seed: int) -> np.ndarray:
     """Operating-range random states: v in [0.9, 1.1], theta in [-0.3, 0.3]."""
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
 from gridest.errors import InnerDiverged
 
-from conftest import DEFAULT_SEED
+from conftest import DEFAULT_SEED, random_connected_assignment
 
 
 def _zero_noise_set(case, part, truth):
@@ -173,28 +173,10 @@ def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, ms
         assert record.note == "; ".join(expected)
 
 
-def _random_connected_assignment(case, n_regions: int, seed: int) -> dict[int, int]:
-    """Grow n_regions regions from random seed buses, one adjacent bus at a time."""
-    rng = np.random.default_rng(seed)
-    neighbours = {b: set() for b in case.bus_ids}
-    for line in case.lines:
-        neighbours[line.from_bus].add(line.to_bus)
-        neighbours[line.to_bus].add(line.from_bus)
-    seeds = rng.choice(case.bus_ids, size=n_regions, replace=False)
-    assignment = {int(b): r for r, b in enumerate(seeds)}
-    while len(assignment) < case.n_bus:
-        frontier = sorted(
-            (b, r) for a, r in assignment.items() for b in neighbours[a] if b not in assignment
-        )
-        bus, region = frontier[rng.integers(len(frontier))]
-        assignment[bus] = region
-    return assignment
-
-
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
-    part = partition.partition_grid(case30, _random_connected_assignment(case30, n_regions, seed))
+    part = partition.partition_grid(case30, random_connected_assignment(case30, n_regions, seed))
     mset = measurements.simulate_measurements(
         case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part),
     )

@@ -19,6 +19,17 @@ def test_solve_linear_matches_reference():
         assert np.abs(a @ x - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
 
 
+def test_solve_linear_with_a_matrix_rhs_matches_column_solves():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((40, 40)) + 40.0 * np.eye(40)
+    b = rng.standard_normal((40, 7))
+    x = linalg.solve_linear(a, b)
+    columns = np.column_stack([linalg.solve_linear(a, b[:, j]) for j in range(b.shape[1])])
+    assert x.shape == b.shape
+    assert np.abs(x - columns).max() <= 1e-12 * np.abs(columns).max()
+    assert linalg.solve_linear(a, np.empty((40, 0))).shape == (40, 0)
+
+
 def test_solve_linear_backward_error_on_ill_conditioned_system():
     # Hilbert matrix, condition number ~ 1e10 at n = 8; plain LU alone
     # would miss the backward error bound without the refinement step.

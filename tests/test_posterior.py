@@ -3,8 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridest import aladin, central, grid, linalg, measurements, posterior
+from gridest import aladin, central, grid, linalg, measurements, partition, posterior
+from gridest.errors import SingularBordered
+
+from conftest import DEFAULT_SEED, random_connected_assignment
 
 
 def _single_bus_report(w_theta=1e4, w_v=1e5, w_p=1e4, w_q=1e4):
@@ -156,6 +161,15 @@ def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
     return 0.5 * (cov + cov.T)
 
 
+def _region_jacobians(part, mset, zs):
+    """covariance_bound arguments for a partition at the region states zs."""
+    fit, cons = [], []
+    for region, region_set, z in zip(part.regions, measurements.split_by_region(mset, part), zs):
+        fit.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
+        cons.append(grid.PowerFlowModel(region.case).jacobian(z))
+    return fit, cons, list(part.coupling)
+
+
 def _covariance_inputs(request, name):
     """covariance_bound arguments at an estimate of the named scenario."""
     if name == "central30":
@@ -164,21 +178,67 @@ def _covariance_inputs(request, name):
         return [measurements.RegionResidual(case30, mset30).jacobian(x)], [grid.PowerFlowModel(case30).jacobian(x)]
     if name == "ieee30":
         part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
-        zs = request.getfixturevalue("aladin30").zs
-    else:
+        return _region_jacobians(part, mset, request.getfixturevalue("aladin30").zs)
+    if name == "ieee30_one_region":
+        # A single region has no auxiliary buses and zero coupling rows.
+        case30, mset30 = request.getfixturevalue("case30"), request.getfixturevalue("mset30")
+        part = partition.partition_grid(case30, {b: 0 for b in case30.bus_ids})
+        return _region_jacobians(part, mset30, [request.getfixturevalue("central30").x])
+    if name == "two_tile30":
         part, mset = request.getfixturevalue("two_tile30")
-        zs = aladin.run_aladin(part, mset).zs
-    fit, cons = [], []
-    for region, region_set, z in zip(part.regions, measurements.split_by_region(mset, part), zs):
-        fit.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
-        cons.append(grid.PowerFlowModel(region.case).jacobian(z))
-    return fit, cons, list(part.coupling)
+    else:
+        suffix = {"six2": "6", "twelve3": "12"}[name]
+        part, truth = request.getfixturevalue(f"part{suffix}"), request.getfixturevalue(f"truth{suffix}")
+        mset = measurements.simulate_measurements(
+            part.case, truth, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
+        )
+    return _region_jacobians(part, mset, aladin.run_aladin(part, mset).zs)
 
 
-@pytest.mark.parametrize("name", ["ieee30", "two_tile30", "central30"])
-def test_covariance_bound_matches_the_dense_reference(request, name):
-    args = _covariance_inputs(request, name)
+def _assert_matches_the_dense_reference(args):
     cov = posterior.covariance_bound(*args)
     reference = _dense_covariance(*args)
     assert np.array_equal(cov, cov.T)
     assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30", "central30", "six2", "twelve3", "ieee30_one_region"])
+def test_covariance_bound_matches_the_dense_reference(request, name):
+    _assert_matches_the_dense_reference(_covariance_inputs(request, name))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_covariance_bound_matches_the_dense_reference_on_random_partitions(case30, truth30, n_regions, seed):
+    part = partition.partition_grid(case30, random_connected_assignment(case30, n_regions, seed))
+    mset = measurements.simulate_measurements(
+        case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
+    )
+    _assert_matches_the_dense_reference(_region_jacobians(part, mset, partition.extend_state(part, truth30)))
+
+
+@pytest.mark.parametrize("name", ["ieee30", "central30"])
+def test_zero_fit_jacobians_make_the_bound_singular(request, name):
+    fit, *rest = _covariance_inputs(request, name)
+    with pytest.raises(SingularBordered):
+        posterior.covariance_bound([np.zeros_like(f) for f in fit], *rest)
+
+
+def test_analyze_calls_covariance_bound_through_the_module(monkeypatch, case30, part30, mset30, aladin30, central30):
+    """Tracing wraps posterior.covariance_bound and reads its positional arguments."""
+    calls = []
+    original = posterior.covariance_bound
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(posterior, "covariance_bound", recording)
+    posterior.analyze(part30, mset30, aladin30.zs)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert len(args) == 3 and kwargs == {}
+    posterior.analyze_central(case30, mset30, central30.x)
+    assert len(calls) == 2
+    args, kwargs = calls[1]
+    assert len(args) == 2 and kwargs == {}

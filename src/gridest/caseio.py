@@ -69,10 +69,18 @@ def _number(entry: dict, field: str, where: str, default=None) -> float:
         if default is None:
             raise ValidationError(f"{where}.{field} is required")
         return default
-    value = entry[field]
+    return _as_number(entry[field], f"{where}.{field}")
+
+
+def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{field} must be a number, got {value!r}")
+        raise ValidationError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _number_list(entry: dict, field: str, where: str) -> list[float]:
+    values = _require_list(entry.get(field), f"{where}.{field}")
+    return [_as_number(value, f"{where}.{field}[{k}]") for k, value in enumerate(values)]
 
 
 def _integer(entry: dict, field: str, where: str) -> int:
@@ -246,8 +254,8 @@ def load_measurements(path: str | Path) -> tuple[measurements_mod.MeasurementSet
         entry = _require_mapping(entry, spot)
         _reject_unknown(entry, ("id", "values", "weights"), spot)
         node_ids.append(_integer(entry, "id", spot))
-        values = _require_list(entry.get("values"), f"{spot}.values")
-        weights = _require_list(entry.get("weights"), f"{spot}.weights")
+        values = _number_list(entry, "values", spot)
+        weights = _number_list(entry, "weights", spot)
         if len(values) != 4 or len(weights) != 4:
             raise ValidationError(f"{spot}: values and weights must have 4 entries")
         node_values.append(values)
@@ -258,8 +266,8 @@ def load_measurements(path: str | Path) -> tuple[measurements_mod.MeasurementSet
         entry = _require_mapping(entry, spot)
         _reject_unknown(entry, ("from", "to", "values", "weights"), spot)
         line_ends.append((_integer(entry, "from", spot), _integer(entry, "to", spot)))
-        values = _require_list(entry.get("values"), f"{spot}.values")
-        weights = _require_list(entry.get("weights"), f"{spot}.weights")
+        values = _number_list(entry, "values", spot)
+        weights = _number_list(entry, "weights", spot)
         if len(values) != 3 or len(weights) != 3:
             raise ValidationError(f"{spot}: values and weights must have 3 entries")
         line_values.append(values)

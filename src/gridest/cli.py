@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, admm, aladin, caseio, central, measurements, partition, posterior, powerflow
 from .errors import Diverged, GridestError
-from .grid import PowerFlowModel, build_admittance
+from .grid import PowerFlowModel
 from .measurements import RegionResidual
 
 DEFAULT_CASE = "ieee30"
@@ -205,15 +205,14 @@ def cmd_check(args) -> int:
         if not ok:
             failures += 1
 
-    g, b = build_admittance(case)
-    rowsum = max(np.abs(g.sum(axis=1)).max(), np.abs(b.sum(axis=1)).max())
+    model = PowerFlowModel(case)
+    rowsum = np.abs(model.admittance.sum(axis=1)).max()
     report("admittance row sums", rowsum <= 1e-12, f"max |row sum| = {rowsum:.2e}")
 
     pf = powerflow.solve_power_flow(case)
     report("power flow", pf.mismatch <= 1e-10,
            f"{pf.iterations} iterations, mismatch {pf.mismatch:.2e}")
 
-    model = PowerFlowModel(case)
     mset = measurements.simulate_measurements(case, pf.state, rng=args.seed)
     residual = RegionResidual(case, mset)
     worst = 0.0

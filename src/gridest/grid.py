@@ -29,11 +29,12 @@ Conventions used across the whole package:
 
   f_i is the squared current magnitude, which needs v_k > 0.
 
-Jacobians are assembled on fixed sparsity patterns: the power-flow
-derivatives are evaluated entry by entry on the pattern of Y (O(nnz), no
-dense N x N products), and line quantities for all lines at once.  A
-SparsityPattern puts the same values into a dense array or a CSR array,
-so callers choose the container and get identical numbers.  line_flow and
+Y has one form: its pattern, built from the lines by PowerFlowModel.  The
+residual, the injections and the power-flow derivatives are evaluated
+entry by entry on it in O(nnz); no dense N x N matrix is formed anywhere.
+Line quantities are evaluated for all lines at once.  A SparsityPattern
+puts Jacobian values into a dense array or a CSR array, so callers choose
+the container and get identical numbers.  line_flow and
 line_flow_jacobian, one line at a time, stay as the reference.
 """
 
@@ -156,30 +157,6 @@ class GridCase:
         return self.buses[self.index[bus_id]]
 
 
-def build_admittance(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
-    """Dense bus admittance matrix split into real and imaginary parts.
-
-    Returns (G, B).  Diagonals are accumulated as the negated off-diagonal
-    sums, so row sums vanish exactly up to float rounding.
-    """
-    n = case.n_bus
-    g = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for line in case.lines:
-        i = case.index[line.from_bus]
-        j = case.index[line.to_bus]
-        y = line.admittance
-        g[i, j] -= y.real
-        g[j, i] -= y.real
-        b[i, j] -= y.imag
-        b[j, i] -= y.imag
-        g[i, i] += y.real
-        g[j, j] += y.real
-        b[i, i] += y.imag
-        b[j, j] += y.imag
-    return g, b
-
-
 # ---------------------------------------------------------------------------
 # state vector helpers
 
@@ -213,23 +190,6 @@ def complex_voltage(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # power flow equations
 
-def calculated_injections(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Complex injections S = V conj(Y V) implied by the voltages in x."""
-    vc = complex_voltage(x)
-    y = g + 1j * b
-    return vc * np.conj(y @ vc)
-
-
-def power_flow_residual(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Residual of the power flow equations, length 2 N, node-major."""
-    _, _, p, q = unpack_state(x)
-    s = calculated_injections(g, b, x)
-    out = np.empty(2 * len(p))
-    out[0::2] = p - s.real
-    out[1::2] = q - s.imag
-    return out
-
-
 class SparsityPattern:
     """Fixed positions of a Jacobian's entries; values in, matrix out.
 
@@ -256,20 +216,32 @@ class SparsityPattern:
         return out
 
 
-def admittance_pattern(g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and complex values of Y = G + jB on its pattern.
+def _admittance_pattern(case: GridCase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and complex values of the bus admittance matrix Y.
 
-    The off-diagonal nonzeros come first in row-major order, then the whole
-    diagonal (stored even where it is zero), so the last N entries are
-    Y_00, Y_11, ...
+    The off-diagonal entries -y of the lines come first in row-major order,
+    then the whole diagonal (stored even where it is zero), so the last N
+    entries are Y_00, Y_11, ...  Each diagonal entry adds up the admittances
+    of its lines in line order.
     """
-    off = (g != 0.0) | (b != 0.0)
-    np.fill_diagonal(off, False)
-    r, c = np.nonzero(off)
-    diag = np.arange(g.shape[0])
-    rows = np.concatenate([r, diag])
-    cols = np.concatenate([c, diag])
-    return rows, cols, g[rows, cols] + 1j * b[rows, cols]
+    n = case.n_bus
+    ends = np.array(
+        [(case.index[line.from_bus], case.index[line.to_bus]) for line in case.lines], dtype=np.intp
+    ).reshape(-1, 2)
+    y = np.array([line.admittance for line in case.lines], dtype=complex)
+    r, c = np.concatenate([ends, ends[:, ::-1]]).T
+    order = np.lexsort((c, r))
+    y_ends = np.repeat(y, 2)
+    y_diag = np.bincount(ends.ravel(), y_ends.real, n) + 1j * np.bincount(ends.ravel(), y_ends.imag, n)
+    diag = np.arange(n)
+    # 0 - y rather than -y keeps zero parts at +0.0.
+    off = 0.0 - np.tile(y, 2)[order]
+    return np.concatenate([r[order], diag]), np.concatenate([c[order], diag]), np.concatenate([off, y_diag])
+
+
+def _row_sums(rows: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Complex terms on a pattern summed by row, in pattern order."""
+    return np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
 
 
 def _injection_voltage_jacobians(
@@ -277,7 +249,7 @@ def _injection_voltage_jacobians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """dS/dtheta and dS/dv of S = V conj(Y V) on the pattern of Y.
 
-    rows, cols and y are as admittance_pattern returns them.  Entry (k, l)
+    rows, cols and y are as _admittance_pattern returns them.  Entry (k, l)
     of the two derivatives is
 
         dS_k/dtheta_l = -j V_k conj(Y_kl V_l)   [+ j V_k conj(I_k) if k = l]
@@ -289,7 +261,7 @@ def _injection_voltage_jacobians(
     n = len(vc)
     vnorm = vc / x[V::4]
     yv = y * vc[cols]
-    ibus = np.bincount(rows, yv.real, n) + 1j * np.bincount(rows, yv.imag, n)
+    ibus = _row_sums(rows, yv, n)
     ds_dva = -1j * vc[rows] * np.conj(yv)
     ds_dvm = vc[rows] * np.conj(y * vnorm[cols])
     ds_dva[-n:] += 1j * vc * np.conj(ibus)
@@ -297,42 +269,27 @@ def _injection_voltage_jacobians(
     return ds_dva, ds_dvm
 
 
-def _power_flow_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsityPattern:
-    # Four blocks on the pattern of Y (p and q rows against theta and v
-    # columns), then the unit injection entries; _power_flow_values matches.
-    node = np.arange(n)
-    return SparsityPattern(
-        np.concatenate([2 * rows, 2 * rows, 2 * rows + 1, 2 * rows + 1, 2 * node, 2 * node + 1]),
-        np.concatenate([4 * cols + THETA, 4 * cols + V, 4 * cols + THETA, 4 * cols + V, 4 * node + P, 4 * node + Q]),
-        (2 * n, 4 * n),
-    )
-
-
-def _power_flow_values(rows: np.ndarray, cols: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    ds_dva, ds_dvm = _injection_voltage_jacobians(rows, cols, y, x)
-    return np.concatenate(
-        [-ds_dva.real, -ds_dvm.real, -ds_dva.imag, -ds_dvm.imag, np.ones(len(x) // 2)]
-    )
-
-
-def jacobian_power_flow(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Jacobian of power_flow_residual, shape (2 N, 4 N), dense."""
-    rows, cols, y = admittance_pattern(g, b)
-    return _power_flow_pattern(rows, cols, len(x) // 4).assemble(_power_flow_values(rows, cols, y, x))
-
-
 class PowerFlowModel:
     """Equality constraints H(x) = 0 of one network, with Jacobian.
 
-    Wraps the admittance matrix of a case, and the sparsity pattern of the
-    Jacobian, so solvers can evaluate the physics without rebuilding them.
+    Holds Y on its pattern and the sparsity pattern of the Jacobian, so
+    solvers can evaluate the physics without rebuilding them.
     """
 
     def __init__(self, case: GridCase):
         self.case = case
-        self.g, self.b = build_admittance(case)
-        self._rows, self._cols, self._y = admittance_pattern(self.g, self.b)
-        self._pattern = _power_flow_pattern(self._rows, self._cols, case.n_bus)
+        rows, cols, y = _admittance_pattern(case)
+        self._rows, self._cols, self._y = rows, cols, y
+        n = case.n_bus
+        self._off = rows[:-n], cols[:-n], y[:-n]
+        # Jacobian entries: four blocks on the pattern of Y (p and q rows
+        # against theta and v columns), then the unit injection entries.
+        node = np.arange(n)
+        self._pattern = SparsityPattern(
+            np.concatenate([2 * rows, 2 * rows, 2 * rows + 1, 2 * rows + 1, 2 * node, 2 * node + 1]),
+            np.concatenate([4 * cols + THETA, 4 * cols + V, 4 * cols + THETA, 4 * cols + V, 4 * node + P, 4 * node + Q]),
+            (2 * n, 4 * n),
+        )
 
     @property
     def n_constraints(self) -> int:
@@ -342,12 +299,38 @@ class PowerFlowModel:
     def n_states(self) -> int:
         return 4 * self.case.n_bus
 
+    @property
+    def admittance(self) -> scipy.sparse.csr_array:
+        """The bus admittance matrix Y, complex CSR (a fresh copy per call)."""
+        n = self.case.n_bus
+        return scipy.sparse.csr_array((self._y, (self._rows, self._cols)), shape=(n, n))
+
+    def injections(self, x: np.ndarray) -> np.ndarray:
+        """Complex injections S = V conj(I) implied by the voltages in x.
+
+        Every row of Y sums to zero, so the bus currents are
+        I_k = sum_{l != k} Y_kl (V_l - V_k), from the off-diagonal entries
+        alone.  Summing Y_kk V_k with the rest of the row instead cancels
+        large terms, and the rounding noise that leaves in the residual
+        keeps Gauss-Newton solves stepping at their rounding floor.
+        """
+        vc = complex_voltage(x)
+        rows, cols, y = self._off
+        return vc * np.conj(_row_sums(rows, y * (vc[cols] - vc[rows]), len(vc)))
+
     def eval(self, x: np.ndarray) -> np.ndarray:
-        return power_flow_residual(self.g, self.b, x)
+        """Power flow residual, length 2 N, node-major."""
+        s = self.injections(x)
+        out = np.empty(2 * len(s))
+        out[0::2] = x[P::4] - s.real
+        out[1::2] = x[Q::4] - s.imag
+        return out
 
     def jacobian(self, x: np.ndarray, sparse: bool = False):
         """Jacobian of eval at x: dense, or scipy.sparse CSR when sparse is set."""
-        return self._pattern.assemble(_power_flow_values(self._rows, self._cols, self._y, x), sparse)
+        ds_dva, ds_dvm = _injection_voltage_jacobians(self._rows, self._cols, self._y, x)
+        values = np.concatenate([-ds_dva.real, -ds_dvm.real, -ds_dva.imag, -ds_dvm.imag, np.ones(len(x) // 2)])
+        return self._pattern.assemble(values, sparse)
 
 
 # ---------------------------------------------------------------------------

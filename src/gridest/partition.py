@@ -267,10 +267,7 @@ def extend_state(partition: Partition, x: np.ndarray) -> list[np.ndarray]:
             pos = partition.regions[region_idx].case.index[aux]
             out[region_idx][4 * pos + grid.THETA] = np.angle(mid)
             out[region_idx][4 * pos + grid.V] = np.abs(mid)
-    injections = []
-    for region, z in zip(partition.regions, out):
-        g, b = grid.build_admittance(region.case)
-        injections.append(grid.calculated_injections(g, b, z))
+    injections = [grid.PowerFlowModel(region.case).injections(z) for region, z in zip(partition.regions, out)]
     for pair in partition.aux_pairs:
         s = injections[pair.low_region][partition.regions[pair.low_region].case.index[pair.low_aux]]
         for region_idx, aux, sign in (

@@ -85,6 +85,8 @@ def covariance_bound(
     """
     if len(fit_jacobians) != len(constraint_jacobians):
         raise DimensionMismatch("one constraint jacobian per fit jacobian required")
+    if not fit_jacobians:
+        raise DimensionMismatch("no regions")
     if couplings is None:
         couplings = [np.zeros((0, np.shape(fit)[1])) for fit in fit_jacobians]
     if len(couplings) != len(fit_jacobians):

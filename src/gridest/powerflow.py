@@ -3,12 +3,14 @@
 Solves the classic slack/PV/PQ problem for one case: angles are unknown
 everywhere except the slack bus, magnitudes are unknown at PQ buses.  After
 convergence the injections at every bus are back-computed from the final
-voltages so the returned state satisfies the full power flow residual to
-machine precision, not just to the mismatch tolerance.
+voltages (grid.PowerFlowModel.injections) so the returned state satisfies
+the full power flow residual to machine precision, not just to the
+mismatch tolerance.
 
-Each Newton matrix is the reduced block of the sparse power-flow Jacobian
-(grid.PowerFlowModel.jacobian with sparse=True), factored with sparse LU:
-like the network it has a few nonzeros per row.
+One grid.PowerFlowModel evaluates the mismatch (eval) and the injections
+in O(nnz) on the sparse pattern of Y.  Each Newton matrix is the reduced
+block of its sparse Jacobian (jacobian with sparse=True), factored with
+sparse LU: like the network it has a few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def solve_power_flow(case: grid.GridCase, tol: float = 1e-10, max_iter: int = 30
         if not np.isfinite(norm) or norm > _BLOWUP:
             raise Diverged(f"power flow mismatch blew up at iteration {it}")
         if norm <= tol:
-            s = grid.calculated_injections(model.g, model.b, x)
+            s = model.injections(x)
             x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
             return PowerFlowSolution(state=x, iterations=it, mismatch=norm)
     raise Diverged(f"power flow did not reach tol {tol:g} in {max_iter} iterations")

@@ -137,6 +137,32 @@ def random_states(n_bus: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+def dense_admittance(case) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (G, B): the dense bus admittance matrix, accumulated line by line."""
+    n = case.n_bus
+    g = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for line in case.lines:
+        i = case.index[line.from_bus]
+        j = case.index[line.to_bus]
+        y = line.admittance
+        g[i, j] -= y.real
+        g[j, i] -= y.real
+        b[i, j] -= y.imag
+        b[j, i] -= y.imag
+        g[i, i] += y.real
+        g[j, j] += y.real
+        b[i, i] += y.imag
+        b[j, j] += y.imag
+    return g, b
+
+
+def dense_injections(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Reference complex injections S = V conj(Y V) by a dense matrix product."""
+    vc = grid.complex_voltage(x)
+    return vc * np.conj((g + 1j * b) @ vc)
+
+
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences, one column per state component."""
     x = np.asarray(x, dtype=float)

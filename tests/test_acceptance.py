@@ -136,7 +136,7 @@ def test_criterion_05_jacobians_match_finite_differences(case30, part30, mset30)
     weighted region residuals) agrees with central finite differences to
     1e-6 relative error at 50 operating-range random states, within 5 s."""
     start = time.perf_counter()
-    g, b = grid.build_admittance(case30)
+    model = grid.PowerFlowModel(case30)
     worst = 0.0
 
     def track(analytic, numeric):
@@ -145,10 +145,7 @@ def test_criterion_05_jacobians_match_finite_differences(case30, part30, mset30)
         worst = max(worst, err)
 
     for x in random_states(case30.n_bus, 50, seed=5):
-        track(
-            grid.jacobian_power_flow(g, b, x),
-            fd_jacobian(lambda s: grid.power_flow_residual(g, b, s), x),
-        )
+        track(model.jacobian(x), fd_jacobian(model.eval, x))
         for line in case30.lines:
             pk, pl = case30.index[line.from_bus], case30.index[line.to_bus]
             u = np.concatenate([x[4 * pk : 4 * pk + 4], x[4 * pl : 4 * pl + 4]])
@@ -174,8 +171,7 @@ def test_criterion_06_power_flow_ground_truth(case30):
     """Newton power flow on the 30-bus case: residual below 1e-10 within 10
     iterations and network energy balance to 1e-8."""
     sol = powerflow.solve_power_flow(case30)
-    g, b = grid.build_admittance(case30)
-    residual = np.abs(grid.power_flow_residual(g, b, sol.state)).max()
+    residual = np.abs(grid.PowerFlowModel(case30).eval(sol.state)).max()
     _, _, p, _ = grid.unpack_state(sol.state)
     balance = abs(p.sum() - grid.line_losses(case30, sol.state))
     print(

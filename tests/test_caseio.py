@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ def test_measurements_loader_validates_shapes(tmp_path):
         "meta: {}\nnodes:\n- id: 1\n  values: [0.0, 1.0]\n  weights: [1, 1, 1, 1]\n"
     )
     with pytest.raises(ValidationError, match="4 entries"):
+        caseio.load_measurements(path)
+
+
+@pytest.mark.parametrize("bad", ['"0.5"', "true"], ids=["string", "boolean"])
+@pytest.mark.parametrize(
+    "entry, spot",
+    [
+        ("nodes:\n- id: 1\n  values: [0.0, 1.0, {bad}, 0.0]\n  weights: [1, 1, 1, 1]\n", "nodes[0].values[2]"),
+        ("nodes:\n- id: 1\n  values: [0.0, 1.0, 0.0, 0.0]\n  weights: [1, {bad}, 1, 1]\n", "nodes[0].weights[1]"),
+        ("nodes: []\nlines:\n- from: 1\n  to: 2\n  values: [{bad}, 0.0, 0.0]\n  weights: [1, 1, 1]\n",
+         "lines[0].values[0]"),
+        ("nodes: []\nlines:\n- from: 1\n  to: 2\n  values: [0.0, 0.0, 0.0]\n  weights: [1, 1, {bad}]\n",
+         "lines[0].weights[2]"),
+    ],
+    ids=["node-value", "node-weight", "line-value", "line-weight"],
+)
+def test_measurements_loader_rejects_non_numbers(tmp_path, entry, spot, bad):
+    # Neither a string nor a YAML boolean may load as a measurement value.
+    path = tmp_path / "m.yaml"
+    path.write_text("meta: {}\n" + entry.format(bad=bad))
+    with pytest.raises(ValidationError, match=re.escape(f"m.yaml.{spot} must be a number")):
         caseio.load_measurements(path)
 
 

@@ -13,7 +13,7 @@ from gridest.errors import (
     ZeroVoltage,
 )
 
-from conftest import fd_jacobian, random_states
+from conftest import dense_admittance, fd_jacobian, random_states
 
 
 def _two_bus() -> grid.GridCase:
@@ -78,9 +78,8 @@ def test_state_packing_roundtrip():
 
 def test_flat_state_is_the_zero_residual_point_of_an_unloaded_grid():
     case = _two_bus()
-    g, b = grid.build_admittance(case)
     x = grid.flat_state(case.n_bus)
-    assert np.abs(grid.power_flow_residual(g, b, x)).max() <= 1e-15
+    assert np.abs(grid.PowerFlowModel(case).eval(x)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,8 @@ def test_flat_state_is_the_zero_residual_point_of_an_unloaded_grid():
 
 def test_admittance_row_sums_vanish(case30):
     # No shunts: every row of G and B sums to zero exactly up to rounding.
-    g, b = grid.build_admittance(case30)
+    y = grid.PowerFlowModel(case30).admittance.toarray()
+    g, b = y.real, y.imag
     assert np.abs(g.sum(axis=1)).max() <= 1e-12
     assert np.abs(b.sum(axis=1)).max() <= 1e-12
     assert np.abs(g - g.T).max() == 0.0
@@ -96,7 +96,8 @@ def test_admittance_row_sums_vanish(case30):
 
 
 def test_admittance_off_diagonals_are_negated_line_admittances(case30):
-    g, b = grid.build_admittance(case30)
+    y = grid.PowerFlowModel(case30).admittance.toarray()
+    g, b = y.real, y.imag
     for line in case30.lines:
         k = case30.index[line.from_bus]
         l = case30.index[line.to_bus]
@@ -110,7 +111,7 @@ def test_admittance_off_diagonals_are_negated_line_admittances(case30):
 def _injection_by_trig_loop(case, x):
     """Textbook double loop over G cos + B sin, independent of the
     vectorized complex-arithmetic route used by the package."""
-    g, b = grid.build_admittance(case)
+    g, b = dense_admittance(case)
     theta, v, _, _ = grid.unpack_state(x)
     n = case.n_bus
     p = np.zeros(n)
@@ -123,21 +124,60 @@ def _injection_by_trig_loop(case, x):
     return p, q
 
 
-def test_residual_matches_scalar_trig_reference(case6):
-    for x in random_states(case6.n_bus, 5, seed=11):
-        g, b = grid.build_admittance(case6)
-        res = grid.power_flow_residual(g, b, x)
-        p_ref, q_ref = _injection_by_trig_loop(case6, x)
-        _, _, p, q = grid.unpack_state(x)
-        assert np.abs(res[0::2] - (p - p_ref)).max() <= 1e-12
-        assert np.abs(res[1::2] - (q - q_ref)).max() <= 1e-12
+def test_residual_matches_scalar_trig_reference(case6, two_tile30, part30):
+    for case in [case6, two_tile30[0].case] + [region.case for region in part30.regions]:
+        model = grid.PowerFlowModel(case)
+        for x in random_states(case.n_bus, 5, seed=11):
+            res = model.eval(x)
+            p_ref, q_ref = _injection_by_trig_loop(case, x)
+            _, _, p, q = grid.unpack_state(x)
+            assert np.abs(res[0::2] - (p - p_ref)).max() <= 1e-12
+            assert np.abs(res[1::2] - (q - q_ref)).max() <= 1e-12
+
+
+def test_admittance_equals_the_per_line_dense_reference(case30, two_tile30, part30):
+    for case in [case30, two_tile30[0].case] + [region.case for region in part30.regions]:
+        g, b = dense_admittance(case)
+        assert np.array_equal(grid.PowerFlowModel(case).admittance.toarray(), g + 1j * b)
+
+
+def test_equal_voltages_give_exactly_zero_injections(case30, two_tile30):
+    # Rows of Y sum to zero, and the currents are summed as Y_kl (V_l - V_k),
+    # so equal voltages leave no rounding residue (a row sum of the stored
+    # Y is only zero to rounding).
+    rng = np.random.default_rng(4)
+    for case in (case30, two_tile30[0].case):
+        n = case.n_bus
+        x = grid.pack_state(np.full(n, rng.uniform(-0.3, 0.3)), np.full(n, rng.uniform(0.9, 1.1)),
+                            np.zeros(n), np.zeros(n))
+        assert np.all(grid.PowerFlowModel(case).injections(x) == 0.0)
+
+
+def test_isolated_bus_keeps_a_zero_diagonal_and_finite_physics():
+    # Bus 3 has no line: its diagonal entry is zero but stays on the pattern.
+    case = grid.GridCase(
+        name="iso", base_mva=100.0,
+        buses=(grid.Bus(1, "slack"), grid.Bus(2), grid.Bus(3)),
+        lines=(grid.Line(1, 2, 0.02, 0.1),),
+    )
+    model = grid.PowerFlowModel(case)
+    y = model.admittance
+    assert y.nnz == 5 and y[2, 2] == 0.0
+    for x in random_states(3, 3, seed=9):
+        res = model.eval(x)
+        assert np.all(np.isfinite(res))
+        assert res[4] == x[4 * 2 + grid.P] and res[5] == x[4 * 2 + grid.Q]
+        jac = model.jacobian(x)
+        fd = fd_jacobian(model.eval, x)
+        assert np.abs(jac - fd).max() / (1.0 + np.abs(jac).max()) <= 1e-6
+        assert np.array_equal(model.jacobian(x, sparse=True).toarray(), jac)
 
 
 def test_power_flow_jacobian_matches_finite_differences(case30):
-    g, b = grid.build_admittance(case30)
+    model = grid.PowerFlowModel(case30)
     for x in random_states(case30.n_bus, 3, seed=5):
-        jac = grid.jacobian_power_flow(g, b, x)
-        fd = fd_jacobian(lambda y: grid.power_flow_residual(g, b, y), x)
+        jac = model.jacobian(x)
+        fd = fd_jacobian(model.eval, x)
         scale = 1.0 + np.abs(jac).max()
         assert np.abs(jac - fd).max() / scale <= 1e-6
 
@@ -149,18 +189,18 @@ def test_power_flow_jacobian_with_zero_resistance_line():
         buses=(grid.Bus(1, "slack"), grid.Bus(2), grid.Bus(3)),
         lines=(grid.Line(1, 2, 0.0, 0.2), grid.Line(2, 3, 0.05, 0.1)),
     )
-    g, b = grid.build_admittance(case)
+    model = grid.PowerFlowModel(case)
     for x in random_states(3, 3, seed=7):
-        jac = grid.jacobian_power_flow(g, b, x)
-        fd = fd_jacobian(lambda y: grid.power_flow_residual(g, b, y), x)
+        jac = model.jacobian(x)
+        fd = fd_jacobian(model.eval, x)
         assert np.abs(jac - fd).max() / (1.0 + np.abs(jac).max()) <= 1e-6
 
 
 def test_flat_point_angle_block_equals_susceptance(case30):
     # At theta = 0, v = 1 the conductance terms cancel exactly and the
     # angle sensitivity of the active rows reduces to B itself.
-    g, b = grid.build_admittance(case30)
-    jac = grid.jacobian_power_flow(g, b, grid.flat_state(case30.n_bus))
+    _, b = dense_admittance(case30)
+    jac = grid.PowerFlowModel(case30).jacobian(grid.flat_state(case30.n_bus))
     dp_dtheta = jac[0::2, 0::4]
     assert np.abs(dp_dtheta - b).max() <= 1e-12 * (1.0 + np.abs(b).max())
 
@@ -189,20 +229,20 @@ def _dense_injection_jacobians(g, b, x):
 @pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
 def test_model_jacobian_matches_the_dense_matrix_formulas(request, name):
     """The pattern-wise Jacobian equals the dense matrix-product formulas to
-    rounding, jacobian_power_flow exactly, and its sparse form exactly."""
+    rounding, and its sparse form exactly."""
     case = request.getfixturevalue("case30") if name == "ieee30" else request.getfixturevalue(name)[0].case
     model = grid.PowerFlowModel(case)
+    g, b = dense_admittance(case)
     n = case.n_bus
     for x in list(random_states(n, 2, seed=3)) + [grid.flat_state(n)]:
         jac = model.jacobian(x)
-        ds_dva, ds_dvm = _dense_injection_jacobians(model.g, model.b, x)
+        ds_dva, ds_dvm = _dense_injection_jacobians(g, b, x)
         ref = np.zeros((2 * n, 4 * n))
         ref[0::2, 0::4], ref[0::2, 1::4] = -ds_dva.real, -ds_dvm.real
         ref[1::2, 0::4], ref[1::2, 1::4] = -ds_dva.imag, -ds_dvm.imag
         ref[2 * np.arange(n), 4 * np.arange(n) + grid.P] = 1.0
         ref[2 * np.arange(n) + 1, 4 * np.arange(n) + grid.Q] = 1.0
         assert np.abs(jac - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.array_equal(grid.jacobian_power_flow(model.g, model.b, x), jac)
         assert np.array_equal(model.jacobian(x, sparse=True).toarray(), jac)
 
 

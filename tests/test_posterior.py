@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import aladin, central, grid, linalg, measurements, partition, posterior
-from gridest.errors import SingularBordered
+from gridest.errors import DimensionMismatch, SingularBordered
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 
@@ -222,6 +222,12 @@ def test_zero_fit_jacobians_make_the_bound_singular(request, name):
     fit, *rest = _covariance_inputs(request, name)
     with pytest.raises(SingularBordered):
         posterior.covariance_bound([np.zeros_like(f) for f in fit], *rest)
+
+
+def test_covariance_bound_with_no_regions_is_a_dimension_mismatch():
+    for couplings in (None, []):
+        with pytest.raises(DimensionMismatch, match="no regions"):
+            posterior.covariance_bound([], [], couplings)
 
 
 def test_analyze_calls_covariance_bound_through_the_module(monkeypatch, case30, part30, mset30, aladin30, central30):

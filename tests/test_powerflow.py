@@ -6,13 +6,14 @@ import pytest
 from gridest import grid, powerflow
 from gridest.errors import Diverged, SingularJacobian, ValidationError
 
+from conftest import dense_admittance, dense_injections
+
 
 def test_thirty_bus_solution_quality(case30):
     sol = powerflow.solve_power_flow(case30)
     assert sol.iterations <= 10
     assert sol.mismatch <= 1e-10
-    g, b = grid.build_admittance(case30)
-    assert np.abs(grid.power_flow_residual(g, b, sol.state)).max() <= 1e-10
+    assert np.abs(grid.PowerFlowModel(case30).eval(sol.state)).max() <= 1e-10
 
 
 def test_thirty_bus_energy_balance(case30, truth30):
@@ -44,9 +45,8 @@ def test_two_bus_inverse_oracle():
     probe = grid.GridCase(
         "probe", 100.0, (grid.Bus(1, "slack"), grid.Bus(2)), (line,)
     )
-    g, b = grid.build_admittance(probe)
     chosen = np.array([0.0, 1.0, 0.0, 0.0, theta2, v2, 0.0, 0.0])
-    s2 = grid.calculated_injections(g, b, chosen)[probe.index[2]]
+    s2 = grid.PowerFlowModel(probe).injections(chosen)[probe.index[2]]
     case = grid.GridCase(
         name="two", base_mva=100.0,
         buses=(
@@ -104,8 +104,10 @@ def test_isolated_bus_makes_the_newton_matrix_singular():
 
 
 def _dense_newton(case, tol=1e-10, max_iter=30):
-    """Reference: the same Newton iteration on the dense Jacobian, dense LU."""
-    g, b = grid.build_admittance(case)
+    """Reference: the same Newton iteration on the dense Jacobian, dense LU,
+    with the mismatch and injections from the dense admittance matrix."""
+    g, b = dense_admittance(case)
+    model = grid.PowerFlowModel(case)
     kinds = np.array([bus.kind for bus in case.buses])
     non_slack, pq = np.flatnonzero(kinds != "slack"), np.flatnonzero(kinds == "pq")
     rows = np.concatenate([2 * non_slack, 2 * pq + 1])
@@ -117,12 +119,14 @@ def _dense_newton(case, tol=1e-10, max_iter=30):
         np.array([bus.q_injection for bus in case.buses]),
     )
     for _ in range(max_iter):
-        mis = grid.power_flow_residual(g, b, x)[rows]
+        s = dense_injections(g, b, x)
+        mis = np.empty(2 * case.n_bus)
+        mis[0::2], mis[1::2] = x[grid.P :: 4] - s.real, x[grid.Q :: 4] - s.imag
+        mis = mis[rows]
         if np.abs(mis).max() <= tol:
-            s = grid.calculated_injections(g, b, x)
             x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
             return x
-        x[cols] -= np.linalg.solve(grid.jacobian_power_flow(g, b, x)[np.ix_(rows, cols)], mis)
+        x[cols] -= np.linalg.solve(model.jacobian(x)[np.ix_(rows, cols)], mis)
     raise AssertionError("dense reference did not converge")
 
 

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     ZeroVoltage,
 )
-from .grid import Bus, GridCase, Line, PowerFlowModel, line_flow
+from .grid import Bus, GridCase, Line, PowerFlowModel, line_flows
 from .measurements import (
     MeasurementSet,
     NoiseConfig,
@@ -77,7 +77,7 @@ __all__ = [
     "GridestError", "InnerDiverged", "ParseError", "SingularBordered",
     "SingularJacobian", "SingularKkt", "SingularMatrix", "UnassignedBus",
     "UnknownBusReference", "ValidationError", "ZeroVoltage",
-    "Bus", "GridCase", "Line", "PowerFlowModel", "line_flow",
+    "Bus", "GridCase", "Line", "PowerFlowModel", "line_flows",
     "MeasurementSet", "NoiseConfig", "RegionResidual", "simulate_measurements",
     "split_by_region",
     "Partition", "extend_state", "internal_line_keys", "merge_check",

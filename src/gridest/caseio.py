@@ -426,11 +426,14 @@ def history_row(rec) -> str:
     )
 
 
+def meta_lines(meta: dict | None) -> list[str]:
+    """The provenance header of a text output, one `# key: value` line per key, sorted."""
+    return [f"# {key}: {value}" for key, value in sorted((meta or {}).items())]
+
+
 def write_history_csv(path: str | Path, records, meta: dict | None = None) -> None:
     """One row per outer iteration, fully deterministic."""
-    out = []
-    for key, value in sorted((meta or {}).items()):
-        out.append(f"# {key}: {value}")
+    out = meta_lines(meta)
     out.append(",".join(HISTORY_COLUMNS))
     for rec in records:
         out.append(history_row(rec))

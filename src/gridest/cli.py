@@ -145,7 +145,7 @@ def cmd_compare(args) -> int:
     meta = _meta(args, _run_config(args, "compare"))
     out = _out_dir(args)
     path = out / "compare.csv"
-    rows = ["# " + f"{k}: {v}" for k, v in sorted(meta.items())]
+    rows = caseio.meta_lines(meta)
     rows.append("method," + ",".join(caseio.HISTORY_COLUMNS))
     for method, history in (("aladin", a_res.history), ("admm", b_res.history)):
         for rec in history:
@@ -167,10 +167,9 @@ def cmd_posterior(args) -> int:
     meta = _meta(args, _run_config(args, "posterior"))
     out = _out_dir(args)
     table = posterior.render_table(report)
-    header = "".join(f"# {k}: {v}\n" for k, v in sorted(meta.items()))
-    (out / "posterior.txt").write_text(header + table + "\n")
-    rows = ["# " + f"{k}: {v}" for k, v in sorted(meta.items())]
-    rows.append("bus,theta_abs,v_abs,p_abs,q_abs,theta_rel,v_rel,p_rel,q_rel")
+    header = caseio.meta_lines(meta)
+    (out / "posterior.txt").write_text("\n".join(header + [table]) + "\n")
+    rows = header + ["bus,theta_abs,v_abs,p_abs,q_abs,theta_rel,v_rel,p_rel,q_rel"]
     for i, bus_id in enumerate(report.node_ids):
         cells = [str(bus_id)]
         cells += [repr(float(v)) for v in report.abs_std[i]]
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="jacobian and invariant self-checks")
     p.add_argument("--case", default=DEFAULT_CASE)
-    p.add_argument("--partition", default=DEFAULT_PARTITION)
+    p.add_argument("--partition", default=None,
+                   help="also check this partition's merge and consensus invariants")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_check)
 

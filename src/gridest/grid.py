@@ -32,10 +32,11 @@ Conventions used across the whole package:
 Y has one form: its pattern, built from the lines by PowerFlowModel.  The
 residual, the injections and the power-flow derivatives are evaluated
 entry by entry on it in O(nnz); no dense N x N matrix is formed anywhere.
-Line quantities are evaluated for all lines at once.  A SparsityPattern
-puts Jacobian values into a dense array or a CSR array, so callers choose
-the container and get identical numbers.  line_flow and
-line_flow_jacobian, one line at a time, stay as the reference.
+Line quantities are evaluated for all lines at once, by line_flows and
+line_flow_derivatives on the arrays that line_arrays builds from endpoint
+pairs; _line_terms is the one place the formulas above are written out.
+A SparsityPattern puts Jacobian values into a dense array or a CSR array,
+so callers choose the container and get identical numbers.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class GridCase:
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _by_key: dict[tuple[int, int], Line] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_mva <= 0.0:
@@ -135,15 +137,16 @@ class GridCase:
         order = sorted(range(len(self.buses)), key=lambda i: self.buses[i].id)
         object.__setattr__(self, "buses", tuple(self.buses[i] for i in order))
         object.__setattr__(self, "index", {bus.id: i for i, bus in enumerate(self.buses)})
-        keys = set()
+        by_key = {}
         for line in self.lines:
             if line.from_bus not in self.index or line.to_bus not in self.index:
                 raise UnknownBusReference(
                     f"line {line.from_bus}-{line.to_bus} references a bus that is not in the case"
                 )
-            if line.key() in keys:
+            if line.key() in by_key:
                 raise DuplicateLine(f"line {line.from_bus}-{line.to_bus} appears twice")
-            keys.add(line.key())
+            by_key[line.key()] = line
+        object.__setattr__(self, "_by_key", by_key)
 
     @property
     def n_bus(self) -> int:
@@ -156,13 +159,16 @@ class GridCase:
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.index[bus_id]]
 
+    def line(self, a: int, b: int) -> Line:
+        """The line between buses a and b, in either order."""
+        try:
+            return self._by_key[(min(a, b), max(a, b))]
+        except KeyError:
+            raise UnknownBusReference(f"line {a}-{b} is not a line of the case") from None
+
 
 # ---------------------------------------------------------------------------
 # state vector helpers
-
-def state_size(n_bus: int) -> int:
-    return 4 * n_bus
-
 
 def flat_state(n_bus: int) -> np.ndarray:
     """Flat start: unit magnitudes, zero angles, zero injections."""
@@ -336,54 +342,20 @@ class PowerFlowModel:
 # ---------------------------------------------------------------------------
 # directed line measurements
 
-def line_flow(x_k: np.ndarray, x_l: np.ndarray, g: float, b: float) -> np.ndarray:
-    """Directed line quantities (f_p, f_q, f_i) seen from the k end.
+def line_arrays(case: GridCase, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (k, l, g, b) of directed lines named by endpoint pairs.
 
-    x_k and x_l are the 4-component node states of the two endpoints, g and
-    b the series admittance parts of the line between them.  Raises
-    ZeroVoltage when v_k <= 0 because the squared current divides by v_k^2.
+    ends[j] = (k, l) names a line of the case in either order; the line is
+    seen from its k end.  Returns the node positions of both ends and the
+    series admittance parts, in the order of ends, as line_flows takes
+    them.  Raises UnknownBusReference for a pair that is not a line.
     """
-    th = x_k[THETA] - x_l[THETA]
-    vk, vl = x_k[V], x_l[V]
-    if vk <= 0.0:
-        raise ZeroVoltage("line measurement functions need v_k > 0")
-    cos, sin = np.cos(th), np.sin(th)
-    f_p = vk * (vk * g - vl * g * cos) - vk * vl * b * sin
-    f_q = -vk * (vk * b - vl * b * cos) + vk * vl * g * sin
-    f_i = (f_p * f_p + f_q * f_q) / (vk * vk)
-    return np.array([f_p, f_q, f_i])
-
-
-def line_flow_jacobian(x_k: np.ndarray, x_l: np.ndarray, g: float, b: float) -> np.ndarray:
-    """Jacobian of line_flow w.r.t. (x_k, x_l), shape (3, 8).
-
-    Column order matches two stacked node states; the injection columns
-    are zero since the flow depends on voltages only.
-    """
-    th = x_k[THETA] - x_l[THETA]
-    vk, vl = x_k[V], x_l[V]
-    if vk <= 0.0:
-        raise ZeroVoltage("line measurement functions need v_k > 0")
-    cos, sin = np.cos(th), np.sin(th)
-    f_p = vk * (vk * g - vl * g * cos) - vk * vl * b * sin
-    f_q = -vk * (vk * b - vl * b * cos) + vk * vl * g * sin
-
-    jac = np.zeros((3, 8))
-    dfp_dth = vk * vl * (g * sin - b * cos)
-    dfq_dth = vk * vl * (g * cos - b * sin)
-    jac[0, THETA] = dfp_dth
-    jac[0, 4 + THETA] = -dfp_dth
-    jac[0, V] = 2.0 * vk * g - vl * (g * cos + b * sin)
-    jac[0, 4 + V] = -vk * (g * cos + b * sin)
-    jac[1, THETA] = dfq_dth
-    jac[1, 4 + THETA] = -dfq_dth
-    jac[1, V] = -2.0 * vk * b + vl * (b * cos + g * sin)
-    jac[1, 4 + V] = vk * (b * cos + g * sin)
-    # f_i = (f_p^2 + f_q^2) / v_k^2, chain rule plus the explicit v_k term.
-    inv_vk2 = 1.0 / (vk * vk)
-    jac[2, :] = (2.0 * f_p * jac[0, :] + 2.0 * f_q * jac[1, :]) * inv_vk2
-    jac[2, V] -= 2.0 * (f_p * f_p + f_q * f_q) / (vk * vk * vk)
-    return jac
+    lines = [case.line(a, b) for a, b in ends]
+    k = np.array([case.index[a] for a, _ in ends], dtype=np.intp)
+    l = np.array([case.index[b] for _, b in ends], dtype=np.intp)
+    g = np.array([line.g for line in lines], dtype=float)
+    b = np.array([line.b for line in lines], dtype=float)
+    return k, l, g, b
 
 
 def _line_terms(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -398,17 +370,18 @@ def _line_terms(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: n
 
 
 def line_flows(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """line_flow for many directed lines at once, shape (lines, 3).
+    """Directed line quantities (f_p, f_q, f_i) of many lines, shape (lines, 3).
 
     x is a network state; line j runs from node position k[j] to l[j] and
-    has series admittance parts g[j], b[j].
+    has series admittance parts g[j], b[j].  Raises ZeroVoltage when any
+    v_k <= 0, because f_i divides by v_k^2.
     """
     vk, _, _, _, f_p, f_q = _line_terms(x, k, l, g, b)
     return np.stack([f_p, f_q, (f_p * f_p + f_q * f_q) / (vk * vk)], axis=1)
 
 
 def line_flow_derivatives(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nonzero columns of line_flow_jacobian for many lines, shape (lines, 3, 4).
+    """Nonzero columns of the Jacobian of line_flows, shape (lines, 3, 4).
 
     Arguments as for line_flows; the columns are theta_k, v_k, theta_l and
     v_l, the injection columns being zero.
@@ -430,12 +403,3 @@ def line_flow_derivatives(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.nda
     jac[:, 2, 1] -= 2.0 * (f_p * f_p + f_q * f_q) / (vk * vk * vk)
     return jac
 
-
-def line_losses(case: GridCase, x: np.ndarray) -> float:
-    """Total series active power loss sum_l g_l |V_k - V_l|^2."""
-    vc = complex_voltage(x)
-    total = 0.0
-    for line in case.lines:
-        dv = vc[case.index[line.from_bus]] - vc[case.index[line.to_bus]]
-        total += line.g * (dv.real * dv.real + dv.imag * dv.imag)
-    return total

@@ -83,15 +83,13 @@ def solve_local(
         idx = np.arange(n) if prox_idx is None else np.asarray(prox_idx, dtype=int)
         target = np.asarray(prox_target, dtype=float)
     else:
+        # Every prox term below then sums over no entries and adds 0.0.
         idx = np.arange(0, dtype=int)
         target = np.zeros(0)
 
     def objective(yv: np.ndarray, res: np.ndarray) -> float:
-        val = float(res @ res) + float(lin @ yv)
-        if rho != 0.0:
-            d = yv[idx] - target
-            val += 0.5 * rho * float(d @ d)
-        return val
+        d = yv[idx] - target
+        return float(res @ res) + float(lin @ yv) + 0.5 * rho * float(d @ d)
 
     b = residual.eval(y)
     big_b = residual.jacobian(y)
@@ -104,8 +102,7 @@ def solve_local(
     dust_steps = 0
     for inner in range(max_inner + 1):
         grad = 2.0 * (big_b.T @ b) + lin
-        if rho != 0.0:
-            grad[idx] += rho * (y[idx] - target)
+        grad[idx] += rho * (y[idx] - target)
         kkt_res = max(
             np.abs(grad + big_c.T @ kappa).max(initial=0.0),
             np.abs(h).max(initial=0.0),
@@ -150,10 +147,9 @@ def solve_local(
         slope = min(slope, 0.0)
         alpha = 1.0
         h_terms = float(np.sum(abs(big_c) @ np.abs(y)))
-        noise = float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * (h_l1 + h_terms) + 1.0
-        if rho != 0.0:
-            d = y[idx] - target
-            noise += 0.5 * rho * float(d @ d)
+        d = y[idx] - target
+        noise = (float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * (h_l1 + h_terms) + 1.0
+                 + 0.5 * rho * float(d @ d))
         slack = MERIT_NOISE * noise
         for _ in range(MAX_BACKTRACKS + 1):
             trial = y + alpha * step

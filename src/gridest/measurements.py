@@ -11,10 +11,15 @@ floor so near-zero channels (unloaded buses, small flows) are not measured
 impossibly well.  Weights are fixed diagonal matrices chosen a priori, not
 refitted per sample.
 
+simulate_measurements perturbs all nodes with one (nodes, 4) draw and all
+lines with one (lines, 3) draw, taking the true flows from grid.line_flows.
+A Generator fills an array in C order, so the realization is the one a
+loop drawing 4 values per node and then 3 per line would produce.
 RegionResidual evaluates every measured line at once (grid.line_flows and
 grid.line_flow_derivatives); the positions of its Jacobian entries are
 fixed when it is built, and jacobian() returns them dense or, with
-sparse=True, as CSR.
+sparse=True, as CSR.  Both name lines by endpoint pairs and get their
+index and admittance arrays from grid.line_arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid
-from .errors import DimensionMismatch, UnknownBusReference, ValidationError
+from .errors import DimensionMismatch, ValidationError
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,9 @@ def simulate_measurements(
     """Perturb a true state into one measurement realization.
 
     Every bus of the case is measured; measured_lines defaults to all case
-    lines and is restricted (as Line objects or endpoint pairs) by callers
-    that work on a partitioned case, where cut lines carry no sensors.
+    lines and is restricted (as endpoint pairs, in either order) by callers
+    that work on a partitioned case, where cut lines carry no sensors.  A
+    measured line is seen from the from_bus end of the case's line.
     noise=None turns the perturbation off entirely, giving exact values.
     rng accepts a seed or a Generator; None draws an unseeded Generator.
     """
@@ -114,44 +120,26 @@ def simulate_measurements(
                             rel_var_q=0.0, rel_var_line=0.0)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if measured_lines is None:
-        measured_lines = case.lines
-    else:
-        by_key = {line.key(): line for line in case.lines}
-        resolved = []
-        for entry in measured_lines:
-            key = entry.key() if isinstance(entry, grid.Line) else (min(entry), max(entry))
-            if key not in by_key:
-                raise UnknownBusReference(f"measured line {key} is not a line of the case")
-            resolved.append(by_key[key])
-        measured_lines = tuple(resolved)
+    lines = case.lines if measured_lines is None else [case.line(a, b) for a, b in measured_lines]
+    line_ends = tuple((line.from_bus, line.to_bus) for line in lines)
     if truth.shape != (4 * case.n_bus,):
         raise DimensionMismatch(f"truth length {truth.shape} does not match case size {4 * case.n_bus}")
     nw = default_node_weights() if node_weights is None else np.asarray(node_weights, dtype=float)
     lw = default_line_weights() if line_weights is None else np.asarray(line_weights, dtype=float)
 
     node_ids = case.bus_ids
-    node_values = np.empty((len(node_ids), 4))
-    for i, bus_id in enumerate(node_ids):
-        true4 = truth[4 * case.index[bus_id] : 4 * case.index[bus_id] + 4]
-        node_values[i] = true4 + rng.standard_normal(4) * noise.node_std(true4)
-
-    line_ends = []
-    line_values = np.empty((len(measured_lines), 3))
-    for j, line in enumerate(measured_lines):
-        x_k = truth[4 * case.index[line.from_bus] : 4 * case.index[line.from_bus] + 4]
-        x_l = truth[4 * case.index[line.to_bus] : 4 * case.index[line.to_bus] + 4]
-        true3 = grid.line_flow(x_k, x_l, line.g, line.b)
-        line_values[j] = true3 + rng.standard_normal(3) * noise.line_std(true3)
-        line_ends.append((line.from_bus, line.to_bus))
+    true_nodes = truth.reshape(-1, 4)
+    node_values = true_nodes + rng.standard_normal(true_nodes.shape) * noise.node_std(true_nodes)
+    true_lines = grid.line_flows(truth, *grid.line_arrays(case, line_ends))
+    line_values = true_lines + rng.standard_normal(true_lines.shape) * noise.line_std(true_lines)
 
     return MeasurementSet(
         node_ids=node_ids,
         node_values=node_values,
         node_weights=np.tile(nw, (len(node_ids), 1)),
-        line_ends=tuple(line_ends),
+        line_ends=line_ends,
         line_values=line_values,
-        line_weights=np.tile(lw, (len(measured_lines), 1)),
+        line_weights=np.tile(lw, (len(line_ends), 1)),
     )
 
 
@@ -212,21 +200,9 @@ class RegionResidual:
         self.node_values = mset.node_values[node_order].reshape(len(node_order), 4)
         self.node_sqrt_w = np.sqrt(mset.node_weights[node_order].reshape(len(node_order), 4))
 
-        by_key = {line.key(): line for line in case.lines}
-        lines = []
-        for j, ends in enumerate(mset.line_ends):
-            key = (min(ends), max(ends))
-            if key not in by_key:
-                raise ValidationError(f"measured line {ends} is not a line of the case")
-            line = by_key[key]
-            lines.append((ends, line.g, line.b, j))
-        lines.sort(key=lambda item: item[0])
-        self.line_ends = tuple(item[0] for item in lines)
-        self.line_k = np.array([case.index[k] for k, _ in self.line_ends], dtype=int)
-        self.line_l = np.array([case.index[l] for _, l in self.line_ends], dtype=int)
-        self.line_g = np.array([item[1] for item in lines], dtype=float)
-        self.line_b = np.array([item[2] for item in lines], dtype=float)
-        rows = [item[3] for item in lines]
+        rows = sorted(range(len(mset.line_ends)), key=lambda j: mset.line_ends[j])
+        self.line_ends = tuple(mset.line_ends[j] for j in rows)
+        self.line_k, self.line_l, self.line_g, self.line_b = grid.line_arrays(case, self.line_ends)
         self.line_values = mset.line_values[rows].reshape(len(rows), 3)
         self.line_sqrt_w = np.sqrt(mset.line_weights[rows].reshape(len(rows), 3))
 

@@ -163,6 +163,85 @@ def dense_injections(g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return vc * np.conj((g + 1j * b) @ vc)
 
 
+def line_flow(x_k: np.ndarray, x_l: np.ndarray, g: float, b: float) -> np.ndarray:
+    """Reference (f_p, f_q, f_i) of one directed line seen from the k end.
+
+    x_k and x_l are the 4-component node states of the two ends, g and b
+    the series admittance parts of the line; scalar formulas.
+    """
+    th = x_k[grid.THETA] - x_l[grid.THETA]
+    vk, vl = x_k[grid.V], x_l[grid.V]
+    cos, sin = np.cos(th), np.sin(th)
+    f_p = vk * (vk * g - vl * g * cos) - vk * vl * b * sin
+    f_q = -vk * (vk * b - vl * b * cos) + vk * vl * g * sin
+    return np.array([f_p, f_q, (f_p * f_p + f_q * f_q) / (vk * vk)])
+
+
+def line_flow_jacobian(x_k: np.ndarray, x_l: np.ndarray, g: float, b: float) -> np.ndarray:
+    """Reference Jacobian of line_flow w.r.t. the stacked (x_k, x_l), shape (3, 8)."""
+    th = x_k[grid.THETA] - x_l[grid.THETA]
+    vk, vl = x_k[grid.V], x_l[grid.V]
+    cos, sin = np.cos(th), np.sin(th)
+    f_p, f_q, _ = line_flow(x_k, x_l, g, b)
+    t, v = grid.THETA, grid.V
+    jac = np.zeros((3, 8))
+    dfp_dth = vk * vl * (g * sin - b * cos)
+    dfq_dth = vk * vl * (g * cos - b * sin)
+    jac[0, t] = dfp_dth
+    jac[0, 4 + t] = -dfp_dth
+    jac[0, v] = 2.0 * vk * g - vl * (g * cos + b * sin)
+    jac[0, 4 + v] = -vk * (g * cos + b * sin)
+    jac[1, t] = dfq_dth
+    jac[1, 4 + t] = -dfq_dth
+    jac[1, v] = -2.0 * vk * b + vl * (b * cos + g * sin)
+    jac[1, 4 + v] = vk * (b * cos + g * sin)
+    # f_i = (f_p^2 + f_q^2) / v_k^2, chain rule plus the explicit v_k term.
+    jac[2, :] = (2.0 * f_p * jac[0, :] + 2.0 * f_q * jac[1, :]) * (1.0 / (vk * vk))
+    jac[2, v] -= 2.0 * (f_p * f_p + f_q * f_q) / (vk * vk * vk)
+    return jac
+
+
+def line_losses(case, x: np.ndarray) -> float:
+    """Reference total series active power loss sum_l g_l |V_k - V_l|^2, line by line."""
+    vc = grid.complex_voltage(x)
+    total = 0.0
+    for line in case.lines:
+        dv = vc[case.index[line.from_bus]] - vc[case.index[line.to_bus]]
+        total += line.g * (dv.real * dv.real + dv.imag * dv.imag)
+    return total
+
+
+def reference_measurements(case, truth: np.ndarray, seed: int, measured_lines=None):
+    """Reference simulate_measurements with default noise and weights.
+
+    Draws 4 normals per node in id order, then 3 per measured line, one
+    node or line at a time; measured_lines are endpoint pairs, each line
+    seen from the from_bus end of the case's line.
+    """
+    noise = measurements.NoiseConfig()
+    rng = np.random.default_rng(seed)
+    by_key = {line.key(): line for line in case.lines}
+    lines = case.lines if measured_lines is None else [by_key[(min(e), max(e))] for e in measured_lines]
+    node_values = np.empty((case.n_bus, 4))
+    for i, bus_id in enumerate(case.bus_ids):
+        true4 = truth[4 * case.index[bus_id] : 4 * case.index[bus_id] + 4]
+        node_values[i] = true4 + rng.standard_normal(4) * noise.node_std(true4)
+    line_values = np.empty((len(lines), 3))
+    for j, line in enumerate(lines):
+        x_k = truth[4 * case.index[line.from_bus] : 4 * case.index[line.from_bus] + 4]
+        x_l = truth[4 * case.index[line.to_bus] : 4 * case.index[line.to_bus] + 4]
+        true3 = line_flow(x_k, x_l, line.g, line.b)
+        line_values[j] = true3 + rng.standard_normal(3) * noise.line_std(true3)
+    return measurements.MeasurementSet(
+        node_ids=case.bus_ids,
+        node_values=node_values,
+        node_weights=np.tile(measurements.default_node_weights(), (case.n_bus, 1)),
+        line_ends=tuple((line.from_bus, line.to_bus) for line in lines),
+        line_values=line_values,
+        line_weights=np.tile(measurements.default_line_weights(), (len(lines), 1)),
+    )
+
+
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences, one column per state component."""
     x = np.asarray(x, dtype=float)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import fd_jacobian, random_states
+from conftest import fd_jacobian, line_losses, random_states
 from gridest import (
     admm,
     aladin,
@@ -144,16 +144,19 @@ def test_criterion_05_jacobians_match_finite_differences(case30, part30, mset30)
         err = np.abs(numeric - analytic).max() / (1.0 + np.abs(analytic).max())
         worst = max(worst, err)
 
+    k, l, g, b = grid.line_arrays(case30, [(line.from_bus, line.to_bus) for line in case30.lines])
+    m = len(k)
+    cols = np.stack([4 * k + grid.THETA, 4 * k + grid.V, 4 * l + grid.THETA, 4 * l + grid.V], axis=1)
     for x in random_states(case30.n_bus, 50, seed=5):
         track(model.jacobian(x), fd_jacobian(model.eval, x))
-        for line in case30.lines:
-            pk, pl = case30.index[line.from_bus], case30.index[line.to_bus]
-            u = np.concatenate([x[4 * pk : 4 * pk + 4], x[4 * pl : 4 * pl + 4]])
-
-            def flow(stacked, lg=line.g, lb=line.b):
-                return grid.line_flow(stacked[:4], stacked[4:], lg, lb)
-
-            track(grid.line_flow_jacobian(u[:4], u[4:], line.g, line.b), fd_jacobian(flow, u))
+        # One line at a time: each (3, 4N) block against its own scale.
+        flows = np.zeros((m, 3, x.size))
+        flows[np.arange(m)[:, None, None], np.arange(3)[:, None], cols[:, None, :]] = (
+            grid.line_flow_derivatives(x, k, l, g, b)
+        )
+        fd = fd_jacobian(lambda y: grid.line_flows(y, k, l, g, b).ravel(), x).reshape(m, 3, x.size)
+        for analytic, numeric in zip(flows, fd):
+            track(analytic, numeric)
 
     region_sets = measurements.split_by_region(mset30, part30)
     for i, (region, region_set) in enumerate(zip(part30.regions, region_sets)):
@@ -173,7 +176,7 @@ def test_criterion_06_power_flow_ground_truth(case30):
     sol = powerflow.solve_power_flow(case30)
     residual = np.abs(grid.PowerFlowModel(case30).eval(sol.state)).max()
     _, _, p, _ = grid.unpack_state(sol.state)
-    balance = abs(p.sum() - grid.line_losses(case30, sol.state))
+    balance = abs(p.sum() - line_losses(case30, sol.state))
     print(
         f"criterion 6: iterations={sol.iterations} residual={residual:.3e} "
         f"energy_balance={balance:.3e}"

@@ -99,6 +99,17 @@ def test_check_passes_on_builtin_data(capsys):
     assert out.count("PASS") == 5
 
 
+def test_check_runs_partition_checks_only_when_a_partition_is_given(capsys):
+    assert _run("check", "--case", "six_bus") == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.count("PASS") == 3
+    assert _run("check", "--case", "six_bus", "--partition", "six2") == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.count("PASS") == 5
+
+
 def test_convert_produces_a_loadable_case(tmp_path, capsys):
     from importlib import resources
 

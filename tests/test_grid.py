@@ -13,7 +13,7 @@ from gridest.errors import (
     ZeroVoltage,
 )
 
-from conftest import dense_admittance, fd_jacobian, random_states
+from conftest import dense_admittance, fd_jacobian, line_losses, random_states
 
 
 def _two_bus() -> grid.GridCase:
@@ -70,7 +70,7 @@ def test_state_packing_roundtrip():
     rng = np.random.default_rng(3)
     theta, v, p, q = (rng.standard_normal(5) for _ in range(4))
     x = grid.pack_state(theta, v, p, q)
-    assert x.shape == (grid.state_size(5),)
+    assert x.shape == (4 * 5,)
     t2, v2, p2, q2 = grid.unpack_state(x)
     assert np.array_equal(t2, theta) and np.array_equal(v2, v)
     assert np.array_equal(p2, p) and np.array_equal(q2, q)
@@ -258,18 +258,34 @@ def _random_pair(seed):
     return x_k, x_l, g, b
 
 
+def _one_line(x_k, x_l, g, b):
+    """The arguments of grid.line_flows for one line from node state x_k to x_l."""
+    return np.concatenate([x_k, x_l]), np.array([0]), np.array([1]), np.array([g]), np.array([b])
+
+
+def _flow(x_k, x_l, g, b):
+    return grid.line_flows(*_one_line(x_k, x_l, g, b))[0]
+
+
+def _flow_jacobian(x_k, x_l, g, b):
+    """Jacobian of _flow w.r.t. the stacked (x_k, x_l), shape (3, 8)."""
+    jac = np.zeros((3, 8))
+    jac[:, [grid.THETA, grid.V, 4 + grid.THETA, 4 + grid.V]] = grid.line_flow_derivatives(*_one_line(x_k, x_l, g, b))[0]
+    return jac
+
+
 def test_line_flow_zero_at_equal_voltages():
     x = np.array([0.1, 1.02, 0.0, 0.0])
-    assert np.abs(grid.line_flow(x, x, 3.0, -9.0)).max() <= 1e-15
+    assert np.abs(_flow(x, x, 3.0, -9.0)).max() <= 1e-15
 
 
 def test_line_flow_rejects_zero_voltage():
     x_k = np.array([0.0, 0.0, 0.0, 0.0])
     x_l = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(ZeroVoltage):
-        grid.line_flow(x_k, x_l, 1.0, -3.0)
+        grid.line_flows(*_one_line(x_k, x_l, 1.0, -3.0))
     with pytest.raises(ZeroVoltage):
-        grid.line_flow_jacobian(x_k, x_l, 1.0, -3.0)
+        grid.line_flow_derivatives(*_one_line(x_k, x_l, 1.0, -3.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,8 +294,8 @@ def test_line_flow_direction_sum_is_the_series_loss(seed):
     """f_p(k,l) + f_p(l,k) equals g |V_k - V_l|^2 >= 0: the active flows
     of the two directions differ exactly by what the line burns."""
     x_k, x_l, g, b = _random_pair(seed)
-    fkl = grid.line_flow(x_k, x_l, g, b)
-    flk = grid.line_flow(x_l, x_k, g, b)
+    fkl = _flow(x_k, x_l, g, b)
+    flk = _flow(x_l, x_k, g, b)
     vk = x_k[grid.V] * np.exp(1j * x_k[grid.THETA])
     vl = x_l[grid.V] * np.exp(1j * x_l[grid.THETA])
     loss = g * abs(vk - vl) ** 2
@@ -300,7 +316,7 @@ def test_line_flow_matches_independent_expansion():
         th = x_k[grid.THETA] - x_l[grid.THETA]
         vk, vl = x_k[grid.V], x_l[grid.V]
         f_q_ref = -vk * vk * b + vk * vl * (b * np.cos(th) + g * np.sin(th))
-        f = grid.line_flow(x_k, x_l, g, b)
+        f = _flow(x_k, x_l, g, b)
         assert f[0] == pytest.approx(s.real, abs=1e-12)
         assert f[1] == pytest.approx(f_q_ref, abs=1e-12)
         assert f[2] == pytest.approx((s.real**2 + f_q_ref**2) / (vk * vk), abs=1e-12)
@@ -309,21 +325,27 @@ def test_line_flow_matches_independent_expansion():
 def test_line_flow_jacobian_matches_finite_differences():
     for seed in range(8):
         x_k, x_l, g, b = _random_pair(seed)
-        jac = grid.line_flow_jacobian(x_k, x_l, g, b)
+        jac = _flow_jacobian(x_k, x_l, g, b)
         stacked = np.concatenate([x_k, x_l])
         fd = fd_jacobian(
-            lambda y: grid.line_flow(y[:4], y[4:], g, b), stacked
+            lambda y: _flow(y[:4], y[4:], g, b), stacked
         )
         assert np.abs(jac - fd).max() / (1.0 + np.abs(jac).max()) <= 1e-6
-        assert np.abs(jac[:, [2, 3, 6, 7]]).max() == 0.0
+        assert np.abs(fd[:, [2, 3, 6, 7]]).max() == 0.0
 
 
 def test_line_losses_equal_flow_direction_sums(case6, truth6):
-    total = 0.0
-    for line in case6.lines:
-        k = 4 * case6.index[line.from_bus]
-        l = 4 * case6.index[line.to_bus]
-        fkl = grid.line_flow(truth6[k : k + 4], truth6[l : l + 4], line.g, line.b)
-        flk = grid.line_flow(truth6[l : l + 4], truth6[k : k + 4], line.g, line.b)
-        total += fkl[0] + flk[0]
-    assert grid.line_losses(case6, truth6) == pytest.approx(total, abs=1e-12)
+    ends = [(line.from_bus, line.to_bus) for line in case6.lines]
+    k, l, g, b = grid.line_arrays(case6, ends)
+    total = (grid.line_flows(truth6, k, l, g, b)[:, 0] + grid.line_flows(truth6, l, k, g, b)[:, 0]).sum()
+    assert line_losses(case6, truth6) == pytest.approx(total, abs=1e-12)
+
+
+def test_line_arrays_follow_the_given_direction_and_reject_unknown_pairs(case6):
+    line = case6.lines[0]
+    k, l, g, b = grid.line_arrays(case6, [(line.to_bus, line.from_bus), (line.from_bus, line.to_bus)])
+    assert list(k) == [case6.index[line.to_bus], case6.index[line.from_bus]]
+    assert list(l) == [case6.index[line.from_bus], case6.index[line.to_bus]]
+    assert list(g) == [line.g, line.g] and list(b) == [line.b, line.b]
+    with pytest.raises(UnknownBusReference):
+        grid.line_arrays(case6, [(line.from_bus, 99)])

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridest import grid, measurements, partition
+from gridest import grid, measurements, partition, powerflow
 from gridest.errors import DimensionMismatch, UnknownBusReference, ValidationError, ZeroVoltage
 
-from conftest import fd_jacobian, random_states
+from conftest import fd_jacobian, line_flow, line_flow_jacobian, random_states, reference_measurements
 
 
 def test_same_seed_same_realization(case30, truth30):
@@ -28,7 +28,25 @@ def test_none_noise_returns_exact_values(case30, truth30):
         line = by_key[(min(k, l), max(k, l))]
         x_k = truth30[4 * case30.index[k] : 4 * case30.index[k] + 4]
         x_l = truth30[4 * case30.index[l] : 4 * case30.index[l] + 4]
-        assert np.array_equal(row, grid.line_flow(x_k, x_l, line.g, line.b))
+        assert np.array_equal(row, line_flow(x_k, x_l, line.g, line.b))
+
+
+@pytest.mark.parametrize("name", ["ieee30", "ieee30_internal", "two_tile30"])
+def test_simulation_equals_the_per_node_per_line_reference(request, name):
+    """Byte for byte, including the order in which the noise is drawn."""
+    if name == "two_tile30":
+        part, _ = request.getfixturevalue("two_tile30")
+        case, truth = part.case, powerflow.solve_power_flow(part.case).state
+        lines = partition.internal_line_keys(part)
+    else:
+        case, truth = request.getfixturevalue("case30"), request.getfixturevalue("truth30")
+        lines = partition.internal_line_keys(request.getfixturevalue("part30")) if name == "ieee30_internal" else None
+    for seed in range(3):
+        got = measurements.simulate_measurements(case, truth, rng=seed, measured_lines=lines)
+        ref = reference_measurements(case, truth, seed, measured_lines=lines)
+        assert got.node_ids == ref.node_ids and got.line_ends == ref.line_ends
+        for field in ("node_values", "node_weights", "line_values", "line_weights"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
 
 
 def test_noise_scales_with_the_configured_variances(case30, truth30):
@@ -175,7 +193,7 @@ def test_region_residual_fit_is_the_weighted_square_sum(case6, truth6):
         line = by_key[(min(k, l), max(k, l))]
         x_k = truth6[4 * case6.index[k] : 4 * case6.index[k] + 4]
         x_l = truth6[4 * case6.index[l] : 4 * case6.index[l] + 4]
-        d = grid.line_flow(x_k, x_l, line.g, line.b) - mset.line_values[j]
+        d = line_flow(x_k, x_l, line.g, line.b) - mset.line_values[j]
         direct += float(np.sum(mset.line_weights[j] * d * d))
     assert float(r @ r) == pytest.approx(direct, rel=1e-12)
 
@@ -196,8 +214,8 @@ def _per_line_reference(residual, z):
         x_k, x_l = z[4 * pk : 4 * pk + 4], z[4 * pl : 4 * pl + 4]
         w = residual.line_sqrt_w[j]
         row = 4 * nn + 3 * j
-        out[row : row + 3] = w * (grid.line_flow(x_k, x_l, line.g, line.b) - residual.line_values[j])
-        block = grid.line_flow_jacobian(x_k, x_l, line.g, line.b)
+        out[row : row + 3] = w * (line_flow(x_k, x_l, line.g, line.b) - residual.line_values[j])
+        block = line_flow_jacobian(x_k, x_l, line.g, line.b)
         jac[row : row + 3, 4 * pk : 4 * pk + 4] = w[:, None] * block[:, :4]
         jac[row : row + 3, 4 * pl : 4 * pl + 4] = w[:, None] * block[:, 4:]
     return out, jac
@@ -206,7 +224,7 @@ def _per_line_reference(residual, z):
 @pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
 def test_region_residual_matches_the_per_line_reference(request, name):
     """Whole case and every region: vectorized eval and jacobian against a
-    loop over grid.line_flow and grid.line_flow_jacobian; the sparse
+    loop over the scalar line_flow and line_flow_jacobian; the sparse
     Jacobian holds exactly the dense one's numbers."""
     if name == "ieee30":
         part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .admm import AdmmConfig, AdmmResult, run_admm
-from .aladin import AladinConfig, AladinResult, CommFormula, comm_counts, run_aladin
+from .admm import run_admm
+from .aladin import AladinResult, CommFormula, RunConfig, RunResult, comm_counts, run_aladin
 from .caseio import (
     builtin_case,
     builtin_partition_spec,
@@ -66,8 +66,8 @@ from .powerflow import PowerFlowSolution, solve_power_flow
 
 __all__ = [
     "__version__",
-    "AdmmConfig", "AdmmResult", "run_admm",
-    "AladinConfig", "AladinResult", "CommFormula", "comm_counts", "run_aladin",
+    "run_admm",
+    "AladinResult", "CommFormula", "RunConfig", "RunResult", "comm_counts", "run_aladin",
     "builtin_case", "builtin_partition_spec", "config_hash", "convert_tables",
     "dump_case", "dump_partition_spec", "load_case", "load_measurements",
     "load_partition_spec", "parse_tables", "save_measurements",

@@ -20,36 +20,25 @@ its 4|A_i| copies and downloads its 4|A_i| targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid, measurements, partition as partition_mod
-from .aladin import _outer_loop, _RunResult
+from .aladin import RunConfig, RunResult, _outer_loop
 
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    rho: float = 1e4
-    tol: float = 1e-4
-    max_outer: int = 200
-    inner_tol: float = 1e-8
-    max_inner: int = 50
-
-
-@dataclass
-class AdmmResult(_RunResult):
-    """Final iterates and history of one ADMM run."""
+#: ADMM needs a larger outer budget than ALADIN's default of 50.
+DEFAULT_CONFIG = RunConfig(max_outer=200)
 
 
 def run_admm(
     part: partition_mod.Partition,
     mset: measurements.MeasurementSet,
-    config: AdmmConfig | None = None,
+    config: RunConfig | None = None,
     z0: list[np.ndarray] | None = None,
     truth: np.ndarray | None = None,
-) -> AdmmResult:
-    config = config or AdmmConfig()
+) -> RunResult:
+    """Run until the consensus violation is <= config.eps (DEFAULT_CONFIG
+    when None) or max_outer; z0 and truth are as in aladin.run_aladin."""
+    config = config or DEFAULT_CONFIG
     # Copy t of region i is state coordinate cols[i][t], coupled with sign
     # signs[i][t] into consensus row rows[i][t].
     rows: list[np.ndarray] = []
@@ -87,7 +76,7 @@ def run_admm(
         for i in range(part.n_regions):
             lams[i] = lams[i] + config.rho * (ys[i][cols[i]] - zeta[i])
         record.upload_floats = record.download_floats = n_copies
-        return ys, record.consensus_violation <= config.tol
+        return ys, record.consensus_violation <= config.eps
 
     zs, converged, history, note = _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate)
-    return AdmmResult(zs=zs, converged=converged, iterations=len(history), history=history, note=note)
+    return RunResult(zs=zs, converged=converged, iterations=len(history), history=history, note=note)

@@ -6,8 +6,9 @@ performs the coupled consensus QP followed by the full step update
 z <- y + dy, lam <- lam_QP.  The loop itself (region solves, iteration
 record, divergence and budget notes) is shared with the ADMM baseline in
 admm.py; each method supplies its subproblem terms and its coordination
-step.  A region whose inner solve ran out of iterations is named in that
-iteration's note.
+step.  Both take one RunConfig; the inner solves' tolerance and budget
+are the module constants INNER_TOL and MAX_INNER.  A region whose inner
+solve ran out of iterations is named in that iteration's note.
 
 Termination needs both the consensus mismatch ||sum_i A_i y_i||_inf and
 the largest proximal displacement ||y_i - z_i||_inf to drop below eps.
@@ -27,21 +28,35 @@ than an assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coordinator, grid, local_solver, measurements, partition as partition_mod
-from .errors import InnerDiverged
+from .errors import InnerDiverged, ValidationError
+
+#: KKT residual tolerance and Gauss-Newton iteration budget of every region solve.
+INNER_TOL = 1e-8
+MAX_INNER = 50
 
 
 @dataclass(frozen=True)
-class AladinConfig:
+class RunConfig:
+    """Penalty, termination tolerance and outer budget of one run.  ALADIN
+    stops when the consensus violation and the step norm are both <= eps,
+    ADMM when the consensus violation is."""
+
     rho: float = 1e4
     eps: float = 1e-4
     max_outer: int = 50
-    inner_tol: float = 1e-8
-    max_inner: int = 50
+
+    def __post_init__(self):
+        for name, value in (("rho", self.rho), ("eps", self.eps)):
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+        if not isinstance(self.max_outer, int) or self.max_outer < 1:
+            raise ValidationError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
 @dataclass
@@ -86,8 +101,8 @@ def comm_counts(part: partition_mod.Partition) -> CommFormula:
 
 
 @dataclass
-class _RunResult:
-    """Fields both estimators report; see AladinResult and admm.AdmmResult."""
+class RunResult:
+    """Final iterates and history of one run; admm.run_admm returns it as is."""
 
     zs: list[np.ndarray]
     converged: bool
@@ -101,7 +116,7 @@ class _RunResult:
 
 
 @dataclass(kw_only=True)
-class AladinResult(_RunResult):
+class AladinResult(RunResult):
     lam: np.ndarray
     formula: CommFormula
 
@@ -115,8 +130,9 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     solutions, the consensus gap sum_i A_i y_i and the record to
     coordinate(sols, gap, record), which fills in the record's
     communication fields and returns the next iterates and whether the
-    method has terminated.  config supplies rho, max_outer, inner_tol and
-    max_inner.  Returns (zs, converged, history, note).
+    method has terminated.  config is the run's RunConfig; each region
+    solve uses config.rho and the module's INNER_TOL and MAX_INNER, read at
+    call time.  Returns (zs, converged, history, note).
     """
     region_sets = measurements.split_by_region(mset, part)
     residuals = [measurements.RegionResidual(r.case, s) for r, s in zip(part.regions, region_sets)]
@@ -130,7 +146,7 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
                 sols.append(local_solver.solve_local(
                     residuals[i], models[i], y0=z, rho=config.rho, lin=lin,
                     prox_target=prox_target, prox_idx=prox_idx,
-                    tol=config.inner_tol, max_inner=config.max_inner,
+                    tol=INNER_TOL, max_inner=MAX_INNER,
                 ))
             except InnerDiverged as exc:
                 return zs, False, history, f"inner solve diverged at outer iteration {k}: {exc}"
@@ -165,20 +181,20 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
 def run_aladin(
     part: partition_mod.Partition,
     mset: measurements.MeasurementSet,
-    config: AladinConfig | None = None,
+    config: RunConfig | None = None,
     z0: list[np.ndarray] | None = None,
-    lam0: np.ndarray | None = None,
     truth: np.ndarray | None = None,
 ) -> AladinResult:
     """Run the distributed estimator until consensus or max_outer.
 
-    z0 defaults to flat fragment states, lam0 to zero.  truth, when given,
-    is the true global state used only to log the estimation error of the
-    original nodes; it never influences the iteration.
+    z0 defaults to flat fragment states; the multipliers start at zero.
+    truth, when given, is the true global state used only to log the
+    estimation error of the original nodes; it never influences the
+    iteration.
     """
-    config = config or AladinConfig()
+    config = config or RunConfig()
     zs = [grid.flat_state(r.case.n_bus) for r in part.regions] if z0 is None else [np.array(z) for z in z0]
-    lam = np.zeros(part.n_coupling_rows) if lam0 is None else np.array(lam0, dtype=float)
+    lam = np.zeros(part.n_coupling_rows)
 
     def prox_terms(i: int, z_i: np.ndarray):
         return part.coupling[i].T @ lam, z_i, None

@@ -17,6 +17,7 @@ change the network.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -75,6 +76,8 @@ def _number(entry: dict, field: str, where: str, default=None) -> float:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -301,7 +304,12 @@ def parse_tables(text: str) -> dict:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("base_mva expects exactly one value", line=lineno)
-            base_mva = float(parts[1])
+            try:
+                base_mva = float(parts[1])
+            except ValueError:
+                base_mva = math.nan
+            if not 0.0 < base_mva < math.inf:
+                raise ParseError(f"base_mva must be a finite number > 0, got {parts[1]!r}", line=lineno)
             continue
         if current is None:
             raise ParseError(f"data before any section header: {line!r}", line=lineno)

@@ -22,6 +22,9 @@ import numpy as np
 from . import grid, local_solver, measurements
 from .errors import Diverged
 
+#: Levenberg ridge mu added to the Gauss-Newton Hessian.
+MU = 1e-8
+
 
 @dataclass(frozen=True)
 class CentralSolution:
@@ -37,13 +40,12 @@ def solve_central(
     x0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 100,
-    mu: float = 1e-8,
 ) -> CentralSolution:
     residual = measurements.RegionResidual(case, mset)
     model = grid.PowerFlowModel(case)
     x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
     sol = local_solver.solve_local(
-        _sparse(residual), _sparse(model), y0=x0, mu=mu, tol=tol, max_inner=max_iter
+        _sparse(residual), _sparse(model), y0=x0, mu=MU, tol=tol, max_inner=max_iter
     )
     if not sol.converged:
         raise Diverged(

@@ -26,51 +26,36 @@ DEFAULT_SEED = 7
 
 
 def _resolve_case(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return caseio.load_case(path)
-    return caseio.builtin_case(spec)
+    return caseio.load_case(spec) if Path(spec).exists() else caseio.builtin_case(spec)
 
 
-def _resolve_partition(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return caseio.load_partition_spec(path)
-    return caseio.builtin_partition_spec(spec)
+def _resolve_partition(case, spec: str) -> partition.Partition:
+    load = caseio.load_partition_spec if Path(spec).exists() else caseio.builtin_partition_spec
+    _, assignment = load(spec)
+    return partition.partition_grid(case, assignment)
 
 
-def _meta(args, config: dict) -> dict:
-    """Reproducibility header written into every output file."""
-    return {
-        "tool": f"gridest {__version__}",
-        "seed": args.seed,
-        "config_hash": caseio.config_hash(config),
-    }
-
-
-def _run_config(args, method: str) -> dict:
-    return {
-        "method": method,
-        "case": args.case,
-        "partition": args.partition,
-        "seed": args.seed,
-        "rho": args.rho,
-        "eps": args.eps,
-        "max_iter": args.max_iter,
-    }
+def _meta(args, method: str) -> dict:
+    """Reproducibility header written into every output file; the config
+    hash covers the method and every scenario and solver flag."""
+    flags = vars(args)
+    config = {"method": method, "case": args.case, "partition": args.partition, "seed": args.seed}
+    config.update((key, flags[key]) for key in ("rho", "eps", "max_iter") if key in flags)
+    return {"tool": f"gridest {__version__}", "seed": args.seed, "config_hash": caseio.config_hash(config)}
 
 
 def _prepare(args):
-    """Shared setup: case, partition, simulated truth and measurements."""
+    """Shared setup: run config (checked first, so bad flags cost no work),
+    partition, simulated truth and measurements."""
+    config = aladin.RunConfig(rho=args.rho, eps=args.eps, max_outer=args.max_iter)
     case = _resolve_case(args.case)
-    _, assignment = _resolve_partition(args.partition)
-    part = partition.partition_grid(case, assignment)
+    part = _resolve_partition(case, args.partition)
     truth = powerflow.solve_power_flow(case).state
     mset = measurements.simulate_measurements(
         case, truth, rng=args.seed,
         measured_lines=partition.internal_line_keys(part),
     )
-    return case, part, truth, mset
+    return config, part, truth, mset
 
 
 def _out_dir(args) -> Path:
@@ -82,36 +67,23 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     case = _resolve_case(args.case)
     truth = powerflow.solve_power_flow(case).state
+    lines = None
     if args.partition is not None:
-        _, assignment = _resolve_partition(args.partition)
-        part = partition.partition_grid(case, assignment)
-        lines = partition.internal_line_keys(part)
-    else:
-        lines = None
+        lines = partition.internal_line_keys(_resolve_partition(case, args.partition))
     mset = measurements.simulate_measurements(case, truth, rng=args.seed, measured_lines=lines)
-    config = {"method": "simulate", "case": args.case, "partition": args.partition,
-              "seed": args.seed}
     path = _out_dir(args) / "measurements.yaml"
-    caseio.save_measurements(mset, path, meta=_meta(args, config))
+    caseio.save_measurements(mset, path, meta=_meta(args, "simulate"))
     print(f"wrote {path}")
     return 0
-
-
-def _solve(args, method: str, part, mset, truth):
-    """Run one method with the --rho, --eps and --max-iter flags."""
-    if method == "aladin":
-        config = aladin.AladinConfig(rho=args.rho, eps=args.eps, max_outer=args.max_iter)
-        return aladin.run_aladin(part, mset, config=config, truth=truth)
-    config = admm.AdmmConfig(rho=args.rho, tol=args.eps, max_outer=args.max_iter)
-    return admm.run_admm(part, mset, config=config, truth=truth)
 
 
 def cmd_run(args) -> int:
     """`estimate` (method aladin) and `admm`: history CSV and summary YAML."""
     method = args.method
-    case, part, truth, mset = _prepare(args)
-    result = _solve(args, method, part, mset, truth)
-    meta = _meta(args, _run_config(args, method))
+    config, part, truth, mset = _prepare(args)
+    run = aladin.run_aladin if method == "aladin" else admm.run_admm
+    result = run(part, mset, config=config, truth=truth)
+    meta = _meta(args, method)
     out = _out_dir(args)
     caseio.write_history_csv(out / f"{method}_history.csv", result.history, meta=meta)
     summary = dict(meta)
@@ -139,10 +111,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    case, part, truth, mset = _prepare(args)
-    a_res = _solve(args, "aladin", part, mset, truth)
-    b_res = _solve(args, "admm", part, mset, truth)
-    meta = _meta(args, _run_config(args, "compare"))
+    config, part, truth, mset = _prepare(args)
+    a_res = aladin.run_aladin(part, mset, config=config, truth=truth)
+    b_res = admm.run_admm(part, mset, config=config, truth=truth)
+    meta = _meta(args, "compare")
     out = _out_dir(args)
     path = out / "compare.csv"
     rows = caseio.meta_lines(meta)
@@ -158,13 +130,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_posterior(args) -> int:
-    case, part, truth, mset = _prepare(args)
-    result = _solve(args, "aladin", part, mset, truth)
+    config, part, truth, mset = _prepare(args)
+    result = aladin.run_aladin(part, mset, config=config, truth=truth)
     if not result.converged:
         print(f"estimator did not converge: {result.note}", file=sys.stderr)
         return 1
     report = posterior.analyze(part, mset, result.zs)
-    meta = _meta(args, _run_config(args, "posterior"))
+    meta = _meta(args, "posterior")
     out = _out_dir(args)
     table = posterior.render_table(report)
     header = caseio.meta_lines(meta)
@@ -209,7 +181,7 @@ def cmd_check(args) -> int:
     report("admittance row sums", rowsum <= 1e-12, f"max |row sum| = {rowsum:.2e}")
 
     pf = powerflow.solve_power_flow(case)
-    report("power flow", pf.mismatch <= 1e-10,
+    report("power flow", pf.mismatch <= powerflow.TOL,
            f"{pf.iterations} iterations, mismatch {pf.mismatch:.2e}")
 
     mset = measurements.simulate_measurements(case, pf.state, rng=args.seed)
@@ -227,8 +199,7 @@ def cmd_check(args) -> int:
            f"max relative deviation {worst:.2e}")
 
     if args.partition is not None:
-        _, assignment = _resolve_partition(args.partition)
-        part = partition.partition_grid(case, assignment)
+        part = _resolve_partition(case, args.partition)
         dev = partition.merge_check(part)
         report("partition merge round trip", dev <= 1e-12, f"max deviation = {dev:.2e}")
         frags = partition.extend_state(part, pf.state)
@@ -247,12 +218,19 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_run_flags(p: argparse.ArgumentParser, max_iter_default: int) -> None:
     p.add_argument("--case", default=DEFAULT_CASE,
                    help="case file path or builtin name (default: %(default)s)")
     p.add_argument("--partition", default=DEFAULT_PARTITION,
                    help="partition file path or builtin name (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rho", type=float, default=1e4)
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=max_iter_default, dest="max_iter")
@@ -269,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default=DEFAULT_CASE)
     p.add_argument("--partition", default=None,
                    help="restrict line sensors to intra-region lines")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_simulate)
 
@@ -293,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default=DEFAULT_CASE)
     p.add_argument("--partition", default=None,
                    help="also check this partition's merge and consensus invariants")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("convert", help="bus/branch tables to native case file")

@@ -24,6 +24,9 @@ from .errors import Diverged, SingularJacobian, SingularMatrix, ValidationError
 
 #: Hard cap on the mismatch norm; beyond this the iteration is declared lost.
 _BLOWUP = 1e6
+#: Mismatch tolerance (inf-norm) and Newton iteration budget.
+TOL = 1e-10
+MAX_ITER = 30
 
 
 @dataclass
@@ -33,7 +36,7 @@ class PowerFlowSolution:
     mismatch: float
 
 
-def solve_power_flow(case: grid.GridCase, tol: float = 1e-10, max_iter: int = 30) -> PowerFlowSolution:
+def solve_power_flow(case: grid.GridCase) -> PowerFlowSolution:
     """Solve the power flow of a case from a flat start.
 
     Returns a PowerFlowSolution whose state is the full 4 N node-major
@@ -66,7 +69,7 @@ def solve_power_flow(case: grid.GridCase, tol: float = 1e-10, max_iter: int = 30
     x = grid.pack_state(np.zeros(n), v, p_spec, q_spec)
 
     mis = model.eval(x)[rows]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         jac = model.jacobian(x, sparse=True)[rows][:, cols]
         try:
             step = linalg.solve_linear(jac, -mis)
@@ -77,8 +80,8 @@ def solve_power_flow(case: grid.GridCase, tol: float = 1e-10, max_iter: int = 30
         norm = np.abs(mis).max(initial=0.0)
         if not np.isfinite(norm) or norm > _BLOWUP:
             raise Diverged(f"power flow mismatch blew up at iteration {it}")
-        if norm <= tol:
+        if norm <= TOL:
             s = model.injections(x)
             x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
             return PowerFlowSolution(state=x, iterations=it, mismatch=norm)
-    raise Diverged(f"power flow did not reach tol {tol:g} in {max_iter} iterations")
+    raise Diverged(f"power flow did not reach tol {TOL:g} in {MAX_ITER} iterations")

@@ -82,7 +82,7 @@ def test_criterion_03_outpaces_admm_at_matched_penalty(part30, mset30, aladin30)
     print(
         f"criterion 3: iterations to 1e-3 gauss-newton={gn_1e3} admm={ad_1e3}; "
         f"to 1e-4 gauss-newton={gn_1e4} admm={ad_1e4} "
-        f"(admm used {admm_result.iterations} of {admm.AdmmConfig().max_outer} iterations, "
+        f"(admm used {admm_result.iterations} of {admm.DEFAULT_CONFIG.max_outer} iterations, "
         f"final violation {admm_result.final_violation:.3e})"
     )
     assert gn_1e3 is not None and ad_1e3 is not None and gn_1e3 < ad_1e3
@@ -303,7 +303,7 @@ def test_criterion_09_fixed_point_and_degenerate_cases(case30, part30, truth30, 
     )
     fixed = aladin.run_aladin(part30, exact, z0=partition.extend_state(part30, truth30))
     single_part = partition.partition_grid(case30, {b: 0 for b in case30.bus_ids})
-    single = aladin.run_aladin(single_part, mset30, config=aladin.AladinConfig(eps=1e-8))
+    single = aladin.run_aladin(single_part, mset30, config=aladin.RunConfig(eps=1e-8))
     single_gap = np.abs(single.zs[0] - central30.x).max()
     recovered = aladin.run_aladin(part30, exact)
     recovery_gap = np.abs(partition.restrict_state(part30, recovered.zs) - truth30).max()

@@ -49,8 +49,8 @@ def test_needs_more_iterations_than_the_quadratic_method(admm30, aladin30):
 
 
 def test_same_seed_reruns_are_bitwise_identical(part30, mset30):
-    a = admm.run_admm(part30, mset30, config=admm.AdmmConfig(max_outer=5))
-    b = admm.run_admm(part30, mset30, config=admm.AdmmConfig(max_outer=5))
+    a = admm.run_admm(part30, mset30, config=aladin.RunConfig(max_outer=5))
+    b = admm.run_admm(part30, mset30, config=aladin.RunConfig(max_outer=5))
     for ra, rb in zip(a.history, b.history):
         assert ra.consensus_violation == rb.consensus_violation
         assert ra.step_norm == rb.step_norm
@@ -59,7 +59,7 @@ def test_same_seed_reruns_are_bitwise_identical(part30, mset30):
 
 
 def test_iteration_budget_is_respected(part30, mset30):
-    result = admm.run_admm(part30, mset30, config=admm.AdmmConfig(max_outer=3))
+    result = admm.run_admm(part30, mset30, config=aladin.RunConfig(max_outer=3))
     assert not result.converged
     assert result.iterations == 3
     assert result.note != ""

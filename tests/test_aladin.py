@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
-from gridest.errors import InnerDiverged
+from gridest.errors import InnerDiverged, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 
@@ -79,7 +79,7 @@ def test_consensus_feasible_start_terminates_immediately(case30, part30, truth30
 
 def test_single_region_run_equals_the_central_solve(case30, mset30, central30):
     part = partition.partition_grid(case30, {b: 0 for b in case30.bus_ids})
-    config = aladin.AladinConfig(eps=1e-8)
+    config = aladin.RunConfig(eps=1e-8)
     result = aladin.run_aladin(part, mset30, config=config)
     assert result.converged
     assert np.abs(result.zs[0] - central30.x).max() <= 1e-8
@@ -99,7 +99,7 @@ def test_same_seed_reruns_are_bitwise_identical(part30, mset30, truth30):
 
 
 def test_iteration_budget_is_respected(part30, mset30):
-    result = aladin.run_aladin(part30, mset30, config=aladin.AladinConfig(max_outer=1))
+    result = aladin.run_aladin(part30, mset30, config=aladin.RunConfig(max_outer=1))
     assert not result.converged
     assert result.iterations == 1
     assert result.note != ""
@@ -121,13 +121,13 @@ def test_multiplier_vector_has_coupling_size(aladin30, part30):
 
 # The outer loop is shared; these tests run it through both estimators.
 METHODS = [
-    pytest.param(aladin.run_aladin, aladin.AladinConfig, id="aladin"),
-    pytest.param(admm.run_admm, admm.AdmmConfig, id="admm"),
+    pytest.param(aladin.run_aladin, id="aladin"),
+    pytest.param(admm.run_admm, id="admm"),
 ]
 
 
-@pytest.mark.parametrize("run, config", METHODS)
-def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, run, config):
+@pytest.mark.parametrize("run", METHODS)
+def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, run):
     solve = local_solver.solve_local
     calls = 0
 
@@ -139,14 +139,14 @@ def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, 
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(local_solver, "solve_local", diverge_in_second_iteration)
-    result = run(part30, mset30, config=config())
+    result = run(part30, mset30)
     assert not result.converged
     assert result.iterations == 1
     assert result.note.startswith("inner solve diverged at outer iteration 2")
 
 
-@pytest.mark.parametrize("run, config", METHODS)
-def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, mset30, run, config):
+@pytest.mark.parametrize("run", METHODS)
+def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, mset30, run):
     solve = local_solver.solve_local
     consensus = coordinator.solve_consensus
     converged = []
@@ -160,7 +160,8 @@ def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, ms
     # Every ALADIN consensus step reports a ridge, so its note comes first.
     monkeypatch.setattr(coordinator, "solve_consensus",
                         lambda *a, **k: dataclasses.replace(consensus(*a, **k), regularized=True))
-    result = run(part30, mset30, config=config(max_outer=2, max_inner=1))
+    monkeypatch.setattr(aladin, "MAX_INNER", 1)
+    result = run(part30, mset30, config=aladin.RunConfig(max_outer=2))
     assert result.iterations == 2
     assert not all(converged)
     n = part30.n_regions
@@ -173,6 +174,16 @@ def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, ms
         assert record.note == "; ".join(expected)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("rho", "eps") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)]
+    + [("max_outer", 0), ("max_outer", -1), ("max_outer", 2.0)],
+)
+def test_run_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        aladin.RunConfig(**{field: value})
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
@@ -180,7 +191,7 @@ def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
     mset = measurements.simulate_measurements(
         case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part),
     )
-    result = aladin.run_aladin(part, mset, config=aladin.AladinConfig(max_outer=10))
+    result = aladin.run_aladin(part, mset, config=aladin.RunConfig(max_outer=10))
     assert result.converged, result.note
     for record in result.history:
         assert not record.regularized

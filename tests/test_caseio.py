@@ -173,6 +173,15 @@ def test_measurements_loader_rejects_non_numbers(tmp_path, entry, spot, bad):
         caseio.load_measurements(path)
 
 
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+def test_case_loader_rejects_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "c.yaml"
+    caseio.dump_case(caseio.builtin_case("six_bus"), path)
+    path.write_text(path.read_text().replace("p_load: 0.25", f"p_load: {bad}", 1))
+    with pytest.raises(ValidationError, match=re.escape("c.yaml.buses[1].p_load must be finite")):
+        caseio.load_case(path)
+
+
 # ---------------------------------------------------------------------------
 # table converter
 
@@ -213,6 +222,10 @@ def test_convert_tables_parse_errors():
         caseio.parse_tables("base_mva 100\n1 2 3\n")
     with pytest.raises(ParseError, match="unknown section"):
         caseio.parse_tables("base_mva 100\n[load]\n")
+    for bad in ("abc", "0", "-100", "inf", "nan"):
+        with pytest.raises(ParseError, match="base_mva must be a finite number > 0") as err:
+            caseio.convert_tables(f"# tables\nbase_mva {bad}\n[bus]\n1 3 0 0 0 0 1 1 0 132 1 1.06 0.94\n", "t")
+        assert err.value.line == 2
 
 
 def test_converted_bundled_tables_match_the_bundled_case(case30):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import yaml
 
 from gridest import caseio, cli
@@ -135,3 +136,46 @@ def test_case_and_partition_paths_are_accepted(tmp_path):
     assert _run("estimate", "--case", case_path, "--partition", part_path,
                 "--seed", 1, "--out", out) == 0
     assert (out / "aladin_history.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "admm", "compare", "posterior", "check"])
+def test_negative_seed_exits_two(tmp_path, capsys, command):
+    argv = [command, "--seed", -1] + ([] if command == "check" else ["--out", tmp_path])
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: seed must be an integer >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--rho", "nan"), ("--rho", 0), ("--eps", 0), ("--max-iter", 0)])
+@pytest.mark.parametrize("command", ["estimate", "admm", "compare", "posterior"])
+def test_out_of_range_run_flags_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value):
+    def no_power_flow(case):
+        raise AssertionError("power flow ran before the flags were checked")
+
+    monkeypatch.setattr(cli.powerflow, "solve_power_flow", no_power_flow)
+    assert _run(command, flag, value, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("base_mva", ["abc", "0"])
+def test_convert_rejects_a_bad_base_mva_with_exit_two(tmp_path, capsys, base_mva):
+    tables = tmp_path / "t.txt"
+    tables.write_text(f"base_mva {base_mva}\n[bus]\n1 3 0 0 0 0 1 1.06 0 132 1 1.06 0.94\n")
+    assert _run("convert", tables, tmp_path / "out.yaml") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: base_mva must be a finite number > 0")
+    assert "(line 1)" in err
+
+
+def test_check_rejects_a_non_finite_case_value_with_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    caseio.dump_case(caseio.builtin_case("six_bus"), path)
+    path.write_text(path.read_text().replace("p_load: 0.25", "p_load: .nan", 1))
+    assert _run("check", "--case", path) == 2
+    assert "p_load must be finite" in capsys.readouterr().err

@@ -6,7 +6,9 @@ the coordinator keeps one shared target per copy.  Region i minimizes its
 local fit plus lam_i^T (E_i y - zeta_i) + (rho/2) ||E_i y - zeta_i||^2
 subject to its power-flow physics.  The coordinator then projects the
 copies of each consensus row r onto {sum_c s_c y_c = 0}, the signs s_c read
-from the coupling matrices: zeta_c = y_c - s_c (A y)_r / count_r.  For an
+from the coupling entries that partition_grid records for every region
+(RegionGrid.coupling_rows, coupling_cols and coupling_signs).  Every row
+couples exactly two copies, so zeta_c = y_c - s_c (A y)_r / 2.  For an
 angle or magnitude row (signs +1/-1) that is the average of the two
 copies; for an injection row (signs +1/+1) it splits the midpoint's power
 imbalance evenly, so the targets are opposite.  The scaled multipliers take
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import grid, measurements, partition as partition_mod
-from .aladin import RunConfig, RunResult, _outer_loop
+from . import measurements, partition as partition_mod
+from .aladin import RunConfig, RunResult, _initial_states, _outer_loop
 
 #: ADMM needs a larger outer budget than ALADIN's default of 50.
 DEFAULT_CONFIG = RunConfig(max_outer=200)
@@ -39,28 +41,18 @@ def run_admm(
     """Run until the consensus violation is <= config.eps (DEFAULT_CONFIG
     when None) or max_outer; z0 and truth are as in aladin.run_aladin."""
     config = config or DEFAULT_CONFIG
+    zs = _initial_states(part, z0, truth)
     # Copy t of region i is state coordinate cols[i][t], coupled with sign
     # signs[i][t] into consensus row rows[i][t].
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    signs: list[np.ndarray] = []
-    for i in range(part.n_regions):
-        r, c = partition_mod.coupled_indices(part, i)
-        rows.append(r)
-        cols.append(c)
-        signs.append(part.coupling[i][r, c])
-    counts = np.zeros(part.n_coupling_rows)
-    for i in range(part.n_regions):
-        np.add.at(counts, rows[i], 1.0)
+    rows = [r.coupling_rows for r in part.regions]
+    cols = [r.coupling_cols for r in part.regions]
+    signs = [r.coupling_signs for r in part.regions]
     n_copies = sum(len(r) for r in rows)
 
     def project(ys: list[np.ndarray], gap: np.ndarray) -> list[np.ndarray]:
-        return [
-            ys[i][cols[i]] - signs[i] * gap[rows[i]] / counts[rows[i]]
-            for i in range(part.n_regions)
-        ]
+        # Every consensus row couples exactly two copies, one per side of its pair.
+        return [ys[i][cols[i]] - signs[i] * gap[rows[i]] / 2.0 for i in range(part.n_regions)]
 
-    zs = [grid.flat_state(r.case.n_bus) for r in part.regions] if z0 is None else [np.array(z) for z in z0]
     zeta = project(zs, partition_mod.consensus_gap(part, zs))
     lams = [np.zeros(len(rows[i])) for i in range(part.n_regions)]
 

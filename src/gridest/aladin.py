@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coordinator, grid, local_solver, measurements, partition as partition_mod
-from .errors import InnerDiverged, ValidationError
+from .errors import DimensionMismatch, InnerDiverged, ValidationError
 
 #: KKT residual tolerance and Gauss-Newton iteration budget of every region solve.
 INNER_TOL = 1e-8
@@ -121,6 +121,18 @@ class AladinResult(RunResult):
     formula: CommFormula
 
 
+def _initial_states(part, z0, truth) -> list[np.ndarray]:
+    """The starting region states, flat when z0 is None, after checking z0
+    against the partition and truth against the case."""
+    n_global = 4 * part.case.n_bus
+    if truth is not None and np.shape(truth) != (n_global,):
+        raise DimensionMismatch(f"truth has shape {np.shape(truth)}, expected ({n_global},)")
+    if z0 is None:
+        return [grid.flat_state(r.case.n_bus) for r in part.regions]
+    partition_mod.check_region_states(part, z0)
+    return [np.array(z) for z in z0]
+
+
 def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     """The outer loop shared by ALADIN and the ADMM baseline.
 
@@ -190,10 +202,11 @@ def run_aladin(
     z0 defaults to flat fragment states; the multipliers start at zero.
     truth, when given, is the true global state used only to log the
     estimation error of the original nodes; it never influences the
-    iteration.
+    iteration.  A z0 or truth that does not fit the partition raises
+    DimensionMismatch before the first region solve.
     """
     config = config or RunConfig()
-    zs = [grid.flat_state(r.case.n_bus) for r in part.regions] if z0 is None else [np.array(z) for z in z0]
+    zs = _initial_states(part, z0, truth)
     lam = np.zeros(part.n_coupling_rows)
 
     def prox_terms(i: int, z_i: np.ndarray):

@@ -194,7 +194,14 @@ def load_partition_spec(path: str | Path) -> tuple[str, dict[int, str]]:
     if not regions:
         raise EmptyRegion(f"{where}.regions is empty")
     assignment: dict[int, str] = {}
+    # Labels are compared as text, so 1 and "1" would merge two regions.
+    seen: dict[str, object] = {}
     for label, members in regions.items():
+        if str(label) in seen:
+            raise ValidationError(
+                f"{where}.regions: labels {seen[str(label)]!r} and {label!r} name the same region"
+            )
+        seen[str(label)] = label
         label = str(label)
         members = _require_list(members, f"{where}.regions[{label}]")
         if not members:

@@ -148,36 +148,41 @@ def split_by_region(mset: MeasurementSet, partition) -> list[MeasurementSet]:
 
     Every measured node and line must fall inside exactly one region;
     a measured line spanning two regions violates the modeling contract
-    and raises ValidationError.
+    and raises ValidationError.  Each region keeps its nodes and lines in
+    input order.
     """
-    sets = []
-    claimed_nodes: set[int] = set()
-    claimed_lines: set[tuple[int, int]] = set()
-    for region in partition.regions:
-        own = set(region.original_bus_ids)
-        node_rows = [i for i, node in enumerate(mset.node_ids) if node in own]
-        line_rows = [j for j, (k, l) in enumerate(mset.line_ends) if k in own and l in own]
-        claimed_nodes.update(mset.node_ids[i] for i in node_rows)
-        claimed_lines.update(mset.line_ends[j] for j in line_rows)
-        sets.append(
-            MeasurementSet(
-                node_ids=tuple(mset.node_ids[i] for i in node_rows),
-                node_values=mset.node_values[node_rows].reshape(len(node_rows), 4),
-                node_weights=mset.node_weights[node_rows].reshape(len(node_rows), 4),
-                line_ends=tuple(mset.line_ends[j] for j in line_rows),
-                line_values=mset.line_values[line_rows].reshape(len(line_rows), 3),
-                line_weights=mset.line_weights[line_rows].reshape(len(line_rows), 3),
-            )
-        )
-    stray_nodes = sorted(set(mset.node_ids) - claimed_nodes)
+    region_of = partition.assignment
+    node_region = np.array([region_of.get(node, -1) for node in mset.node_ids], dtype=int)
+    stray_nodes = sorted(mset.node_ids[i] for i in np.flatnonzero(node_region < 0))
     if stray_nodes:
         raise ValidationError(f"measured nodes outside every region: {stray_nodes}")
-    stray_lines = sorted(set(mset.line_ends) - claimed_lines)
+    line_region = np.array(
+        [region_of.get(k, -1) if region_of.get(k, -1) == region_of.get(l) else -1 for k, l in mset.line_ends],
+        dtype=int,
+    )
+    stray_lines = sorted(mset.line_ends[j] for j in np.flatnonzero(line_region < 0))
     if stray_lines:
         raise ValidationError(
             f"measured lines must connect original nodes within one region, offending: {stray_lines}"
         )
-    return sets
+    node_groups = _group_rows(node_region, partition.n_regions)
+    line_groups = _group_rows(line_region, partition.n_regions)
+    return [
+        MeasurementSet(
+            node_ids=tuple(mset.node_ids[i] for i in node_rows),
+            node_values=mset.node_values[node_rows],
+            node_weights=mset.node_weights[node_rows],
+            line_ends=tuple(mset.line_ends[j] for j in line_rows),
+            line_values=mset.line_values[line_rows],
+            line_weights=mset.line_weights[line_rows],
+        )
+        for node_rows, line_rows in zip(node_groups, line_groups)
+    ]
+
+
+def _group_rows(region: np.ndarray, n_regions: int) -> list[np.ndarray]:
+    """Row indices of each region 0..n_regions-1, each in ascending order."""
+    return np.split(np.argsort(region, kind="stable"), np.cumsum(np.bincount(region, minlength=n_regions))[:-1])
 
 
 class RegionResidual:

@@ -21,6 +21,15 @@ pair's disagreement.  An injection row carries +1 on both copies, so it
 reads the midpoint's power balance p_low_aux + p_high_aux (q alike).  The
 stacked mismatch sum_i A_i z_i vanishes exactly when every midpoint is
 consistent.
+
+partition_grid is the one place that fixes the region layout, and every
+per-bus remap reads it rather than re-deriving it.  Each fragment lists its
+original buses first, in id order, then its auxiliary buses in pair order:
+auxiliary ids exceed every case id and grow with the pair index, and
+GridCase sorts its buses by id.  A RegionGrid records the global positions
+of its original buses (bus_pos) and the nonzeros of its coupling matrix as
+row, column and sign arrays, rows ascending; the dense A_i is built from
+those entries.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import numpy as np
 
 from . import grid
 from .errors import (
+    DimensionMismatch,
     EmptyRegion,
     UnassignedBus,
     UnknownBusReference,
@@ -58,13 +68,24 @@ class AuxPair:
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """One region fragment: original buses plus local auxiliary buses."""
+    """One region fragment: original buses plus local auxiliary buses.
+
+    The fragment's buses are original_bus_ids, then aux_bus_ids, so
+    fragment position k < len(bus_pos) is the original bus at global
+    position bus_pos[k].  Copy t of the region is state coordinate
+    coupling_cols[t], entered with sign coupling_signs[t] into consensus
+    row coupling_rows[t]; the rows ascend.
+    """
 
     index: int
     case: grid.GridCase
     original_bus_ids: tuple[int, ...]
     aux_bus_ids: tuple[int, ...]
     internal_lines: tuple[grid.Line, ...]
+    bus_pos: np.ndarray = field(compare=False)
+    coupling_rows: np.ndarray = field(compare=False)
+    coupling_cols: np.ndarray = field(compare=False)
+    coupling_signs: np.ndarray = field(compare=False)
 
     @property
     def n_states(self) -> int:
@@ -112,80 +133,71 @@ def partition_grid(case: grid.GridCase, assignment: dict[int, object]) -> Partit
         raise EmptyRegion("assignment defines no regions")
     label_index = {label: i for i, label in enumerate(labels)}
     region_of = {bus: label_index[assignment[bus]] for bus in case.bus_ids}
+    bus_region = np.array([region_of[bus] for bus in case.bus_ids])
 
-    ties = sorted(
-        (line for line in case.lines if region_of[line.from_bus] != region_of[line.to_bus]),
-        key=lambda line: line.key(),
-    )
+    internal: list[list[grid.Line]] = [[] for _ in labels]
+    ties = []
+    for line in case.lines:
+        low, high = region_of[line.from_bus], region_of[line.to_bus]
+        if low == high:
+            internal[low].append(line)
+        else:
+            ties.append(line)
+    ties.sort(key=lambda line: line.key())
     next_aux = max(case.bus_ids) + 1
     pairs = []
+    # sides[i]: (pair, anchor bus, auxiliary bus, angle and magnitude sign)
+    # of each copy in region i, in pair order.
+    sides: list[list[tuple]] = [[] for _ in labels]
     for t, line in enumerate(ties):
         low, high = line.key()
-        pairs.append(
-            AuxPair(
-                index=t,
-                low_bus=low,
-                high_bus=high,
-                low_region=region_of[low],
-                high_region=region_of[high],
-                low_aux=next_aux + 2 * t,
-                high_aux=next_aux + 2 * t + 1,
-                r=line.r,
-                x=line.x,
-            )
+        pair = AuxPair(
+            index=t,
+            low_bus=low,
+            high_bus=high,
+            low_region=region_of[low],
+            high_region=region_of[high],
+            low_aux=next_aux + 2 * t,
+            high_aux=next_aux + 2 * t + 1,
+            r=line.r,
+            x=line.x,
         )
+        pairs.append(pair)
+        sign = 1.0 if pair.low_region < pair.high_region else -1.0
+        sides[pair.low_region].append((pair, low, pair.low_aux, sign))
+        sides[pair.high_region].append((pair, high, pair.high_aux, -sign))
 
     regions = []
     couplings = []
-    for i in range(len(labels)):
-        own_ids = tuple(b for b in case.bus_ids if region_of[b] == i)
-        buses = [case.bus(b) for b in own_ids]
-        internal = tuple(
-            line
-            for line in case.lines
-            if region_of[line.from_bus] == i and region_of[line.to_bus] == i
-        )
-        lines = list(internal)
-        aux_ids = []
-        for pair in pairs:
-            for anchor, aux, side_region in (
-                (pair.low_bus, pair.low_aux, pair.low_region),
-                (pair.high_bus, pair.high_aux, pair.high_region),
-            ):
-                if side_region != i:
-                    continue
-                # Half the impedance doubles the series admittance.
-                buses.append(grid.Bus(id=aux, kind="pq"))
-                lines.append(grid.Line(anchor, aux, pair.r / 2.0, pair.x / 2.0))
-                aux_ids.append(aux)
+    for i, side in enumerate(sides):
+        bus_pos = np.flatnonzero(bus_region == i)
+        buses = tuple(case.buses[k] for k in bus_pos)
         fragment = grid.GridCase(
             name=f"{case.name}/region{i}",
             base_mva=case.base_mva,
-            buses=tuple(buses),
-            lines=tuple(lines),
+            buses=buses + tuple(grid.Bus(id=aux, kind="pq") for _, _, aux, _ in side),
+            # Half the impedance doubles the series admittance.
+            lines=tuple(internal[i])
+            + tuple(grid.Line(anchor, aux, pair.r / 2.0, pair.x / 2.0) for pair, anchor, aux, _ in side),
         )
+        # Auxiliary bus k sits at fragment position len(bus_pos) + k, and its
+        # (theta, v, p, q) enter the four rows of its pair.
+        t = np.array([pair.index for pair, *_ in side], dtype=int)
+        rows = (ROWS_PER_PAIR * t[:, None] + np.arange(ROWS_PER_PAIR)).ravel()
         region = RegionGrid(
             index=i,
             case=fragment,
-            original_bus_ids=own_ids,
-            aux_bus_ids=tuple(aux_ids),
-            internal_lines=internal,
+            original_bus_ids=tuple(bus.id for bus in buses),
+            aux_bus_ids=tuple(aux for _, _, aux, _ in side),
+            internal_lines=tuple(internal[i]),
+            bus_pos=bus_pos,
+            coupling_rows=rows,
+            coupling_cols=4 * bus_pos.size + np.arange(rows.size),
+            coupling_signs=np.array([(sign, sign, 1.0, 1.0) for *_, sign in side]).ravel(),
         )
         regions.append(region)
-        a = np.zeros((ROWS_PER_PAIR * len(pairs), 4 * fragment.n_bus))
-        for pair in pairs:
-            for aux, side_region, other_region in (
-                (pair.low_aux, pair.low_region, pair.high_region),
-                (pair.high_aux, pair.high_region, pair.low_region),
-            ):
-                if side_region != i:
-                    continue
-                sign = 1.0 if side_region < other_region else -1.0
-                pos = fragment.index[aux]
-                for component, entry in (
-                    (grid.THETA, sign), (grid.V, sign), (grid.P, 1.0), (grid.Q, 1.0)
-                ):
-                    a[ROWS_PER_PAIR * pair.index + component, 4 * pos + component] = entry
+        a = np.zeros((ROWS_PER_PAIR * len(pairs), region.n_states))
+        a[rows, region.coupling_cols] = region.coupling_signs
         couplings.append(a)
 
     return Partition(
@@ -251,43 +263,43 @@ def extend_state(partition: Partition, x: np.ndarray) -> list[np.ndarray]:
         raise ValidationError(
             f"state length {x.shape} does not match case size {4 * partition.case.n_bus}"
         )
+    regions, pairs = partition.regions, partition.aux_pairs
     vc = grid.complex_voltage(x)
-    out = []
-    for region in partition.regions:
-        fragment = region.case
-        z = np.zeros(4 * fragment.n_bus)
-        for bus_id in region.original_bus_ids:
-            z[4 * fragment.index[bus_id] : 4 * fragment.index[bus_id] + 4] = x[
-                4 * partition.case.index[bus_id] : 4 * partition.case.index[bus_id] + 4
-            ]
-        out.append(z)
-    for pair in partition.aux_pairs:
-        mid = 0.5 * (vc[partition.case.index[pair.low_bus]] + vc[partition.case.index[pair.high_bus]])
-        for region_idx, aux in ((pair.low_region, pair.low_aux), (pair.high_region, pair.high_aux)):
-            pos = partition.regions[region_idx].case.index[aux]
-            out[region_idx][4 * pos + grid.THETA] = np.angle(mid)
-            out[region_idx][4 * pos + grid.V] = np.abs(mid)
-    injections = [grid.PowerFlowModel(region.case).injections(z) for region, z in zip(partition.regions, out)]
-    for pair in partition.aux_pairs:
-        s = injections[pair.low_region][partition.regions[pair.low_region].case.index[pair.low_aux]]
-        for region_idx, aux, sign in (
-            (pair.low_region, pair.low_aux, 1.0),
-            (pair.high_region, pair.high_aux, -1.0),
-        ):
-            pos = partition.regions[region_idx].case.index[aux]
-            out[region_idx][4 * pos + grid.P] = sign * s.real
-            out[region_idx][4 * pos + grid.Q] = sign * s.imag
-    return out
+    mid = np.array([0.5 * (vc[partition.case.index[p.low_bus]] + vc[partition.case.index[p.high_bus]]) for p in pairs])
+    # The pair of each region's auxiliary buses, in fragment order.
+    aux_pair = [region.coupling_rows[::ROWS_PER_PAIR] // ROWS_PER_PAIR for region in regions]
+    out = [np.zeros((region.case.n_bus, 4)) for region in regions]
+    for region, t, z in zip(regions, aux_pair, out):
+        n = region.bus_pos.size
+        z[:n] = x.reshape(-1, 4)[region.bus_pos]
+        z[n:, grid.THETA] = np.angle(mid[t])
+        z[n:, grid.V] = np.abs(mid[t])
+    injections = [grid.PowerFlowModel(region.case).injections(z.ravel()) for region, z in zip(regions, out)]
+    s = np.array([injections[p.low_region][regions[p.low_region].case.index[p.low_aux]] for p in pairs])
+    low_region = np.array([p.low_region for p in pairs], dtype=int)
+    for region, t, z in zip(regions, aux_pair, out):
+        n = region.bus_pos.size
+        sign = np.where(low_region[t] == region.index, 1.0, -1.0)
+        z[n:, grid.P] = sign * s[t].real
+        z[n:, grid.Q] = sign * s[t].imag
+    return [z.ravel() for z in out]
+
+
+def check_region_states(partition: Partition, zs) -> None:
+    """Raise DimensionMismatch unless zs holds one state per region, in
+    region order, each of length region.n_states."""
+    shapes = [np.shape(z) for z in zs]
+    expected = [(region.n_states,) for region in partition.regions]
+    if shapes != expected:
+        raise DimensionMismatch(f"region state shapes {shapes} do not match the partition's {expected}")
 
 
 def restrict_state(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
     """Collect the original-node components of region states into one global state."""
+    check_region_states(partition, zs)
     x = np.zeros(4 * partition.case.n_bus)
     for region, z in zip(partition.regions, zs):
-        for bus_id in region.original_bus_ids:
-            x[4 * partition.case.index[bus_id] : 4 * partition.case.index[bus_id] + 4] = z[
-                4 * region.case.index[bus_id] : 4 * region.case.index[bus_id] + 4
-            ]
+        x.reshape(-1, 4)[region.bus_pos] = np.reshape(z, (-1, 4))[: region.bus_pos.size]
     return x
 
 
@@ -297,17 +309,3 @@ def consensus_gap(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
     for a, z in zip(partition.coupling, zs):
         gap += a @ z
     return gap
-
-
-def coupled_indices(partition: Partition, region_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the coupled components of one region.
-
-    Returns (rows, cols): rows are indices into the stacked consensus
-    vector (4 per pair), cols the matching state indices inside the region,
-    both in ascending row order.  Useful for estimators that exchange the
-    coupled components themselves rather than coupling matrices.
-    """
-    a = partition.coupling[region_index]
-    rows, cols = np.nonzero(a)
-    order = np.argsort(rows)
-    return rows[order], cols[order]

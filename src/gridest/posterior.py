@@ -15,10 +15,12 @@ the interior.  The interior is eliminated with small dense LU factors, one
 region at a time, so the regions meet only in a boundary system of 6 rows
 per auxiliary bus plus the coupling rows (720 rows on a 480-bus grid, where
 M has 3600).  The covariance is assembled from the interior factors and the
-boundary system's inverse, one region block at a time.  With no coupling
-(the centralized bound) every bus is interior.  Bi-level ALADIN condenses
-its coordinator the same way (Engelmann, Jiang, Houska and Faulwasser,
-IEEE TCNS 2020).
+boundary system's inverse, one region block at a time.  analyze reads
+each original node's covariance rows and nominal values through the
+partition layout (RegionGrid.bus_pos).  analyze_central is analyze on the
+one-region partition, which has no coupling rows, so every bus is
+interior.  Bi-level ALADIN condenses its coordinator the same way
+(Engelmann, Jiang, Houska and Faulwasser, IEEE TCNS 2020).
 
 Standard deviations are reported per node channel.  Relative deviations
 divide by the nominal magnitude and are undefined where the nominal is
@@ -166,18 +168,34 @@ class PosteriorReport:
     state_std: np.ndarray
 
 
-def _report_for(
-    node_ids: Sequence[int],
-    nominal: np.ndarray,
-    covariance: np.ndarray,
-    node_rows: np.ndarray,
+def analyze(
+    part: partition_mod.Partition,
+    mset: measurements.MeasurementSet,
+    zs: Sequence[np.ndarray],
 ) -> PosteriorReport:
+    """Distributed bound at the estimate zs, reported for original nodes."""
+    partition_mod.check_region_states(part, zs)
+    zs = [np.asarray(z, dtype=float) for z in zs]
+    region_sets = measurements.split_by_region(mset, part)
+    fit_jacobians = []
+    constraint_jacobians = []
+    for region, region_set, z in zip(part.regions, region_sets, zs):
+        fit_jacobians.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
+        constraint_jacobians.append(grid.PowerFlowModel(region.case).jacobian(z))
+    covariance = covariance_bound(fit_jacobians, constraint_jacobians, list(part.coupling))
     diag = np.diag(covariance)
     if diag.min(initial=0.0) < -1e-10 * max(1.0, diag.max(initial=1.0)):
         raise SingularBordered("posterior covariance has negative variance entries")
     state_std = np.sqrt(np.clip(diag, 0.0, None))
-    abs_std = state_std[node_rows].reshape(len(node_ids), 4)
-    nominal = np.asarray(nominal, dtype=float).reshape(len(node_ids), 4)
+    # Each original node's rows lie in its region's block of the
+    # covariance, at the fragment position the partition layout gives it.
+    rows = np.empty((part.case.n_bus, 4), dtype=int)
+    offset = 0
+    for region in part.regions:
+        rows[region.bus_pos] = offset + np.arange(4 * region.bus_pos.size).reshape(-1, 4)
+        offset += region.n_states
+    abs_std = state_std[rows]
+    nominal = partition_mod.restrict_state(part, zs).reshape(-1, 4)
     excluded = np.abs(nominal) < REL_EXCLUDE_BELOW
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_std = np.where(excluded, np.nan, abs_std / np.abs(nominal))
@@ -188,7 +206,7 @@ def _report_for(
         ]
     )
     return PosteriorReport(
-        node_ids=tuple(int(b) for b in node_ids),
+        node_ids=tuple(int(b) for b in part.case.bus_ids),
         nominal=nominal,
         abs_std=abs_std,
         rel_std=rel_std,
@@ -202,45 +220,8 @@ def _report_for(
 def analyze_central(
     case: grid.GridCase, mset: measurements.MeasurementSet, x: np.ndarray
 ) -> PosteriorReport:
-    residual = measurements.RegionResidual(case, mset)
-    model = grid.PowerFlowModel(case)
-    cov = covariance_bound([residual.jacobian(x)], [model.jacobian(x)])
-    node_rows = np.arange(4 * case.n_bus)
-    return _report_for(case.bus_ids, np.array(x).reshape(-1, 4), cov, node_rows)
-
-
-def analyze(
-    part: partition_mod.Partition,
-    mset: measurements.MeasurementSet,
-    zs: Sequence[np.ndarray],
-) -> PosteriorReport:
-    """Distributed bound at the estimate zs, reported for original nodes."""
-    region_sets = measurements.split_by_region(mset, part)
-    fit_jacobians = []
-    constraint_jacobians = []
-    for region, region_set, z in zip(part.regions, region_sets, zs):
-        residual = measurements.RegionResidual(region.case, region_set)
-        model = grid.PowerFlowModel(region.case)
-        fit_jacobians.append(residual.jacobian(np.asarray(z, dtype=float)))
-        constraint_jacobians.append(model.jacobian(np.asarray(z, dtype=float)))
-    cov = covariance_bound(fit_jacobians, constraint_jacobians, list(part.coupling))
-    # Map each original node to its (unique) owning region's state rows.
-    offsets = np.cumsum([0] + [r.n_states for r in part.regions])
-    node_rows = []
-    node_ids = []
-    nominal_rows = []
-    for region, offset, z in zip(part.regions, offsets, zs):
-        z = np.asarray(z, dtype=float)
-        for bus_id in region.original_bus_ids:
-            idx = region.case.index[bus_id]
-            node_ids.append(bus_id)
-            node_rows.extend(range(offset + 4 * idx, offset + 4 * idx + 4))
-            nominal_rows.append(z[4 * idx : 4 * idx + 4])
-    order = np.argsort(node_ids)
-    node_ids = [node_ids[i] for i in order]
-    rows = np.array(node_rows).reshape(-1, 4)[order].ravel()
-    nominal = np.array(nominal_rows)[order]
-    return _report_for(node_ids, nominal, cov, rows)
+    """Centralized bound at x: analyze on the one-region partition of case."""
+    return analyze(partition_mod.partition_grid(case, {bus: 0 for bus in case.bus_ids}), mset, [x])
 
 
 def render_table(report: PosteriorReport) -> str:

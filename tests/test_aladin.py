@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
-from gridest.errors import InnerDiverged, ValidationError
+from gridest.errors import DimensionMismatch, InnerDiverged, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 
@@ -124,6 +124,23 @@ METHODS = [
     pytest.param(aladin.run_aladin, id="aladin"),
     pytest.param(admm.run_admm, id="admm"),
 ]
+
+
+@pytest.mark.parametrize("run", METHODS)
+@pytest.mark.parametrize("bad", ["z0-one-state-short", "z0-entries-short", "truth-short"])
+def test_states_that_do_not_fit_the_partition_fail_before_any_solve(monkeypatch, part30, mset30, truth30, run, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a region solve ran before the inputs were checked")
+
+    monkeypatch.setattr(local_solver, "solve_local", no_solve)
+    zs = partition.extend_state(part30, truth30)
+    kwargs = {
+        "z0-one-state-short": {"z0": zs[:3]},
+        "z0-entries-short": {"z0": [z[:-4] for z in zs]},
+        "truth-short": {"truth": truth30[:-4]},
+    }[bad]
+    with pytest.raises(DimensionMismatch):
+        run(part30, mset30, **kwargs)
 
 
 @pytest.mark.parametrize("run", METHODS)

@@ -127,6 +127,13 @@ def test_partition_spec_errors(tmp_path):
         caseio.load_partition_spec(path)
 
 
+def test_partition_labels_that_read_alike_are_rejected(tmp_path):
+    path = tmp_path / "p.yaml"
+    path.write_text("name: p\nregions:\n  1: [1, 2]\n  '1': [3]\n")
+    with pytest.raises(ValidationError, match="labels 1 and '1' name the same region"):
+        caseio.load_partition_spec(path)
+
+
 # ---------------------------------------------------------------------------
 # measurements
 

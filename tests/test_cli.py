@@ -138,6 +138,16 @@ def test_case_and_partition_paths_are_accepted(tmp_path):
     assert (out / "aladin_history.csv").exists()
 
 
+def test_partition_labels_that_read_alike_exit_two(tmp_path, capsys):
+    path = tmp_path / "clash.yaml"
+    path.write_text("name: clash\nregions:\n  1: [1, 2, 3, 4, 5, 6]\n  '1': [7, 8, 9, 10, 11, 12]\n")
+    assert _run("estimate", "--case", "twelve_bus", "--partition", path, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name the same region" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "aladin_history.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate", "admm", "compare", "posterior", "check"])
 def test_negative_seed_exits_two(tmp_path, capsys, command):
     argv = [command, "--seed", -1] + ([] if command == "check" else ["--out", tmp_path])

@@ -4,9 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridest import grid, partition
-from gridest.errors import EmptyRegion, UnassignedBus, UnknownBusReference
+from gridest import grid, measurements, partition
+from gridest.errors import DimensionMismatch, EmptyRegion, UnassignedBus, UnknownBusReference
+
+from conftest import random_connected_assignment, random_states
 
 
 def test_default_thirty_bus_partition_shape(part30):
@@ -149,18 +153,75 @@ def test_coupling_rows_have_one_plus_one_minus_entry(part30):
             assert sorted(nonzero) == [1.0, 1.0]
 
 
-def test_coupled_indices_locate_aux_components(part30):
-    for i, region in enumerate(part30.regions):
-        rows, cols = partition.coupled_indices(part30, i)
-        assert len(rows) == 4 * len(region.aux_bus_ids)
-        a = part30.coupling[i]
-        for r, c in zip(rows, cols):
-            assert a[r, c] != 0.0
-            assert c % 4 == r % 4
-        aux_components = {
-            4 * region.case.index[aux] + k for aux in region.aux_bus_ids for k in range(4)
-        }
-        assert set(cols) == aux_components
+def _assert_region_layout(part):
+    """Each fragment lists its original buses in id order, then its auxiliary
+    buses in pair order; the recorded coupling entries are exactly A_i."""
+    for i, (region, a) in enumerate(zip(part.regions, part.coupling)):
+        own = tuple(b for b in part.case.bus_ids if part.assignment[b] == i)
+        assert region.original_bus_ids == own
+        copies = [(p.index, aux) for p in part.aux_pairs
+                  for aux, r in ((p.low_aux, p.low_region), (p.high_aux, p.high_region)) if r == i]
+        assert region.aux_bus_ids == tuple(aux for _, aux in copies)
+        assert region.case.bus_ids == own + region.aux_bus_ids
+        assert np.array_equal(region.bus_pos, [part.case.index[b] for b in own])
+        rows, cols, signs = region.coupling_rows, region.coupling_cols, region.coupling_signs
+        assert len(rows) == len(cols) == len(signs) == 4 * len(copies)
+        assert np.all(np.diff(rows) > 0)
+        assert np.array_equal(rows // 4, np.repeat([t for t, _ in copies], 4))
+        assert np.array_equal(cols % 4, rows % 4)
+        assert np.array_equal(cols // 4, np.repeat([region.case.index[aux] for _, aux in copies], 4))
+        expected = []
+        for t, _ in copies:
+            pair = part.aux_pairs[t]
+            other = pair.high_region if pair.low_region == i else pair.low_region
+            sign = 1.0 if i < other else -1.0
+            expected += [sign, sign, 1.0, 1.0]
+        assert np.array_equal(signs, expected)
+        rebuilt = np.zeros_like(a)
+        rebuilt[rows, cols] = signs
+        assert np.array_equal(rebuilt, a)
+
+
+def test_region_layout_of_the_builtin_partitions(part30, part6, part12):
+    for part in (part30, part6, part12):
+        _assert_region_layout(part)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_region_layout_on_random_partitions(case30, truth30, n_regions, seed):
+    part = partition.partition_grid(case30, random_connected_assignment(case30, n_regions, seed))
+    _assert_region_layout(part)
+    x = random_states(case30.n_bus, 1, seed)[0]
+    assert np.array_equal(partition.restrict_state(part, partition.extend_state(part, x)), x)
+    mset = measurements.simulate_measurements(
+        case30, truth30, rng=seed, measured_lines=partition.internal_line_keys(part)
+    )
+    # Reversed, so that input order differs from id order.
+    mset = measurements.MeasurementSet(
+        mset.node_ids[::-1], mset.node_values[::-1], mset.node_weights[::-1],
+        mset.line_ends[::-1], mset.line_values[::-1], mset.line_weights[::-1],
+    )
+    for i, region_set in enumerate(measurements.split_by_region(mset, part)):
+        nodes = [j for j, b in enumerate(mset.node_ids) if part.assignment[b] == i]
+        ends = [j for j, (k, l) in enumerate(mset.line_ends) if part.assignment[k] == part.assignment[l] == i]
+        assert region_set.node_ids == tuple(mset.node_ids[j] for j in nodes)
+        assert region_set.line_ends == tuple(mset.line_ends[j] for j in ends)
+        assert np.array_equal(region_set.node_values, mset.node_values[nodes])
+        assert np.array_equal(region_set.node_weights, mset.node_weights[nodes])
+        assert np.array_equal(region_set.line_values, mset.line_values[ends])
+        assert np.array_equal(region_set.line_weights, mset.line_weights[ends])
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda zs: zs[:3], id="one-state-short"),
+    pytest.param(lambda zs: zs + zs[:1], id="one-state-long"),
+    pytest.param(lambda zs: [z[:-4] for z in zs], id="entries-short"),
+    pytest.param(lambda zs: [z.reshape(-1, 4) for z in zs], id="entries-2d"),
+])
+def test_restrict_state_rejects_states_that_do_not_fit(part30, truth30, cut):
+    with pytest.raises(DimensionMismatch):
+        partition.restrict_state(part30, cut(partition.extend_state(part30, truth30)))
 
 
 def test_single_region_partition_is_trivial(case6, truth6):

@@ -230,6 +230,15 @@ def test_covariance_bound_with_no_regions_is_a_dimension_mismatch():
             posterior.covariance_bound([], [], couplings)
 
 
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda zs: zs[:3], id="one-state-short"),
+    pytest.param(lambda zs: [z[:-4] for z in zs], id="entries-short"),
+])
+def test_analyze_rejects_states_that_do_not_fit_the_partition(part30, mset30, aladin30, cut):
+    with pytest.raises(DimensionMismatch):
+        posterior.analyze(part30, mset30, cut(aladin30.zs))
+
+
 def test_analyze_calls_covariance_bound_through_the_module(monkeypatch, case30, part30, mset30, aladin30, central30):
     """Tracing wraps posterior.covariance_bound and reads its positional arguments."""
     calls = []
@@ -247,4 +256,4 @@ def test_analyze_calls_covariance_bound_through_the_module(monkeypatch, case30, 
     posterior.analyze_central(case30, mset30, central30.x)
     assert len(calls) == 2
     args, kwargs = calls[1]
-    assert len(args) == 2 and kwargs == {}
+    assert len(args) == 3 and kwargs == {}

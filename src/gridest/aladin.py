@@ -6,9 +6,24 @@ performs the coupled consensus QP followed by the full step update
 z <- y + dy, lam <- lam_QP.  The loop itself (region solves, iteration
 record, divergence and budget notes) is shared with the ADMM baseline in
 admm.py; each method supplies its subproblem terms and its coordination
-step.  Both take one RunConfig; the inner solves' tolerance and budget
-are the module constants INNER_TOL and MAX_INNER.  A region whose inner
-solve ran out of iterations is named in that iteration's note.
+step.  Both take one RunConfig; the inner solves' budget is the module
+constant MAX_INNER.  A region whose inner solve ran out of iterations is
+named in that iteration's note.
+
+The region solves are inexact in the sense of the method's name: their
+KKT tolerance tightens as the regions approach consensus.  Outer iteration
+k solves to
+
+    tol_k = min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v_{k-1}))
+
+with v_{k-1} the previous iteration's consensus violation, so the first
+iteration solves to INNER_TOL_START and no solve is looser than that or
+tighter than the floor INNER_TOL.  Far from consensus a 1e-8 KKT residual
+buys nothing the next consensus step keeps; near it the tolerance is back
+at the floor.  Each solve still meets its own tolerance, so its converged
+flag means what it says.  A region solve or consensus QP whose KKT system
+stays singular after the ridge fallback ends the run with a note, as an
+inner divergence does.
 
 Termination needs both the consensus mismatch ||sum_i A_i y_i||_inf and
 the largest proximal displacement ||y_i - z_i||_inf to drop below eps.
@@ -34,10 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coordinator, grid, local_solver, measurements, partition as partition_mod
-from .errors import DimensionMismatch, InnerDiverged, ValidationError
+from .errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
 
-#: KKT residual tolerance and Gauss-Newton iteration budget of every region solve.
+#: Region-solve KKT tolerance schedule: the first outer iteration's
+#: tolerance, the floor, and the factor on the previous consensus violation.
+INNER_TOL_START = 1e-2
 INNER_TOL = 1e-8
+INNER_FORCING = 0.1
+#: Gauss-Newton iteration budget of every region solve.
 MAX_INNER = 50
 
 
@@ -70,6 +89,8 @@ class IterationRecord:
     upload_floats: int
     download_floats: int
     regularized: bool
+    #: KKT tolerance of the iteration's region solves; not in the history CSV.
+    inner_tol: float
     note: str = ""
 
 
@@ -143,14 +164,22 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     coordinate(sols, gap, record), which fills in the record's
     communication fields and returns the next iterates and whether the
     method has terminated.  config is the run's RunConfig; each region
-    solve uses config.rho and the module's INNER_TOL and MAX_INNER, read at
-    call time.  Returns (zs, converged, history, note).
+    solve uses config.rho, MAX_INNER and the tolerance
+    min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
+    iteration's consensus violation (infinite before the first), with the
+    module constants read at call time.  An InnerDiverged or SingularKkt
+    from a region solve, or a SingularKkt from coordinate, ends the run
+    unconverged with a note naming the region or the consensus QP; the
+    history then holds the iterations completed before it.  Returns
+    (zs, converged, history, note).
     """
     region_sets = measurements.split_by_region(mset, part)
     residuals = [measurements.RegionResidual(r.case, s) for r, s in zip(part.regions, region_sets)]
     models = [grid.PowerFlowModel(r.case) for r in part.regions]
     history: list[IterationRecord] = []
+    violation = math.inf
     for k in range(1, config.max_outer + 1):
+        tol = min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * violation))
         sols = []
         for i, z in enumerate(zs):
             lin, prox_target, prox_idx = prox_terms(i, z)
@@ -158,10 +187,11 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
                 sols.append(local_solver.solve_local(
                     residuals[i], models[i], y0=z, rho=config.rho, lin=lin,
                     prox_target=prox_target, prox_idx=prox_idx,
-                    tol=INNER_TOL, max_inner=MAX_INNER,
+                    tol=tol, max_inner=MAX_INNER,
                 ))
-            except InnerDiverged as exc:
-                return zs, False, history, f"inner solve diverged at outer iteration {k}: {exc}"
+            except (InnerDiverged, SingularKkt) as exc:
+                what = "diverged" if isinstance(exc, InnerDiverged) else "singular"
+                return zs, False, history, f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
         ys = [sol.y for sol in sols]
         gap = partition_mod.consensus_gap(part, ys)
         state_error = np.nan
@@ -178,8 +208,13 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
             upload_floats=0,
             download_floats=0,
             regularized=False,
+            inner_tol=tol,
         )
-        zs, done = coordinate(sols, gap, record)
+        violation = record.consensus_violation
+        try:
+            zs, done = coordinate(sols, gap, record)
+        except SingularKkt as exc:
+            return zs, False, history, f"consensus QP singular at outer iteration {k}: {exc}"
         stalled = [str(i) for i, sol in enumerate(sols) if not sol.converged]
         if stalled:
             note = "inner solve not converged in regions " + "|".join(stalled)

@@ -37,6 +37,14 @@ _SHUNT_FIELDS = ("g_shunt", "b_shunt", "gs", "bs", "shunt", "charging", "b_total
 
 def _load_yaml(path: str | Path):
     text = Path(path).read_text()
+    if yaml.__with_libyaml__:
+        # libyaml parses the same data several times faster but words its
+        # errors differently, so a document it rejects is parsed again by
+        # the pure-Python loader, whose error is the one reported.
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
     try:
         return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
-from gridest.errors import DimensionMismatch, InnerDiverged, ValidationError
+from gridest.errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 
@@ -119,6 +119,39 @@ def test_multiplier_vector_has_coupling_size(aladin30, part30):
     assert aladin30.lam.shape == (part30.n_coupling_rows,)
 
 
+def test_inner_tolerance_follows_the_consensus_violation(aladin30):
+    history = aladin30.history
+    assert history[0].inner_tol == aladin.INNER_TOL_START
+    for previous, record in zip(history, history[1:]):
+        expected = min(aladin.INNER_TOL_START,
+                       max(aladin.INNER_TOL, aladin.INNER_FORCING * previous.consensus_violation))
+        assert record.inner_tol == expected
+    assert all(record.inner_tol >= aladin.INNER_TOL for record in history)
+
+
+def test_inexact_solves_save_inner_iterations_without_an_outer_one(monkeypatch, aladin30, part30, mset30, truth30):
+    monkeypatch.setattr(aladin, "INNER_TOL_START", aladin.INNER_TOL)
+    exact = aladin.run_aladin(part30, mset30, truth=truth30)
+    assert all(record.inner_tol == aladin.INNER_TOL for record in exact.history)
+    assert exact.iterations == aladin30.iterations
+
+    def total(result):
+        return sum(sum(record.inner_iterations) for record in result.history)
+
+    assert total(aladin30) < total(exact)
+
+
+def test_two_tile_estimate_matches_the_central_solve(two_tile30):
+    part, mset = two_tile30
+    result = aladin.run_aladin(part, mset)
+    assert result.converged, result.note
+    for record in result.history:
+        assert record.note == ""
+        assert not record.regularized
+    estimate = partition.restrict_state(part, result.zs)
+    assert np.abs(estimate - central.solve_central(part.case, mset).x).max() <= 1e-5
+
+
 # The outer loop is shared; these tests run it through both estimators.
 METHODS = [
     pytest.param(aladin.run_aladin, id="aladin"),
@@ -160,6 +193,36 @@ def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, 
     assert not result.converged
     assert result.iterations == 1
     assert result.note.startswith("inner solve diverged at outer iteration 2")
+
+
+@pytest.mark.parametrize("run", METHODS)
+def test_a_singular_region_system_ends_the_run_with_a_note(monkeypatch, part30, mset30, run):
+    solve = local_solver.solve_local
+    calls = 0
+
+    def singular_in_second_iteration(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == part30.n_regions + 2:
+            raise SingularKkt("KKT system singular even after ridge regularization")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(local_solver, "solve_local", singular_in_second_iteration)
+    result = run(part30, mset30)
+    assert not result.converged
+    assert result.iterations == 1
+    assert result.note.startswith("inner solve singular at outer iteration 2 in region 1")
+
+
+def test_a_singular_consensus_qp_ends_the_run_with_a_note(monkeypatch, part30, mset30):
+    def singular(*args, **kwargs):
+        raise SingularKkt("KKT system singular even after ridge regularization")
+
+    monkeypatch.setattr(coordinator, "solve_consensus", singular)
+    result = aladin.run_aladin(part30, mset30)
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.note.startswith("consensus QP singular at outer iteration 1")
 
 
 @pytest.mark.parametrize("run", METHODS)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from gridest import caseio, grid, measurements
 from gridest.errors import EmptyRegion, ParseError, ValidationError
@@ -75,6 +76,18 @@ def test_malformed_yaml_reports_line_and_column(tmp_path):
     with pytest.raises(ParseError) as err:
         caseio.load_case(path)
     assert err.value.line is not None
+
+
+def test_the_pure_python_loader_reads_the_same_data_and_errors(monkeypatch, tmp_path):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("name: ok\nbuses: [1, 2\n  x: 3\n")
+    results = []
+    for with_libyaml in (yaml.__with_libyaml__, False):
+        monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+        with pytest.raises(ParseError) as err:
+            caseio.load_case(broken)
+        results.append((caseio.builtin_case("ieee30"), caseio.builtin_partition_spec("default4"), str(err.value)))
+    assert results[0] == results[1]
 
 
 def test_shunt_fields_are_rejected_with_guidance(tmp_path):

@@ -58,6 +58,16 @@ def test_estimate_reports_nonconvergence_with_exit_one(tmp_path, capsys):
     assert (tmp_path / "aladin_history.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:KKT factorization failed")
+def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, capsys):
+    assert _run("estimate", "--rho", 1e8, "--out", tmp_path) == 1
+    assert "singular" in capsys.readouterr().err
+    history = (tmp_path / "aladin_history.csv").read_text().splitlines()
+    assert history[3] == ",".join(caseio.HISTORY_COLUMNS)
+    summary = yaml.safe_load((tmp_path / "aladin_summary.yaml").read_text())
+    assert summary["converged"] is False
+
+
 def test_admm_end_to_end(tmp_path):
     assert _run("admm", "--seed", 7, "--out", tmp_path) == 0
     summary = yaml.safe_load((tmp_path / "admm_summary.yaml").read_text())

@@ -15,7 +15,9 @@ the interior.  The interior is eliminated with small dense LU factors, one
 region at a time, so the regions meet only in a boundary system of 6 rows
 per auxiliary bus plus the coupling rows (720 rows on a 480-bus grid, where
 M has 3600).  The covariance is assembled from the interior factors and the
-boundary system's inverse, one region block at a time.  analyze reads
+boundary system's inverse, one region block at a time, in the one n x n
+array that is returned; it is made exactly symmetric by averaging each
+block with its mirror in place.  analyze reads
 each original node's covariance rows and nominal values through the
 partition layout (RegionGrid.bus_pos).  analyze_central is analyze on the
 one-region partition, which has no coupling rows, so every bus is
@@ -78,7 +80,14 @@ def covariance_bound(
     coupling columns of the boundary states; G is the boundary block of its
     inverse.  The covariance is then K_II^{-1} + W G W^T between interior
     states, -W G between interior and boundary states and G between
-    boundary states.  The result is exactly symmetric.
+    boundary states.
+
+    The result is the only n x n array.  Beside it the function holds G
+    (n_b x n_b, over the boundary unknowns of all regions), each region's
+    factors and, for one region i at a time, G mapped to that region's n_i
+    states (n_i x n_b).  The result is exactly symmetric because each pair
+    of blocks (i, j) and (j, i) is replaced in place by the average of the
+    one and the other's transpose.
 
     The products between the LU solves run on scipy's BLAS, like the
     solves themselves; the final assembly runs on numpy's.  numpy and scipy
@@ -133,26 +142,35 @@ def covariance_bound(
     if n_boundary + n_coupling:
         system = linalg.bordered_matrix(scipy.linalg.block_diag(*schurs), np.hstack(borders))
         try:
-            g = linalg.solve_linear(system, np.eye(n_boundary + n_coupling, n_boundary))[:n_boundary]
+            # Copy G out, so the whole solution is freed with the system.
+            g = linalg.solve_linear(system, np.eye(n_boundary + n_coupling, n_boundary))[:n_boundary].copy()
         except SingularMatrix as exc:
             raise SingularBordered(f"posterior boundary system singular: {exc}") from exc
+        del system
 
     # covariance = diag(K_II^{-1}) + P G P^T with P = diag(P_1, ..., P_N),
-    # formed one region's rows of P G, then one region's columns, at a time.
-    # These products follow the last LU solve and hand the result to numpy
-    # code, so they run on numpy's BLAS (see the linalg module docstring).
+    # written into the one n x n result block by block: region i's rows of
+    # P G (n_i x n_b) are formed once and give block (i, j) against P_j^T.
+    # Averaging each block with its mirror in place then makes the result
+    # exactly symmetric without an n x n temporary.  These products follow
+    # the last LU solve and hand the result to numpy code, so they run on
+    # numpy's BLAS (see the linalg module docstring).
     states = np.cumsum([0] + [p.shape[0] for p in maps])
     unknowns = np.cumsum([0] + [p.shape[1] for p in maps])
-    pg = np.empty((states[-1], n_boundary))
-    for i, p in enumerate(maps):
-        pg[states[i] : states[i + 1]] = p @ g[unknowns[i] : unknowns[i + 1]]
+    bands = [slice(a, b) for a, b in zip(states[:-1], states[1:])]
     cov = np.empty((states[-1], states[-1]))
     for i, p in enumerate(maps):
-        cov[:, states[i] : states[i + 1]] = pg[:, unknowns[i] : unknowns[i + 1]] @ p.T
+        pg = p @ g[unknowns[i] : unknowns[i + 1]]
+        for j, q in enumerate(maps):
+            np.matmul(pg[:, unknowns[j] : unknowns[j + 1]], q.T, out=cov[bands[i], bands[j]])
     for offset, (states_i, inverse) in zip(states, interiors):
         cov[np.ix_(offset + states_i, offset + states_i)] += inverse
-    cov = cov + cov.T
-    cov *= 0.5
+    for i, rows in enumerate(bands):
+        for cols in bands[i:]:
+            block = cov[rows, cols] + cov[cols, rows].T
+            block *= 0.5
+            cov[rows, cols] = block
+            cov[cols, rows] = block.T
     return cov
 
 

@@ -95,6 +95,10 @@ def test_posterior_writes_table_and_csv(tmp_path, capsys):
     assert rows[3].split(",")[0] == "bus"
     assert rows[-1].startswith("AVG")
     assert len(rows) == 3 + 1 + 30 + 1
+    # Criterion 10 for the posterior: a rerun writes the same bytes.
+    again = tmp_path / "again"
+    assert _run("posterior", "--seed", 7, "--out", again) == 0
+    assert (again / "posterior.csv").read_bytes() == (tmp_path / "posterior.csv").read_bytes()
 
 
 def test_posterior_honours_the_iteration_budget(tmp_path, capsys):

@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridest import aladin, central, grid, linalg, measurements, partition, posterior
+from gridest import aladin, central, grid, linalg, measurements, partition, posterior, powerflow
 from gridest.errors import DimensionMismatch, SingularBordered
 
 from conftest import DEFAULT_SEED, random_connected_assignment
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import tiling  # noqa: E402
 
 
 def _single_bus_report(w_theta=1e4, w_v=1e5, w_p=1e4, w_q=1e4):
@@ -215,6 +225,26 @@ def test_covariance_bound_matches_the_dense_reference_on_random_partitions(case3
         case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
     )
     _assert_matches_the_dense_reference(_region_jacobians(part, mset, partition.extend_state(part, truth30)))
+
+
+def test_covariance_bound_allocates_little_beside_its_result():
+    # The only n x n array is the result; everything else it holds is
+    # sized by the boundary or by one region.  On two tiles the interior
+    # transients dominate the peak, so the bound needs a larger grid.
+    case = tiling.tiled_case(8)
+    part = partition.partition_grid(case, tiling.tile_assignment(case))
+    truth = powerflow.solve_power_flow(case).state
+    mset = measurements.simulate_measurements(
+        case, truth, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
+    )
+    args = _region_jacobians(part, mset, partition.extend_state(part, truth))
+    tracemalloc.start()
+    try:
+        result = posterior.covariance_bound(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * result.nbytes
 
 
 @pytest.mark.parametrize("name", ["ieee30", "central30"])

@@ -23,7 +23,8 @@ buys nothing the next consensus step keeps; near it the tolerance is back
 at the floor.  Each solve still meets its own tolerance, so its converged
 flag means what it says.  A region solve or consensus QP whose KKT system
 stays singular after the ridge fallback ends the run with a note, as an
-inner divergence does.
+inner divergence does, and so does a consensus step that leaves a voltage
+<= 0, where the next region solve cannot evaluate its measurements.
 
 Termination needs both the consensus mismatch ||sum_i A_i y_i||_inf and
 the largest proximal displacement ||y_i - z_i||_inf to drop below eps.
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coordinator, grid, local_solver, measurements, partition as partition_mod
-from .errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
+from . import coordinator, grid, linalg, local_solver, measurements, partition as partition_mod
+from .errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError, ZeroVoltage
 
 #: Region-solve KKT tolerance schedule: the first outer iteration's
 #: tolerance, the floor, and the factor on the previous consensus violation.
@@ -167,9 +168,9 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     solve uses config.rho, MAX_INNER and the tolerance
     min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
     iteration's consensus violation (infinite before the first), with the
-    module constants read at call time.  An InnerDiverged or SingularKkt
-    from a region solve, or a SingularKkt from coordinate, ends the run
-    unconverged with a note naming the region or the consensus QP; the
+    module constants read at call time.  An InnerDiverged, SingularKkt or
+    ZeroVoltage from a region solve, or a SingularKkt from coordinate, ends
+    the run unconverged with a note naming the region or the consensus QP; the
     history then holds the iterations completed before it.  Returns
     (zs, converged, history, note).
     """
@@ -189,8 +190,10 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
                     prox_target=prox_target, prox_idx=prox_idx,
                     tol=tol, max_inner=MAX_INNER,
                 ))
-            except (InnerDiverged, SingularKkt) as exc:
-                what = "diverged" if isinstance(exc, InnerDiverged) else "singular"
+            except (InnerDiverged, SingularKkt, ZeroVoltage) as exc:
+                # A ZeroVoltage means the last coordination step left a
+                # voltage <= 0, where the region's measurements are undefined.
+                what = "singular" if isinstance(exc, SingularKkt) else "diverged"
                 return zs, False, history, f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
         ys = [sol.y for sol in sols]
         gap = partition_mod.consensus_gap(part, ys)
@@ -245,17 +248,17 @@ def run_aladin(
     lam = np.zeros(part.n_coupling_rows)
 
     def prox_terms(i: int, z_i: np.ndarray):
-        return part.coupling[i].T @ lam, z_i, None
+        return linalg.matvec(part.coupling[i], lam, trans=True), z_i, None
 
     def coordinate(sols, gap, record):
         nonlocal lam
         uploads = [
             coordinator.SensitivityUpload(
                 region=i,
-                fit_hessian=sol.residual_jacobian.T @ sol.residual_jacobian,
-                fit_gradient=sol.residual_jacobian.T @ sol.residual,
+                fit_hessian=linalg.gram(sol.residual_jacobian),
+                fit_gradient=linalg.matvec(sol.residual_jacobian, sol.residual, trans=True),
                 constraint_jacobian=sol.constraint_jacobian,
-                coupling_image=part.coupling[i] @ sol.y,
+                coupling_image=linalg.matvec(part.coupling[i], sol.y),
             )
             for i, sol in enumerate(sols)
         ]

@@ -19,25 +19,19 @@ coupling border), the central Gauss-Newton step and the Newton power flow
 are well under 1 % nonzero, so their cost follows the fill of the factors
 instead of n^3.
 
-Dense products between LAPACK calls use scipy's BLAS
-(scipy.linalg.blas.dgemm), not numpy's matmul.  numpy and scipy each
-bundle their own threaded OpenBLAS, and alternating calls between the two
-stalls both: on 2 vCPUs a 243x132 numpy b.T @ b takes 0.05 ms alone and
-3.9 ms when alternated with a 180x180 scipy lu_factor.  solve_linear's
-refinement product follows the rule; with numpy's product there, and
-every product between the posterior bound's LU solves on scipy's BLAS,
-posterior.analyze on the 480-bus tiled grid took 0.20-0.34 s instead of
-0.067-0.069 s (5 runs each).  A library's worker threads keep spinning
-for a while after a threaded call, so the first calls into the other
-library stall as well; work that follows the last LAPACK call and hands
-its result to numpy code therefore runs on numpy's BLAS.  When the
-posterior bound ended on scipy's BLAS, the tiled480 benchmark's setup_s,
-whose power flow runs on numpy's BLAS right after the previous pass's
-posterior, rose from 0.049 s to 0.057 s; ending on numpy's kept it at
-0.049 s (medians of 8 runs).
-SymmetricFactor's refinement still uses numpy's product, because the region
-Gauss-Newton steps run through it and a different product would change the
-last bits of every iterate.
+All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS
+(scipy.linalg.blas, through gram and matvec below), never on numpy's
+matmul.  numpy and scipy each bundle a threaded OpenBLAS whose worker
+threads keep spinning for a while after a call, so alternating between
+the two stalls both: on 2 vCPUs a 243x132 numpy b.T @ b takes 0.05 ms
+alone and 3.9 ms when alternated with a 180x180 scipy lu_factor.  Every
+region Gauss-Newton step and the posterior bound alternate products with
+LAPACK calls; with all of them on scipy's BLAS, the 480-bus benchmark
+pass (pipeline_s) fell from 0.319 s to 0.226 s, most of it in the
+posterior bound (0.128 s to 0.053 s).  gram and matvec read a
+C-ordered operand through its Fortran-ordered transpose, so f2py copies
+none, and a matrix-vector product calls the kernel numpy's matmul calls
+on the same memory, so it keeps numpy's bits.
 """
 
 from __future__ import annotations
@@ -47,11 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import DimensionMismatch, SingularKkt, SingularMatrix
 
@@ -59,6 +53,60 @@ from .errors import DimensionMismatch, SingularKkt, SingularMatrix
 PIVOT_RTOL = 1e-14
 # Ridge added to the Hessian block when the bordered factorization fails.
 RIDGE_SCALE = 1e-9
+
+
+def _blas_operand(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(f, trans) with f Fortran-ordered and a = f, or a = f^T when trans
+    is 1: a C-ordered a gives its own transposed view, so f2py copies
+    neither kind.  Any other layout is copied once."""
+    if a.flags.f_contiguous:
+        return a, 0
+    if a.flags.c_contiguous:
+        return a.T, 1
+    return np.asfortranarray(a), 0
+
+
+def gram(a, alpha: float = 1.0):
+    """alpha A^T A: scipy's dgemm for dense input, @ for scipy.sparse.
+
+    dgemm, not the dsyrk that numpy's a.T @ a calls: on a region Jacobian
+    (243 x 144, 1 % nonzero) between dsytrf calls, as in a region step,
+    product and factor took 221-246 us with dgemm and 282 us with dsyrk
+    plus the triangle copy that fills its result.  On such sparse
+    Jacobians each entry sums the same few nonzero products either way,
+    so the bits are numpy's.  On dense input the result can miss exact
+    symmetry in the last bit.
+    """
+    if scipy.sparse.issparse(a):
+        return alpha * (a.T @ a)
+    f, trans = _blas_operand(np.asarray(a, dtype=float))
+    return dgemm(alpha, f, f, trans_a=1 - trans, trans_b=trans)
+
+
+def matvec(a, x, trans: bool = False):
+    """A x, or A^T x when trans, for x a vector or the columns of a 2-D array.
+
+    Dense input goes through scipy's dgemv (1-D x) or dgemm (2-D x) on
+    the operands' own memory, as numpy's matmul passes it for a 1-D x, so
+    a vector result has numpy's bits.  A 2-D result is Fortran-ordered.
+    scipy.sparse input uses @.
+    """
+    if scipy.sparse.issparse(a):
+        return (a.T if trans else a) @ x
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if trans:
+        a = a.T
+    if a.shape[1] != x.shape[0]:
+        raise DimensionMismatch(f"cannot multiply a {a.shape} matrix by a {x.shape} operand")
+    if a.size == 0 or x.size == 0:
+        # The BLAS wrappers reject empty operands; the product is all zeros.
+        return np.zeros(a.shape[:1] + x.shape[1:])
+    f, f_trans = _blas_operand(a)
+    if x.ndim == 1:
+        return dgemv(1.0, f, x, trans=f_trans)
+    g, g_trans = _blas_operand(x)
+    return dgemm(1.0, f, g, trans_a=f_trans, trans_b=g_trans)
 
 
 def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
@@ -84,6 +132,9 @@ def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite entries in linear system")
     if sparse:
         return SparseFactor(a).solve(b)
+    # LAPACK and BLAS read Fortran order; converting once here spares the
+    # refinement product a copy.
+    a = np.asfortranarray(a)
     scale = max(np.abs(a).max(), np.finfo(float).tiny)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -91,10 +142,7 @@ def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
     if np.abs(np.diag(lu)).min() <= PIVOT_RTOL * scale:
         raise SingularMatrix("pivot below singularity threshold in LU factorization")
     x = scipy.linalg.lu_solve((lu, piv), b)
-    # The product runs on scipy's BLAS, as lu_factor does (see the module
-    # docstring).
-    ax = scipy.linalg.blas.dgemm(1.0, a, x.reshape(x.shape[0], -1)).reshape(b.shape)
-    x += scipy.linalg.lu_solve((lu, piv), b - ax)
+    x += scipy.linalg.lu_solve((lu, piv), b - matvec(a, x))
     return x
 
 
@@ -146,7 +194,7 @@ class SymmetricFactor:
         if b.shape[0] != self.matrix.shape[0]:
             raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
         x = self._solve_factored(b)
-        x += self._solve_factored(b - self.matrix @ x)
+        x += self._solve_factored(b - matvec(self.matrix, x))
         return x
 
 

@@ -101,10 +101,10 @@ def solve_local(
     kkt_res = np.inf
     dust_steps = 0
     for inner in range(max_inner + 1):
-        grad = 2.0 * (big_b.T @ b) + lin
+        grad = 2.0 * linalg.matvec(big_b, b, trans=True) + lin
         grad[idx] += rho * (y[idx] - target)
         kkt_res = max(
-            np.abs(grad + big_c.T @ kappa).max(initial=0.0),
+            np.abs(grad + linalg.matvec(big_c, kappa, trans=True)).max(initial=0.0),
             np.abs(h).max(initial=0.0),
         )
         # The stationarity sum cancels numbers of scale |B^T||b| + |C^T||k|,
@@ -126,7 +126,7 @@ def solve_local(
             )
         if inner == max_inner:
             break
-        hess = 2.0 * (big_b.T @ big_b)
+        hess = linalg.gram(big_b, 2.0)
         shift = np.full(n, mu)
         shift[idx] += rho
         if scipy.sparse.issparse(hess):
@@ -146,7 +146,7 @@ def solve_local(
         slope = float(grad @ step) - nu * h_l1
         slope = min(slope, 0.0)
         alpha = 1.0
-        h_terms = float(np.sum(abs(big_c) @ np.abs(y)))
+        h_terms = float(np.sum(linalg.matvec(abs(big_c), np.abs(y))))
         d = y[idx] - target
         noise = (float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * (h_l1 + h_terms) + 1.0
                  + 0.5 * rho * float(d @ d))
@@ -197,5 +197,5 @@ def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     fitted = linalg.solve_kkt(
         linalg.KktSystem(hessian=eye, constraint_jacobian=big_c, gradient=grad, residual=np.zeros(len(h)))
     ).multipliers
-    res = max(np.abs(grad + big_c.T @ fitted).max(initial=0.0), np.abs(h).max(initial=0.0))
+    res = max(np.abs(grad + linalg.matvec(big_c, fitted, trans=True)).max(initial=0.0), np.abs(h).max(initial=0.0))
     return (fitted, res) if res < kkt_res else (kappa, kkt_res)

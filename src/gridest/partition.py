@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grid
+from . import grid, linalg
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
@@ -307,5 +307,5 @@ def consensus_gap(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
     """Stacked pair mismatch sum_i A_i z_i, length 4 |pairs|."""
     gap = np.zeros(partition.n_coupling_rows)
     for a, z in zip(partition.coupling, zs):
-        gap += a @ z
+        gap += linalg.matvec(a, z)
     return gap

@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from . import grid, linalg, measurements, partition as partition_mod
 from .errors import DimensionMismatch, SingularBordered, SingularMatrix
@@ -89,10 +88,8 @@ def covariance_bound(
     of blocks (i, j) and (j, i) is replaced in place by the average of the
     one and the other's transpose.
 
-    The products between the LU solves run on scipy's BLAS, like the
-    solves themselves; the final assembly runs on numpy's.  numpy and scipy
-    bundle separate threaded BLAS libraries that stall each other when
-    calls alternate (see the linalg module docstring).
+    Every product runs on scipy's BLAS, like the LU solves themselves
+    (see the linalg module docstring).
     """
     if len(fit_jacobians) != len(constraint_jacobians):
         raise DimensionMismatch("one constraint jacobian per fit jacobian required")
@@ -114,10 +111,12 @@ def covariance_bound(
                 f"region {i}: expected 4 states, 2 power-flow rows and {n_coupling} coupling rows "
                 f"over {n} states, got a {cons.shape} constraint jacobian and a {coupling.shape} coupling"
             )
-        kkt = linalg.bordered_matrix(dgemm(1.0, fit, fit, trans_a=1), cons)
+        kkt = linalg.bordered_matrix(linalg.gram(fit), cons)
         inner, outer = _split_region(coupling)
         states_i, states_b = inner[inner < n], outer[outer < n]
-        k_ib = kkt[np.ix_(inner, outer)]
+        # K is symmetric, so K_IB is the transpose of K_BI; taken that way it
+        # is Fortran-ordered, which the Schur product below reads uncopied.
+        k_ib = kkt[np.ix_(outer, inner)].T
         # One LU gives the interior states' block of K_II^{-1} and W.
         rhs = np.hstack([np.eye(inner.size, states_i.size), k_ib])
         try:
@@ -125,7 +124,7 @@ def covariance_bound(
         except SingularMatrix as exc:
             raise SingularBordered(f"posterior system singular in region {i}: {exc}") from exc
         w = sol[:, states_i.size :]
-        schurs.append(kkt[np.ix_(outer, outer)] - dgemm(1.0, k_ib, w, trans_a=1))
+        schurs.append(kkt[np.ix_(outer, outer)] - linalg.matvec(k_ib, w, trans=True))
         interiors.append((states_i, sol[: states_i.size, : states_i.size]))
         # P_i maps the region's boundary unknowns to its states: -W on the
         # interior states, the identity on the boundary states.
@@ -152,17 +151,15 @@ def covariance_bound(
     # written into the one n x n result block by block: region i's rows of
     # P G (n_i x n_b) are formed once and give block (i, j) against P_j^T.
     # Averaging each block with its mirror in place then makes the result
-    # exactly symmetric without an n x n temporary.  These products follow
-    # the last LU solve and hand the result to numpy code, so they run on
-    # numpy's BLAS (see the linalg module docstring).
+    # exactly symmetric without an n x n temporary.
     states = np.cumsum([0] + [p.shape[0] for p in maps])
     unknowns = np.cumsum([0] + [p.shape[1] for p in maps])
     bands = [slice(a, b) for a, b in zip(states[:-1], states[1:])]
     cov = np.empty((states[-1], states[-1]))
     for i, p in enumerate(maps):
-        pg = p @ g[unknowns[i] : unknowns[i + 1]]
+        pg = linalg.matvec(p, g[unknowns[i] : unknowns[i + 1]])
         for j, q in enumerate(maps):
-            np.matmul(pg[:, unknowns[j] : unknowns[j + 1]], q.T, out=cov[bands[i], bands[j]])
+            cov[bands[i], bands[j]] = linalg.matvec(pg[:, unknowns[j] : unknowns[j + 1]], q.T)
     for offset, (states_i, inverse) in zip(states, interiors):
         cov[np.ix_(offset + states_i, offset + states_i)] += inverse
     for i, rows in enumerate(bands):

@@ -254,6 +254,24 @@ def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, ms
         assert record.note == "; ".join(expected)
 
 
+@pytest.mark.filterwarnings("ignore:KKT factorization failed")
+@pytest.mark.parametrize("rho", [10.0**e for e in range(9)])
+def test_every_penalty_converges_or_ends_with_a_note(part30, mset30, rho):
+    result = aladin.run_aladin(part30, mset30, config=aladin.RunConfig(rho=rho))
+    assert result.converged or result.note
+    assert len(result.history) == result.iterations
+
+
+def test_a_consensus_step_to_a_zero_voltage_ends_the_run_with_a_note(part30, mset30):
+    # At rho = 1 the fourth consensus step leaves a voltage <= 0 in region 0.
+    result = aladin.run_aladin(part30, mset30, config=aladin.RunConfig(rho=1.0))
+    assert not result.converged
+    assert result.iterations == 4
+    assert result.note == (
+        "inner solve diverged at outer iteration 5 in region 0: line measurement functions need v_k > 0"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [(f, v) for f in ("rho", "eps") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)]

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import gridest
 from gridest import caseio, cli
 
 
@@ -66,6 +72,25 @@ def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, caps
     assert history[3] == ",".join(caseio.HISTORY_COLUMNS)
     summary = yaml.safe_load((tmp_path / "aladin_summary.yaml").read_text())
     assert summary["converged"] is False
+
+
+def test_a_consensus_step_to_a_zero_voltage_exits_one_with_the_partial_history(tmp_path, capsys):
+    assert _run("estimate", "--rho", 1, "--out", tmp_path) == 1
+    assert "v_k > 0" in capsys.readouterr().err
+    history = (tmp_path / "aladin_history.csv").read_text().splitlines()
+    assert history[3] == ",".join(caseio.HISTORY_COLUMNS)
+    assert len(history) == 8
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gridest", "--version"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"gridest {gridest.__version__}"
 
 
 def test_admm_end_to_end(tmp_path):

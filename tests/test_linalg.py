@@ -10,6 +10,75 @@ from gridest import linalg
 from gridest.errors import DimensionMismatch, SingularKkt, SingularMatrix
 
 
+def _layouts(m: int, n: int, seed: int) -> dict[str, np.ndarray]:
+    """The same kind of m x n operand C-ordered, F-ordered and as a strided slice."""
+    rng = np.random.default_rng(seed)
+    return {
+        "C": rng.standard_normal((m, n)),
+        "F": np.asfortranarray(rng.standard_normal((m, n))),
+        "sliced": rng.standard_normal((2 * m, 3 * n))[::2, 1::3],
+    }
+
+
+def _assert_product_close(got, ref, a, x):
+    """Within 1e-14 of numpy's product, relative to the sum of |terms|."""
+    scale = (np.abs(a) @ np.abs(x)).max(initial=0.0)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("shape", [(7, 5), (40, 13), (13, 40), (1, 9)])
+def test_gram_matches_numpy(layout, shape):
+    a = _layouts(*shape, seed=2)[layout]
+    _assert_product_close(linalg.gram(a, 2.0), 2.0 * (a.T @ a), a.T, a)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("a_layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("x_layout", ["vector", "C", "F", "sliced"])
+def test_matvec_matches_numpy(trans, a_layout, x_layout):
+    a = _layouts(23, 11, seed=3)[a_layout]
+    op = a.T if trans else a
+    if x_layout == "vector":
+        x = np.random.default_rng(4).standard_normal(op.shape[1])
+    else:
+        x = _layouts(op.shape[1], 6, seed=4)[x_layout]
+    _assert_product_close(linalg.matvec(a, x, trans=trans), op @ x, op, x)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_matvec_and_gram_take_sparse_input(trans, ndim):
+    dense = _layouts(17, 9, seed=5)["C"]
+    dense[np.abs(dense) < 1.0] = 0.0
+    a = scipy.sparse.csr_array(dense)
+    op = dense.T if trans else dense
+    x = np.random.default_rng(6).standard_normal((op.shape[1], 4)[:ndim])
+    got = linalg.matvec(a, x, trans=trans)
+    _assert_product_close(np.asarray(got), op @ x, op, x)
+    g = linalg.gram(a, 2.0)
+    assert scipy.sparse.issparse(g)
+    _assert_product_close(g.toarray(), 2.0 * (dense.T @ dense), dense.T, dense)
+
+
+def test_zero_row_operands_give_zero_products():
+    # The one-region partition has no coupling rows.
+    a = np.zeros((0, 5))
+    assert np.array_equal(linalg.matvec(a, np.zeros(0), trans=True), np.zeros(5))
+    assert linalg.matvec(a, np.ones(5)).shape == (0,)
+    assert np.array_equal(linalg.matvec(a, np.zeros((0, 3)), trans=True), np.zeros((5, 3)))
+    assert linalg.matvec(a, np.ones((5, 3))).shape == (0, 3)
+    assert np.array_equal(linalg.gram(a), np.zeros((5, 5)))
+
+
+def test_matvec_rejects_mismatched_operands():
+    with pytest.raises(DimensionMismatch):
+        linalg.matvec(np.ones((3, 4)), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        linalg.matvec(np.ones((3, 4)), np.ones((4, 2)), trans=True)
+
+
 def test_solve_linear_matches_reference():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -89,16 +89,18 @@ def matvec(a, x, trans: bool = False):
     Dense input goes through scipy's dgemv (1-D x) or dgemm (2-D x) on
     the operands' own memory, as numpy's matmul passes it for a 1-D x, so
     a vector result has numpy's bits.  A 2-D result is Fortran-ordered.
-    scipy.sparse input uses @.
+    scipy.sparse input uses @.  Either kind raises DimensionMismatch when
+    the inner sizes differ.
     """
-    if scipy.sparse.issparse(a):
-        return (a.T if trans else a) @ x
-    a = np.asarray(a, dtype=float)
+    sparse = scipy.sparse.issparse(a)
+    a = a if sparse else np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     if trans:
         a = a.T
     if a.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"cannot multiply a {a.shape} matrix by a {x.shape} operand")
+    if sparse:
+        return a @ x
     if a.size == 0 or x.size == 0:
         # The BLAS wrappers reject empty operands; the product is all zeros.
         return np.zeros(a.shape[:1] + x.shape[1:])
@@ -325,24 +327,6 @@ def bordered_matrix(hessian, constraint_jacobian):
     out[:n, n:] = constraint_jacobian.T
     out[n:, :n] = constraint_jacobian
     return out
-
-
-def stack_region_blocks(hessians, constraint_jacobians, couplings=None):
-    """Sparse blocks of a KKT system that spans every region.
-
-    Returns H = diag(H_1, ..., H_N) and J = [diag(C_1, ..., C_N); A_1 ... A_N]
-    in CSR form, without the coupling rows when couplings is None.  Exact
-    zeros of the dense region blocks are not stored.
-    """
-
-    def sparse(blocks):
-        return [scipy.sparse.coo_array(np.asarray(b, dtype=float)) for b in blocks]
-
-    hessian = scipy.sparse.block_diag(sparse(hessians), format="csr")
-    rows = [scipy.sparse.block_diag(sparse(constraint_jacobians))]
-    if couplings is not None:
-        rows.append(scipy.sparse.hstack(sparse(couplings)))
-    return hessian, scipy.sparse.vstack(rows, format="csr")
 
 
 def _factor_bordered(hessian, constraint_jacobian):

@@ -28,8 +28,8 @@ original buses first, in id order, then its auxiliary buses in pair order:
 auxiliary ids exceed every case id and grow with the pair index, and
 GridCase sorts its buses by id.  A RegionGrid records the global positions
 of its original buses (bus_pos) and the nonzeros of its coupling matrix as
-row, column and sign arrays, rows ascending; the dense A_i is built from
-those entries.
+row, column and sign arrays, rows ascending; Partition.coupling holds each
+A_i as a scipy.sparse CSR array of exactly those entries.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import grid, linalg
 from .errors import (
@@ -99,7 +100,7 @@ class Partition:
     region_labels: tuple[object, ...]
     regions: tuple[RegionGrid, ...]
     aux_pairs: tuple[AuxPair, ...]
-    coupling: tuple[np.ndarray, ...] = field(compare=False)
+    coupling: tuple[scipy.sparse.csr_array, ...] = field(compare=False)
 
     @property
     def n_regions(self) -> int:
@@ -196,9 +197,10 @@ def partition_grid(case: grid.GridCase, assignment: dict[int, object]) -> Partit
             coupling_signs=np.array([(sign, sign, 1.0, 1.0) for *_, sign in side]).ravel(),
         )
         regions.append(region)
-        a = np.zeros((ROWS_PER_PAIR * len(pairs), region.n_states))
-        a[rows, region.coupling_cols] = region.coupling_signs
-        couplings.append(a)
+        couplings.append(scipy.sparse.csr_array(
+            (region.coupling_signs, (rows, region.coupling_cols)),
+            shape=(ROWS_PER_PAIR * len(pairs), region.n_states),
+        ))
 
     return Partition(
         case=case,
@@ -305,6 +307,7 @@ def restrict_state(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
 
 def consensus_gap(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
     """Stacked pair mismatch sum_i A_i z_i, length 4 |pairs|."""
+    check_region_states(partition, zs)
     gap = np.zeros(partition.n_coupling_rows)
     for a, z in zip(partition.coupling, zs):
         gap += linalg.matvec(a, z)

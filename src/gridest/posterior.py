@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import grid, linalg, measurements, partition as partition_mod
 from .errors import DimensionMismatch, SingularBordered, SingularMatrix
@@ -45,16 +46,16 @@ REL_EXCLUDE_BELOW = 1e-3
 CHANNELS = ("theta", "v", "p", "q")
 
 
-def _split_region(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_region(coupling: scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
     """Interior and boundary unknowns of one region's KKT system.
 
     The unknowns are the region's states followed by its power-flow rows,
     node major: bus k owns states 4k..4k+3 and rows 2k, 2k+1.  A bus is
-    boundary when the coupling block touches any of its states, interior
-    otherwise.  Each group lists its states first, then its rows.
+    boundary when the coupling stores an entry in any of its states,
+    interior otherwise.  Each group lists its states first, then its rows.
     """
     n_states = coupling.shape[1]
-    on_boundary = (coupling != 0).any(axis=0).reshape(-1, 4).any(axis=1)
+    on_boundary = np.isin(np.arange(n_states // 4), coupling.indices // 4)
 
     def unknowns(buses):
         states = (4 * buses[:, None] + np.arange(4)).ravel()
@@ -67,7 +68,7 @@ def _split_region(coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def covariance_bound(
     fit_jacobians: Sequence[np.ndarray],
     constraint_jacobians: Sequence[np.ndarray],
-    couplings: Sequence[np.ndarray] | None = None,
+    couplings: Sequence[scipy.sparse.sparray | np.ndarray] | None = None,
 ) -> np.ndarray:
     """State block of the inverse bordered matrix, in region state order.
 
@@ -96,7 +97,7 @@ def covariance_bound(
     if not fit_jacobians:
         raise DimensionMismatch("no regions")
     if couplings is None:
-        couplings = [np.zeros((0, np.shape(fit)[1])) for fit in fit_jacobians]
+        couplings = [scipy.sparse.csr_array((0, np.shape(fit)[1])) for fit in fit_jacobians]
     if len(couplings) != len(fit_jacobians):
         raise DimensionMismatch("one coupling block per region required")
     n_coupling = np.shape(couplings[0])[0]
@@ -104,13 +105,13 @@ def covariance_bound(
     for i, (fit, cons, coupling) in enumerate(zip(fit_jacobians, constraint_jacobians, couplings)):
         fit = np.asarray(fit, dtype=float)
         cons = np.asarray(cons, dtype=float)
-        coupling = np.asarray(coupling, dtype=float)
         n = fit.shape[1]
-        if n % 4 or cons.shape != (n // 2, n) or coupling.shape != (n_coupling, n):
+        if n % 4 or cons.shape != (n // 2, n) or np.shape(coupling) != (n_coupling, n):
             raise DimensionMismatch(
                 f"region {i}: expected 4 states, 2 power-flow rows and {n_coupling} coupling rows "
-                f"over {n} states, got a {cons.shape} constraint jacobian and a {coupling.shape} coupling"
+                f"over {n} states, got a {cons.shape} constraint jacobian and a {np.shape(coupling)} coupling"
             )
+        coupling = scipy.sparse.csr_array(coupling, dtype=float)
         kkt = linalg.bordered_matrix(linalg.gram(fit), cons)
         inner, outer = _split_region(coupling)
         states_i, states_b = inner[inner < n], outer[outer < n]
@@ -133,7 +134,7 @@ def covariance_bound(
         p[states_b, np.arange(states_b.size)] = 1.0
         maps.append(p)
         border = np.zeros((n_coupling, outer.size))
-        border[:, : states_b.size] = coupling[:, states_b]
+        border[:, : states_b.size] = coupling[:, states_b].toarray()
         borders.append(border)
 
     n_boundary = sum(s.shape[0] for s in schurs)

@@ -126,6 +126,19 @@ def random_connected_assignment(case, n_regions: int, seed: int) -> dict[int, in
     return assignment
 
 
+def _dense_couplings(couplings):
+    return [a.toarray() for a in couplings]
+
+
+def coupling_form_params(names):
+    """(name, form) parameters: every scenario name with form list, which
+    passes the run's CSR couplings on (id: the name), and with a form that
+    passes their .toarray() (id: name-dense)."""
+    return [pytest.param(name, list, id=name) for name in names] + [
+        pytest.param(name, _dense_couplings, id=f"{name}-dense") for name in names
+    ]
+
+
 def random_states(n_bus: int, count: int, seed: int) -> np.ndarray:
     """Operating-range random states: v in [0.9, 1.1], theta in [-0.3, 0.3]."""
     rng = np.random.default_rng(seed)

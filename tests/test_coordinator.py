@@ -9,6 +9,8 @@ import scipy.linalg
 from gridest import aladin, coordinator, linalg
 from gridest.errors import DimensionMismatch
 
+from conftest import coupling_form_params
+
 
 def _upload(region, rng, n, m, n_coupling):
     root = rng.standard_normal((n + 2, n))
@@ -146,7 +148,8 @@ def _dense_consensus(uploads, couplings):
     """Reference: dense bordered matrix factored with Bunch-Kaufman."""
     hessian = scipy.linalg.block_diag(*[2.0 * up.fit_hessian for up in uploads])
     jac = np.vstack(
-        [scipy.linalg.block_diag(*[up.constraint_jacobian for up in uploads]), np.hstack(couplings)]
+        [scipy.linalg.block_diag(*[up.constraint_jacobian for up in uploads]),
+         np.hstack([a.toarray() for a in couplings])]
     )
     n, m = hessian.shape[0], jac.shape[0] - couplings[0].shape[0]
     rhs = np.concatenate(
@@ -157,11 +160,11 @@ def _dense_consensus(uploads, couplings):
     return sol[:n], sol[n : n + m], sol[n + m :]
 
 
-@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
-def test_sparse_consensus_matches_the_dense_reference(request, monkeypatch, name):
+@pytest.mark.parametrize("name, form", coupling_form_params(["ieee30", "two_tile30"]))
+def test_sparse_consensus_matches_the_dense_reference(request, monkeypatch, name, form):
     part, mset = _scenario(request, name)
     for uploads, couplings in _consensus_calls(monkeypatch, part, mset):
-        sol = coordinator.solve_consensus(uploads, couplings)
+        sol = coordinator.solve_consensus(uploads, form(couplings))
         steps, kappas, lam = _dense_consensus(uploads, couplings)
         assert not sol.regularized
         assert np.abs(np.concatenate(sol.steps) - steps).max() <= 1e-10

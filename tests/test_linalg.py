@@ -73,10 +73,11 @@ def test_zero_row_operands_give_zero_products():
 
 
 def test_matvec_rejects_mismatched_operands():
-    with pytest.raises(DimensionMismatch):
-        linalg.matvec(np.ones((3, 4)), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        linalg.matvec(np.ones((3, 4)), np.ones((4, 2)), trans=True)
+    for a in (np.ones((3, 4)), scipy.sparse.csr_array(np.ones((3, 4)))):
+        with pytest.raises(DimensionMismatch):
+            linalg.matvec(a, np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            linalg.matvec(a, np.ones((4, 2)), trans=True)
 
 
 def test_solve_linear_matches_reference():

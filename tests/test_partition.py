@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +15,12 @@ from gridest import grid, measurements, partition
 from gridest.errors import DimensionMismatch, EmptyRegion, UnassignedBus, UnknownBusReference
 
 from conftest import random_connected_assignment, random_states
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import tiling  # noqa: E402
 
 
 def test_default_thirty_bus_partition_shape(part30):
@@ -144,7 +154,7 @@ def test_consensus_gap_reads_pair_disagreements(part30, truth30):
 
 
 def test_coupling_rows_have_one_plus_one_minus_entry(part30):
-    stacked = np.hstack(part30.coupling)
+    stacked = np.hstack([a.toarray() for a in part30.coupling])
     for r, row in enumerate(stacked):
         nonzero = row[row != 0.0]
         if r % 4 in (grid.THETA, grid.V):
@@ -177,9 +187,12 @@ def _assert_region_layout(part):
             sign = 1.0 if i < other else -1.0
             expected += [sign, sign, 1.0, 1.0]
         assert np.array_equal(signs, expected)
-        rebuilt = np.zeros_like(a)
-        rebuilt[rows, cols] = signs
-        assert np.array_equal(rebuilt, a)
+        assert scipy.sparse.issparse(a) and a.shape == (4 * part.n_pairs, region.n_states)
+        stored = a.tocoo()
+        assert stored.nnz == len(rows)
+        assert np.array_equal(stored.row, rows)
+        assert np.array_equal(stored.col, cols)
+        assert np.array_equal(stored.data, signs)
 
 
 def test_region_layout_of_the_builtin_partitions(part30, part6, part12):
@@ -213,15 +226,39 @@ def test_region_layout_on_random_partitions(case30, truth30, n_regions, seed):
         assert np.array_equal(region_set.line_weights, mset.line_weights[ends])
 
 
-@pytest.mark.parametrize("cut", [
+STATE_CUTS = [
     pytest.param(lambda zs: zs[:3], id="one-state-short"),
     pytest.param(lambda zs: zs + zs[:1], id="one-state-long"),
     pytest.param(lambda zs: [z[:-4] for z in zs], id="entries-short"),
     pytest.param(lambda zs: [z.reshape(-1, 4) for z in zs], id="entries-2d"),
-])
+]
+
+
+@pytest.mark.parametrize("cut", STATE_CUTS)
 def test_restrict_state_rejects_states_that_do_not_fit(part30, truth30, cut):
     with pytest.raises(DimensionMismatch):
         partition.restrict_state(part30, cut(partition.extend_state(part30, truth30)))
+
+
+@pytest.mark.parametrize("cut", STATE_CUTS)
+def test_consensus_gap_rejects_states_that_do_not_fit(part30, truth30, cut):
+    # Unchecked, zipping three states with four couplings sums a partial gap.
+    with pytest.raises(DimensionMismatch):
+        partition.consensus_gap(part30, cut(partition.extend_state(part30, truth30)))
+
+
+def test_partition_grid_allocates_little_on_a_960_bus_grid():
+    # The coupling matrices store their nonzeros only: 744 on this grid,
+    # where dense A_i would hold 1.7 million floats (13 MiB).
+    case = tiling.tiled_case(32)
+    assignment = tiling.tile_assignment(case)
+    tracemalloc.start()
+    try:
+        partition.partition_grid(case, assignment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_single_region_partition_is_trivial(case6, truth6):

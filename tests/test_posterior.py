@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gridest import aladin, central, grid, linalg, measurements, partition, posterior, powerflow
 from gridest.errors import DimensionMismatch, SingularBordered
 
-from conftest import DEFAULT_SEED, random_connected_assignment
+from conftest import DEFAULT_SEED, coupling_form_params, random_connected_assignment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -162,7 +162,7 @@ def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
     hess = scipy.linalg.block_diag(*[bj.T @ bj for bj in fit_jacobians])
     cons = scipy.linalg.block_diag(*constraint_jacobians)
     if couplings is not None:
-        cons = np.vstack([cons, np.hstack(couplings)])
+        cons = np.vstack([cons, np.hstack([a.toarray() for a in couplings])])
     bordered = linalg.bordered_matrix(hess, cons)
     n = hess.shape[0]
     rhs = np.zeros((bordered.shape[0], n))
@@ -205,16 +205,21 @@ def _covariance_inputs(request, name):
     return _region_jacobians(part, mset, aladin.run_aladin(part, mset).zs)
 
 
-def _assert_matches_the_dense_reference(args):
-    cov = posterior.covariance_bound(*args)
+def _assert_matches_the_dense_reference(args, form=list):
+    """form maps the run's CSR couplings, when args has them, to the kind
+    covariance_bound receives; the reference reads them as CSR."""
+    cov = posterior.covariance_bound(*args[:2], *map(form, args[2:]))
     reference = _dense_covariance(*args)
     assert np.array_equal(cov, cov.T)
     assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("name", ["ieee30", "two_tile30", "central30", "six2", "twelve3", "ieee30_one_region"])
-def test_covariance_bound_matches_the_dense_reference(request, name):
-    _assert_matches_the_dense_reference(_covariance_inputs(request, name))
+@pytest.mark.parametrize(
+    "name, form",
+    coupling_form_params(["ieee30", "two_tile30", "central30", "six2", "twelve3", "ieee30_one_region"]),
+)
+def test_covariance_bound_matches_the_dense_reference(request, name, form):
+    _assert_matches_the_dense_reference(_covariance_inputs(request, name), form)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -265,7 +265,8 @@ def load_measurements(path: str | Path) -> tuple[measurements_mod.MeasurementSet
     where = str(path)
     data = _require_mapping(_load_yaml(path), where)
     _reject_unknown(data, ("meta", "nodes", "lines"), where)
-    meta = data.get("meta") or {}
+    meta = data.get("meta")
+    meta = {} if meta is None else _require_mapping(meta, f"{where}.meta")
     node_ids, node_values, node_weights = [], [], []
     for i, entry in enumerate(_require_list(data.get("nodes"), f"{where}.nodes")):
         spot = f"{where}.nodes[{i}]"
@@ -342,16 +343,24 @@ def parse_tables(text: str) -> dict:
 _TYPE_TO_KIND = {3: "slack", 2: "pv", 1: "pq"}
 
 
+def _table_integers(section: str, index: int, row: list[float], *columns: int) -> list[int]:
+    """The entries of a table row at columns (bus ids, types, statuses), which must be integral."""
+    for k in columns:
+        if not row[k].is_integer():
+            raise ParseError(f"{section} row {index + 1}, column {k + 1}: expected an integer, got {row[k]!r}")
+    return [int(row[k]) for k in columns]
+
+
 def convert_tables(text: str, name: str) -> grid.GridCase:
     """Turn MW-scaled tables into a native per-unit series-line case."""
     tables = parse_tables(text)
     base = tables["base_mva"]
     dropped_shunts = []
     buses: dict[int, dict] = {}
-    for row in tables["bus"]:
+    for i, row in enumerate(tables["bus"]):
         if len(row) < 13:
             raise ParseError(f"bus row needs 13 columns, got {len(row)}")
-        bus_id, bus_type = int(row[0]), int(row[1])
+        bus_id, bus_type = _table_integers("bus", i, row, 0, 1)
         if bus_type not in _TYPE_TO_KIND:
             raise ValidationError(f"bus {bus_id}: unsupported type {bus_type}")
         if row[4] != 0.0 or row[5] != 0.0:
@@ -364,10 +373,10 @@ def convert_tables(text: str, name: str) -> grid.GridCase:
             "q_gen": 0.0,
             "v_setpoint": float(row[7]) if row[7] > 0.0 else 1.0,
         }
-    for row in tables["gen"]:
+    for i, row in enumerate(tables["gen"]):
         if len(row) < 8:
             raise ParseError(f"gen row needs at least 8 columns, got {len(row)}")
-        bus_id, status = int(row[0]), int(row[7])
+        bus_id, status = _table_integers("gen", i, row, 0, 7)
         if bus_id not in buses:
             raise ValidationError(f"generator references unknown bus {bus_id}")
         if status == 0:
@@ -378,11 +387,11 @@ def convert_tables(text: str, name: str) -> grid.GridCase:
             buses[bus_id]["v_setpoint"] = float(row[5])
     dropped_charging = 0
     lines = []
-    for row in tables["branch"]:
+    for i, row in enumerate(tables["branch"]):
         if len(row) < 11:
             raise ParseError(f"branch row needs at least 11 columns, got {len(row)}")
-        from_bus, to_bus = int(row[0]), int(row[1])
-        if int(row[10]) == 0:
+        from_bus, to_bus, status = _table_integers("branch", i, row, 0, 1, 10)
+        if status == 0:
             continue
         if row[8] != 0.0 or row[9] != 0.0:
             raise ValidationError(

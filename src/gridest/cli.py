@@ -225,15 +225,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_run_flags(p: argparse.ArgumentParser, max_iter_default: int) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, defaults: aladin.RunConfig) -> None:
+    """Scenario and solver flags; --rho, --eps and --max-iter default to defaults' values."""
     p.add_argument("--case", default=DEFAULT_CASE,
                    help="case file path or builtin name (default: %(default)s)")
     p.add_argument("--partition", default=DEFAULT_PARTITION,
                    help="partition file path or builtin name (default: %(default)s)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--rho", type=float, default=1e4)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=max_iter_default, dest="max_iter")
+    p.add_argument("--rho", type=float, default=defaults.rho)
+    p.add_argument("--eps", type=float, default=defaults.eps)
+    p.add_argument("--max-iter", type=int, default=defaults.max_outer, dest="max_iter")
     p.add_argument("--out", default=".", help="output directory (default: current)")
 
 
@@ -252,19 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="distributed estimation run")
-    _add_run_flags(p, max_iter_default=50)
+    _add_run_flags(p, aladin.RunConfig())
     p.set_defaults(fn=cmd_run, method="aladin")
 
     p = sub.add_parser("admm", help="ADMM baseline run")
-    _add_run_flags(p, max_iter_default=200)
+    _add_run_flags(p, admm.DEFAULT_CONFIG)
     p.set_defaults(fn=cmd_run, method="admm")
 
     p = sub.add_parser("compare", help="run both methods on identical measurements")
-    _add_run_flags(p, max_iter_default=200)
+    _add_run_flags(p, admm.DEFAULT_CONFIG)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("posterior", help="a-posteriori deviation report")
-    _add_run_flags(p, max_iter_default=50)
+    _add_run_flags(p, aladin.RunConfig())
     p.set_defaults(fn=cmd_posterior)
 
     p = sub.add_parser("check", help="jacobian and invariant self-checks")

@@ -15,13 +15,13 @@ the interior.  The interior is eliminated with small dense LU factors, one
 region at a time, so the regions meet only in a boundary system of 6 rows
 per auxiliary bus plus the coupling rows (720 rows on a 480-bus grid, where
 M has 3600).  The covariance is assembled from the interior factors and the
-boundary system's inverse, one region block at a time, in the one n x n
-array that is returned; it is made exactly symmetric by averaging each
-block with its mirror in place.  analyze reads
-each original node's covariance rows and nominal values through the
-partition layout (RegionGrid.bus_pos).  analyze_central is analyze on the
-one-region partition, which has no coupling rows, so every bus is
-interior.  Bi-level ALADIN condenses its coordinator the same way
+boundary system's inverse, in the one n x n array that is returned; each
+region block above the diagonal is computed once and mirrored below, and
+each diagonal block is averaged with its own transpose, so the result is
+exactly symmetric.  analyze reads each original node's deviations and
+nominal values through partition.restrict_state.  analyze_central is
+analyze on the one-region partition, which has no coupling rows, so every
+bus is interior.  Bi-level ALADIN condenses its coordinator the same way
 (Engelmann, Jiang, Houska and Faulwasser, IEEE TCNS 2020).
 
 Standard deviations are reported per node channel.  Relative deviations
@@ -85,9 +85,10 @@ def covariance_bound(
     The result is the only n x n array.  Beside it the function holds G
     (n_b x n_b, over the boundary unknowns of all regions), each region's
     factors and, for one region i at a time, G mapped to that region's n_i
-    states (n_i x n_b).  The result is exactly symmetric because each pair
-    of blocks (i, j) and (j, i) is replaced in place by the average of the
-    one and the other's transpose.
+    states (n_i x n_b).  The result is exactly symmetric: only the blocks
+    (i, j) with j >= i are computed, block (j, i) is written as the
+    transpose of block (i, j), and a diagonal block is first averaged with
+    its own transpose.
 
     Every product runs on scipy's BLAS, like the LU solves themselves
     (see the linalg module docstring).
@@ -150,23 +151,22 @@ def covariance_bound(
 
     # covariance = diag(K_II^{-1}) + P G P^T with P = diag(P_1, ..., P_N),
     # written into the one n x n result block by block: region i's rows of
-    # P G (n_i x n_b) are formed once and give block (i, j) against P_j^T.
-    # Averaging each block with its mirror in place then makes the result
-    # exactly symmetric without an n x n temporary.
+    # P G against regions j >= i are formed once and give block (i, j)
+    # against P_j^T, whose transpose is block (j, i).  A diagonal block
+    # takes its interior inverse and is averaged with its own transpose, so
+    # the result is exactly symmetric without an n x n temporary.
     states = np.cumsum([0] + [p.shape[0] for p in maps])
     unknowns = np.cumsum([0] + [p.shape[1] for p in maps])
-    bands = [slice(a, b) for a, b in zip(states[:-1], states[1:])]
     cov = np.empty((states[-1], states[-1]))
-    for i, p in enumerate(maps):
-        pg = linalg.matvec(p, g[unknowns[i] : unknowns[i + 1]])
-        for j, q in enumerate(maps):
-            cov[bands[i], bands[j]] = linalg.matvec(pg[:, unknowns[j] : unknowns[j + 1]], q.T)
-    for offset, (states_i, inverse) in zip(states, interiors):
-        cov[np.ix_(offset + states_i, offset + states_i)] += inverse
-    for i, rows in enumerate(bands):
-        for cols in bands[i:]:
-            block = cov[rows, cols] + cov[cols, rows].T
-            block *= 0.5
+    for i, (p, (states_i, inverse)) in enumerate(zip(maps, interiors)):
+        pg = linalg.matvec(p, g[unknowns[i] : unknowns[i + 1], unknowns[i] :])
+        rows = slice(states[i], states[i + 1])
+        for j, pg_j in enumerate(np.split(pg, unknowns[i + 1 : -1] - unknowns[i], axis=1), start=i):
+            cols = slice(states[j], states[j + 1])
+            block = linalg.matvec(pg_j, maps[j].T)
+            if j == i:
+                block[np.ix_(states_i, states_i)] += inverse
+                block = 0.5 * (block + block.T)
             cov[rows, cols] = block
             cov[cols, rows] = block.T
     return cov
@@ -203,14 +203,10 @@ def analyze(
     if diag.min(initial=0.0) < -1e-10 * max(1.0, diag.max(initial=1.0)):
         raise SingularBordered("posterior covariance has negative variance entries")
     state_std = np.sqrt(np.clip(diag, 0.0, None))
-    # Each original node's rows lie in its region's block of the
-    # covariance, at the fragment position the partition layout gives it.
-    rows = np.empty((part.case.n_bus, 4), dtype=int)
-    offset = 0
-    for region in part.regions:
-        rows[region.bus_pos] = offset + np.arange(4 * region.bus_pos.size).reshape(-1, 4)
-        offset += region.n_states
-    abs_std = state_std[rows]
+    # The covariance is in region state order, so state_std splits into
+    # region states, which the partition maps to the original nodes.
+    region_std = np.split(state_std, np.cumsum([region.n_states for region in part.regions])[:-1])
+    abs_std = partition_mod.restrict_state(part, region_std).reshape(-1, 4)
     nominal = partition_mod.restrict_state(part, zs).reshape(-1, 4)
     excluded = np.abs(nominal) < REL_EXCLUDE_BELOW
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,20 +238,11 @@ def analyze_central(
 
 def render_table(report: PosteriorReport) -> str:
     """Relative standard deviations as a percent table, one row per node."""
+    def cell(value, starred):
+        return f"{'*':>10}" if starred else f"{100.0 * value:>9.2f}%"
+
     lines = ["node  " + "".join(f"{c:>10}" for c in CHANNELS)]
-    for i, bus_id in enumerate(report.node_ids):
-        cells = []
-        for c in range(4):
-            if report.excluded[i, c]:
-                cells.append(f"{'*':>10}")
-            else:
-                cells.append(f"{100.0 * report.rel_std[i, c]:>9.2f}%")
-        lines.append(f"{bus_id:<6}" + "".join(cells))
-    avg_cells = []
-    for c in range(4):
-        if np.isnan(report.averages[c]):
-            avg_cells.append(f"{'*':>10}")
-        else:
-            avg_cells.append(f"{100.0 * report.averages[c]:>9.2f}%")
-    lines.append(f"{'AVG':<6}" + "".join(avg_cells))
+    for bus_id, rel, excluded in zip(report.node_ids, report.rel_std, report.excluded):
+        lines.append(f"{bus_id:<6}" + "".join(map(cell, rel, excluded)))
+    lines.append(f"{'AVG':<6}" + "".join(map(cell, report.averages, np.isnan(report.averages))))
     return "\n".join(lines)

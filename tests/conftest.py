@@ -8,11 +8,10 @@ them as read-only.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+import tiling
 from gridest import aladin, caseio, central, grid, measurements, partition, powerflow
 
 DEFAULT_SEED = 7
@@ -86,21 +85,15 @@ def central30(case30, mset30):
 
 
 @pytest.fixture(scope="session")
-def two_tile30(case30):
-    """Two copies of ieee30 joined by three tie lines, one region per copy.
+def two_tile30():
+    """Two copies of ieee30 joined by three tie lines, one region per copy:
+    the two-tile grid of perfbench/tiling.py.
 
-    Buses of the second copy are renumbered 31..60 and its slack bus becomes
+    Buses of the second copy are numbered 31..60 and its slack bus becomes
     a PV bus.  Returns the partition and the seed-7 measurement set.
     """
-    buses = list(case30.buses)
-    lines = list(case30.lines)
-    for bus in case30.buses:
-        buses.append(dataclasses.replace(bus, id=bus.id + 30, kind="pv" if bus.kind == "slack" else bus.kind))
-    for line in case30.lines:
-        lines.append(dataclasses.replace(line, from_bus=line.from_bus + 30, to_bus=line.to_bus + 30))
-    lines += [grid.Line(10, 33, 0.05, 0.15), grid.Line(19, 36, 0.05, 0.15), grid.Line(30, 34, 0.05, 0.15)]
-    case = grid.GridCase("ieee30x2", case30.base_mva, tuple(buses), tuple(lines))
-    part = partition.partition_grid(case, {b: (b - 1) // 30 for b in case.bus_ids})
+    case = tiling.tiled_case(2)
+    part = partition.partition_grid(case, tiling.tile_assignment(case))
     truth = powerflow.solve_power_flow(case).state
     mset = measurements.simulate_measurements(
         case, truth, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)

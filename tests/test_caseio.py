@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridest import caseio, grid, measurements
+from gridest import caseio, cli, grid, measurements
 from gridest.errors import EmptyRegion, ParseError, ValidationError
 
 MINI_TABLES = """\
@@ -172,6 +172,21 @@ def test_measurements_loader_validates_shapes(tmp_path):
         caseio.load_measurements(path)
 
 
+@pytest.mark.parametrize("meta", ["[1, 2]", "hello"], ids=["list", "string"])
+def test_measurements_loader_requires_a_meta_mapping(tmp_path, meta):
+    path = tmp_path / "m.yaml"
+    path.write_text(f"meta: {meta}\nnodes: []\n")
+    with pytest.raises(ValidationError, match=re.escape("m.yaml.meta must be a mapping")):
+        caseio.load_measurements(path)
+
+
+@pytest.mark.parametrize("meta", ["", "meta: null\n"], ids=["missing", "null"])
+def test_measurements_loader_reads_no_meta_as_empty(tmp_path, meta):
+    path = tmp_path / "m.yaml"
+    path.write_text(meta + "nodes: []\n")
+    assert caseio.load_measurements(path)[1] == {}
+
+
 @pytest.mark.parametrize("bad", ['"0.5"', "true"], ids=["string", "boolean"])
 @pytest.mark.parametrize(
     "entry, spot",
@@ -230,6 +245,39 @@ def test_convert_tables_skips_out_of_service_branches():
                               "2 3 0.05 0.19 0.0  130 130 130 0 0 0")
     case = caseio.convert_tables(off, "mini")
     assert [line.key() for line in case.lines] == [(1, 2)]
+
+
+NON_INTEGRAL_ENTRIES = [
+    ("2 1 21.7", "2.5 1 21.7", "bus row 2, column 1", "2.5"),
+    ("3 1  5.0", "3 1.5  5.0", "bus row 3, column 2", "1.5"),
+    ("1 30.0 5.0", "1.5 30.0 5.0", "gen row 1, column 1", "1.5"),
+    ("100 1 80 0", "100 0.5 80 0", "gen row 1, column 8", "0.5"),
+    ("1 2 0.02", "1.5 2 0.02", "branch row 1, column 1", "1.5"),
+    ("2 3 0.05", "2 3.5 0.05", "branch row 2, column 2", "3.5"),
+    ("0.19 0.0  130 130 130 0 0 1", "0.19 0.0  130 130 130 0 0 0.5", "branch row 2, column 11", "0.5"),
+]
+
+
+@pytest.mark.parametrize("old, new, spot, value", NON_INTEGRAL_ENTRIES,
+                         ids=["bus-id", "bus-type", "gen-bus", "gen-status", "branch-from", "branch-to",
+                              "branch-status"])
+def test_convert_tables_rejects_non_integral_ids_types_and_statuses(tmp_path, capsys, old, new, spot, value):
+    assert MINI_TABLES.count(old) == 1
+    bad = MINI_TABLES.replace(old, new)
+    with pytest.raises(ParseError, match=re.escape(f"{spot}: expected an integer, got {value}")):
+        caseio.convert_tables(bad, "mini")
+    tables = tmp_path / "mini.txt"
+    tables.write_text(bad)
+    assert cli.main(["convert", str(tables), str(tmp_path / "mini.yaml")]) == 2
+    assert spot in capsys.readouterr().err
+    assert not (tmp_path / "mini.yaml").exists()
+
+
+def test_convert_tables_accepts_integral_floats():
+    written = MINI_TABLES.replace("1 2 0.02", "1.0 2.0 0.02").replace("130 0 0 1\n2 3", "130 0 0 1.0\n2 3")
+    assert written != MINI_TABLES
+    case = caseio.convert_tables(written, "mini")
+    assert case == caseio.convert_tables(MINI_TABLES, "mini")
 
 
 def test_convert_tables_parse_errors():

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gridest
-from gridest import caseio, cli
+from gridest import admm, aladin, caseio, cli
 
 
 def _run(*argv):
@@ -210,6 +210,16 @@ def test_out_of_range_run_flags_exit_two_before_any_work(tmp_path, capsys, monke
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("estimate", aladin.RunConfig()), ("posterior", aladin.RunConfig()),
+     ("admm", admm.DEFAULT_CONFIG), ("compare", admm.DEFAULT_CONFIG)],
+)
+def test_run_flag_defaults_are_the_run_config_defaults(command, config):
+    args = cli.build_parser().parse_args([command])
+    assert (args.rho, args.eps, args.max_iter) == (config.rho, config.eps, config.max_outer)
 
 
 @pytest.mark.parametrize("base_mva", ["abc", "0"])

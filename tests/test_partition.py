@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +13,7 @@ from gridest import grid, measurements, partition
 from gridest.errors import DimensionMismatch, EmptyRegion, UnassignedBus, UnknownBusReference
 
 from conftest import random_connected_assignment, random_states
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-
-import tiling  # noqa: E402
+import tiling
 
 
 def test_default_thirty_bus_partition_shape(part30):

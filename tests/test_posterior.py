@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +12,7 @@ from gridest import aladin, central, grid, linalg, measurements, partition, post
 from gridest.errors import DimensionMismatch, SingularBordered
 
 from conftest import DEFAULT_SEED, coupling_form_params, random_connected_assignment
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-
-import tiling  # noqa: E402
+import tiling
 
 
 def _single_bus_report(w_theta=1e4, w_v=1e5, w_p=1e4, w_q=1e4):
@@ -92,6 +85,14 @@ def test_distributed_bound_equals_central_under_exact_coupling(case30, part30, m
     direct = posterior.analyze_central(case30, mset30, central30.x)
     assert distributed.node_ids == direct.node_ids
     assert np.abs(distributed.abs_std - direct.abs_std).max() <= 1e-12 * direct.abs_std.max()
+
+
+def test_render_table_stars_excluded_cells_and_undefined_averages():
+    assert posterior.render_table(_single_bus_report()) == (
+        "node       theta         v         p         q\n"
+        "1              *     0.32%         *         *\n"
+        "AVG            *     0.32%         *         *"
+    )
 
 
 def test_relative_columns_exclude_small_nominals():

@@ -9,16 +9,10 @@ untraced test still passes; this test runs one traced paper30 pass.
 from __future__ import annotations
 
 import math
-import sys
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-
-import layers  # noqa: E402
-import run  # noqa: E402
-from spans import Recorder  # noqa: E402
+import layers
+import run
+from spans import Recorder
 
 
 def test_a_traced_paper30_pass_yields_every_layer_metric():

@@ -363,6 +363,8 @@ def convert_tables(text: str, name: str) -> grid.GridCase:
         bus_id, bus_type = _table_integers("bus", i, row, 0, 1)
         if bus_type not in _TYPE_TO_KIND:
             raise ValidationError(f"bus {bus_id}: unsupported type {bus_type}")
+        if bus_id in buses:
+            raise ValidationError(f"bus row {i + 1}: bus id {bus_id} appears twice")
         if row[4] != 0.0 or row[5] != 0.0:
             dropped_shunts.append(f"bus {bus_id} shunt Gs={row[4]} Bs={row[5]}")
         buses[bus_id] = {

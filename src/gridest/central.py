@@ -7,8 +7,8 @@ full-size problem.
 
 Unlike a region, the whole grid is large and its Jacobians are well under
 1 % nonzero, so the residual and power-flow Jacobians are requested in
-scipy.sparse form: the Gauss-Newton Hessian 2 B^T B + mu I is formed
-sparse and every step's KKT system is factored with sparse LU.
+scipy.sparse form, and every step's reduced (theta, v) system, 2 N rows
+instead of the bordered 6 N, is formed sparse and factored with sparse LU.
 """
 
 from __future__ import annotations
@@ -61,5 +61,6 @@ def solve_central(
 
 
 def _sparse(model) -> SimpleNamespace:
-    """model's eval, with its Jacobian in scipy.sparse form."""
-    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True))
+    """model's eval and identity columns, with its Jacobian in scipy.sparse form."""
+    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True),
+                           identity_columns=getattr(model, "identity_columns", None))

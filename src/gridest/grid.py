@@ -279,7 +279,9 @@ class PowerFlowModel:
     """Equality constraints H(x) = 0 of one network, with Jacobian.
 
     Holds Y on its pattern and the sparsity pattern of the Jacobian, so
-    solvers can evaluate the physics without rebuilding them.
+    solvers can evaluate the physics without rebuilding them.  Constraint
+    row r is p - P(theta, v) or q - Q(theta, v), so the Jacobian's column
+    identity_columns[r] (that p or q) is the r-th unit vector.
     """
 
     def __init__(self, case: GridCase):
@@ -291,6 +293,7 @@ class PowerFlowModel:
         # Jacobian entries: four blocks on the pattern of Y (p and q rows
         # against theta and v columns), then the unit injection entries.
         node = np.arange(n)
+        self.identity_columns = np.stack([4 * node + P, 4 * node + Q], axis=1).ravel()
         self._pattern = SparsityPattern(
             np.concatenate([2 * rows, 2 * rows, 2 * rows + 1, 2 * rows + 1, 2 * node, 2 * node + 1]),
             np.concatenate([4 * cols + THETA, 4 * cols + V, 4 * cols + THETA, 4 * cols + V, 4 * node + P, 4 * node + Q]),

@@ -1,37 +1,30 @@
 """Direct solvers used everywhere else in the package.
 
-Square general systems go through partially pivoted LU.  KKT systems are
-symmetric but indefinite, which rules out Cholesky; they are factored once
-as a whole bordered matrix (no Schur complement, so no assumption that the
-Hessian block alone is invertible).
+Square general systems go through partially pivoted LU.  A KKT system is
+symmetric but indefinite; solve_kkt factors it whole, as a bordered
+matrix, with no assumption that the Hessian block alone is invertible.
+A Gauss-Newton KKT system whose constraint Jacobian is the identity on
+some columns, as the power-flow rows are on each node's (p, q), has an
+explicit null-space basis instead: solve_reduced_kkt eliminates those
+columns and factors the reduced Hessian, 2 N rows where the bordered
+matrix has 6 N, by Cholesky.  Every region, ADMM and central step does.
 
-The kind of the input picks the factorization, for both solve_linear and
-solve_kkt; there is no size threshold.  Dense input is factored densely:
-LU for a square system, Bunch-Kaufman LDL^T (LAPACK dsytrf) for a KKT
-system, O(n^3).  That serves the region Gauss-Newton steps: a region
-system has 72-220 bordered rows and is 4-10 % nonzero, where SuperLU
-measured 2-4x slower than dense LDL^T, and the dense solves of the
-posterior bound, which eliminates each region's interior with dense LU.
-scipy.sparse input is factored with sparse LU (SuperLU, COLAMD column
-ordering).  That serves the consensus QP (block diagonal plus a thin
-coupling border), the central Gauss-Newton step and the Newton power flow
-(the network's own sparsity).  They have hundreds to thousands of rows and
-are well under 1 % nonzero, so their cost follows the fill of the factors
-instead of n^3.
+The kind of the input picks the factorization; there is no size
+threshold.  Dense input is factored densely (LU, Cholesky or
+Bunch-Kaufman LDL^T through LAPACK): the region steps and the posterior
+bound's interior eliminations.  scipy.sparse input is factored with
+SuperLU (COLAMD column ordering): the consensus QP, the central step and
+the Newton power flow, hundreds to thousands of rows under 1 % nonzero.
 
-All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS
-(scipy.linalg.blas, through gram and matvec below), never on numpy's
-matmul.  numpy and scipy each bundle a threaded OpenBLAS whose worker
-threads keep spinning for a while after a call, so alternating between
-the two stalls both: on 2 vCPUs a 243x132 numpy b.T @ b takes 0.05 ms
-alone and 3.9 ms when alternated with a 180x180 scipy lu_factor.  Every
-region Gauss-Newton step and the posterior bound alternate products with
-LAPACK calls; with all of them on scipy's BLAS, the 480-bus benchmark
-pass (pipeline_s) fell from 0.319 s to 0.226 s, most of it in the
-posterior bound (0.128 s to 0.053 s).  gram and matvec read a
-C-ordered operand through its Fortran-ordered transpose, so f2py copies
-none, and a matrix-vector product calls the kernel numpy's matmul calls
-on the same memory, so it keeps numpy's bits.
+All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
+gram and matvec below, never on numpy's matmul.  numpy and scipy each
+bundle a threaded OpenBLAS whose workers keep spinning for a while after
+a call, so alternating the two stalls both: on 2 vCPUs a 243x132 numpy
+b.T @ b took 0.05 ms alone and 3.9 ms alternated with a scipy
+lu_factor.  gram and matvec read a C-ordered operand through its
+Fortran-ordered transpose, so f2py copies none, and a matrix-vector
+product calls the kernel numpy's matmul calls on the same memory, so it
+keeps numpy's bits.
 """
 
 from __future__ import annotations
@@ -69,13 +62,11 @@ def _blas_operand(a: np.ndarray) -> tuple[np.ndarray, int]:
 def gram(a, alpha: float = 1.0):
     """alpha A^T A: scipy's dgemm for dense input, @ for scipy.sparse.
 
-    dgemm, not the dsyrk that numpy's a.T @ a calls: on a region Jacobian
-    (243 x 144, 1 % nonzero) between dsytrf calls, as in a region step,
-    product and factor took 221-246 us with dgemm and 282 us with dsyrk
-    plus the triangle copy that fills its result.  On such sparse
-    Jacobians each entry sums the same few nonzero products either way,
-    so the bits are numpy's.  On dense input the result can miss exact
-    symmetry in the last bit.
+    dgemm, not the dsyrk that numpy's a.T @ a calls: between LAPACK
+    factorizations it measured faster than dsyrk plus the triangle copy
+    that fills its result.  On the package's sparse Jacobians each entry
+    sums the same few nonzero products either way, so the bits are
+    numpy's; on dense input the result can miss symmetry in the last bit.
     """
     if scipy.sparse.issparse(a):
         return alpha * (a.T @ a)
@@ -89,12 +80,12 @@ def matvec(a, x, trans: bool = False):
     Dense input goes through scipy's dgemv (1-D x) or dgemm (2-D x) on
     the operands' own memory, as numpy's matmul passes it for a 1-D x, so
     a vector result has numpy's bits.  A 2-D result is Fortran-ordered.
-    scipy.sparse input uses @.  Either kind raises DimensionMismatch when
-    the inner sizes differ.
+    scipy.sparse input uses @, and x may then be scipy.sparse too.  Either
+    kind raises DimensionMismatch when the inner sizes differ.
     """
     sparse = scipy.sparse.issparse(a)
     a = a if sparse else np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
+    x = x if sparse and scipy.sparse.issparse(x) else np.asarray(x, dtype=float)
     if trans:
         a = a.T
     if a.shape[1] != x.shape[0]:
@@ -148,22 +139,34 @@ def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-class SymmetricFactor:
+class _Factor:
+    """Factor a square matrix once, then solve right-hand sides (a vector or
+    a 2-D array's columns) with one step of iterative refinement each."""
+
+    def __init__(self, matrix):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
+        self.matrix = matrix
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        b = np.asarray(rhs, dtype=float)
+        if b.shape[0] != self.matrix.shape[0]:
+            raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
+        x = self._solve_factored(b)
+        x += self._solve_factored(b - matvec(self.matrix, x))
+        return x
+
+
+class SymmetricFactor(_Factor):
     """Bunch-Kaufman LDL^T factorization of a symmetric indefinite matrix.
 
-    LAPACK dsytrf factors, dsytrs solves.  Factor once, solve many
-    right-hand sides (a vector or the columns of a 2-D array); solve()
-    applies one step of iterative refinement against the retained matrix.
-    Raises SingularMatrix when a 1x1 pivot, or the smaller eigenvalue in
-    magnitude of a 2x2 pivot block, is at most PIVOT_RTOL times the largest
-    absolute entry of the matrix.
+    LAPACK dsytrf factors, dsytrs solves.  Raises SingularMatrix when a 1x1
+    pivot, or the smaller eigenvalue in magnitude of a 2x2 pivot block, is
+    at most PIVOT_RTOL times the largest absolute entry of the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        self.matrix = m
+        super().__init__(m := np.asarray(matrix, dtype=float))
         n = m.shape[0]
         # Without the workspace query dsytrf gets lwork = n and falls back
         # to the unblocked dsytf2, several times slower at a few hundred rows.
@@ -171,7 +174,7 @@ class SymmetricFactor:
         self._ldu, self._ipiv, info = scipy.linalg.lapack.dsytrf(m, lower=1, lwork=max(int(lwork), 1))
         if info > 0:
             raise SingularMatrix("zero pivot in LDL^T factorization")
-        tol = PIVOT_RTOL * max(np.abs(m).max(initial=0.0), np.finfo(float).tiny)
+        tol = PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny)
         # A negative ipiv entry marks a row of a 2x2 block of D; a block takes
         # two consecutive negative entries, so each run of them splits into
         # pairs from its start.
@@ -191,33 +194,36 @@ class SymmetricFactor:
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lapack.dsytrs(self._ldu, self._ipiv, rhs, lower=1)[0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float)
-        if b.shape[0] != self.matrix.shape[0]:
-            raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
-        x = self._solve_factored(b)
-        x += self._solve_factored(b - matvec(self.matrix, x))
-        return x
+
+class CholeskyFactor(_Factor):
+    """Cholesky factorization L L^T (LAPACK dpotrf, dpotrs) of a symmetric
+    positive definite matrix, of which only the lower triangle is read.
+    Raises SingularMatrix when dpotrf meets a pivot <= 0 or a pivot L_kk^2
+    is at most PIVOT_RTOL times the largest absolute entry of the matrix."""
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(m := np.asarray(matrix, dtype=float))
+        self._low, info = scipy.linalg.lapack.dpotrf(m, lower=1)
+        tol = PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny)
+        if info != 0 or np.any(self._low.diagonal() ** 2 <= tol):
+            raise SingularMatrix("matrix is not numerically positive definite in Cholesky factorization")
+
+    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lapack.dpotrs(self._low, rhs, lower=1)[0]
 
 
-class SparseFactor:
+class SparseFactor(_Factor):
     """Sparse LU factorization (SuperLU, COLAMD column ordering).
 
-    Same contract as SymmetricFactor: factor once, solve many right-hand
-    sides (a vector or the columns of a dense 2-D array), one step of
-    iterative refinement against the retained matrix.  Raises SingularMatrix
-    when the matrix is structurally singular (its stored pattern admits no
-    nonzero diagonal under any row permutation), when SuperLU meets an
-    exactly zero pivot, or when a diagonal entry of U falls below PIVOT_RTOL
-    times the largest absolute entry of the matrix.
+    Raises SingularMatrix when the matrix is structurally singular (its
+    stored pattern admits no nonzero diagonal under any row permutation),
+    when SuperLU meets an exactly zero pivot, or when a diagonal entry of U
+    falls below PIVOT_RTOL times the largest absolute entry of the matrix.
     """
 
     def __init__(self, matrix):
-        m = scipy.sparse.csc_array(matrix, dtype=float)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        super().__init__(m := scipy.sparse.csc_array(matrix, dtype=float))
         m.sum_duplicates()
-        self.matrix = m
         scale = max(_max_abs(m), np.finfo(float).tiny)
         # SuperLU is not memory safe on a structurally singular matrix: a
         # column with no candidate pivot row can abort the factorization
@@ -232,13 +238,8 @@ class SparseFactor:
         if np.abs(self._lu.U.diagonal()).min(initial=np.inf) <= PIVOT_RTOL * scale:
             raise SingularMatrix("pivot below singularity threshold in sparse LU factorization")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float)
-        if b.shape[0] != self.matrix.shape[0]:
-            raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
-        x = self._lu.solve(b)
-        x += self._lu.solve(b - self.matrix @ x)
-        return x
+    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)
 
 
 def _max_abs(a) -> float:
@@ -329,37 +330,91 @@ def bordered_matrix(hessian, constraint_jacobian):
     return out
 
 
-def _factor_bordered(hessian, constraint_jacobian):
-    matrix = bordered_matrix(hessian, constraint_jacobian)
-    return SparseFactor(matrix) if scipy.sparse.issparse(matrix) else SymmetricFactor(matrix)
+def plus_diagonal(m, d):
+    """m + diag(d), d a scalar or a vector, as a new matrix of m's kind."""
+    d = np.broadcast_to(d, m.shape[:1])
+    return m + (scipy.sparse.diags_array(d) if scipy.sparse.issparse(m) else np.diag(d))
+
+
+def _with_ridge(attempt, hessian_diagonal):
+    """(attempt(0.0), False), or on SingularMatrix (attempt(delta), True)
+    after a warning; attempt(ridge) adds ridge to the diagonal of the
+    Hessian H, delta = RIDGE_SCALE (1 + max |diag H|).  A retry that
+    raises SingularMatrix too raises SingularKkt."""
+    try:
+        return attempt(0.0), False
+    except SingularMatrix:
+        delta = RIDGE_SCALE * (1.0 + np.abs(hessian_diagonal()).max(initial=0.0))
+        warnings.warn(f"KKT factorization failed, retrying with ridge {delta:.3e} on the Hessian block")
+        try:
+            return attempt(delta), True
+        except SingularMatrix as exc:
+            raise SingularKkt("KKT system singular even after ridge regularization") from exc
 
 
 def solve_kkt(system: KktSystem) -> KktSolution:
     """Solve one KKT system by factoring the full bordered matrix.
 
     Dense blocks are factored with SymmetricFactor, scipy.sparse blocks
-    with SparseFactor.  If the factorization hits a singular pivot, a ridge
-    delta = RIDGE_SCALE (1 + max |diag H|) is added to the Hessian block
-    only, a warning is emitted, and the solve is retried once.  A system
-    that stays singular raises SingularKkt.
-
-    Post-conditions (for the unridged solve): the stationarity and
-    feasibility residuals of the returned solution are below 1e-8 in the
-    infinity norm.
+    with SparseFactor.  A singular factor gets one retry with a ridge on
+    the Hessian block and a warning (_with_ridge); a system that stays
+    singular raises SingularKkt.  Post-conditions (for the unridged
+    solve): the stationarity and feasibility residuals of the returned
+    solution are below 1e-8 in the infinity norm.
     """
-    n = system.n_states
-    rhs = np.concatenate([-system.gradient, -system.residual])
-    regularized = False
-    try:
-        factor = _factor_bordered(system.hessian, system.constraint_jacobian)
-    except SingularMatrix:
-        delta = RIDGE_SCALE * (1.0 + np.abs(system.hessian.diagonal()).max(initial=0.0))
-        warnings.warn(f"KKT factorization failed, retrying with ridge {delta:.3e} on the Hessian block")
-        eye = scipy.sparse.eye_array(n) if scipy.sparse.issparse(system.hessian) else np.eye(n)
-        regularized = True
-        try:
-            factor = _factor_bordered(system.hessian + delta * eye, system.constraint_jacobian)
-        except SingularMatrix as exc:
-            raise SingularKkt("KKT system singular even after ridge regularization") from exc
-    sol = factor.solve(rhs)
-    return KktSolution(step=sol[:n], multipliers=sol[n:], regularized=regularized)
+    def factor(ridge: float):
+        matrix = bordered_matrix(plus_diagonal(system.hessian, ridge) if ridge else system.hessian,
+                                 system.constraint_jacobian)
+        return SparseFactor(matrix) if scipy.sparse.issparse(matrix) else SymmetricFactor(matrix)
+
+    factored, regularized = _with_ridge(factor, system.hessian.diagonal)
+    sol = factored.solve(np.concatenate([-system.gradient, -system.residual]))
+    return KktSolution(step=sol[:system.n_states], multipliers=sol[system.n_states:], regularized=regularized)
+
+
+def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gradient, residual) -> KktSolution:
+    """solve_kkt's solution for H = 2 B^T B + diag(shift), B the jacobian, and
+    a constraint Jacobian C whose column identity_columns[r] is unit vector r.
+
+    With those columns w and the others u, C = [C_u | I]: Z = [I; -C_u]
+    spans its null space and d0 = (0, -residual) meets C d0 = -residual
+    (the null-space method; Nocedal and Wright, Numerical Optimization,
+    2nd ed., 16.2).  The step is d = d0 + Z du, where
+
+        Z^T H Z du = -Z^T (gradient + H d0),
+        Z^T H Z = 2 (BZ)^T (BZ) + diag(shift_u) + C_u^T diag(shift_w) C_u,
+
+    BZ = B_u - B_w C_u; neither Z nor H is formed.  The multipliers are
+    kappa = -(H d + gradient)_w.  Both Jacobians are dense or both
+    scipy.sparse, and the kind picks the factor of Z^T H Z (positive
+    semidefinite for shift >= 0): CholeskyFactor or SparseFactor.  A
+    singular one gets solve_kkt's ridge retry, the ridge added to shift.
+    """
+    sparse = scipy.sparse.issparse(jacobian)
+    b, c = (scipy.sparse.csc_array(a, dtype=float) if sparse else np.asarray(a, dtype=float)
+            for a in (jacobian, constraint_jacobian))
+    g, h, shift = (np.asarray(a, dtype=float) for a in (gradient, residual, shift))
+    w = np.asarray(identity_columns, dtype=np.intp)
+    if not g.shape == shift.shape == (b.shape[1],) or not h.shape == w.shape == (c.shape[0],):
+        raise DimensionMismatch("gradient, shift, residual or identity columns do not fit the Jacobians")
+    if not all(np.all(np.isfinite(a.data if scipy.sparse.issparse(a) else a)) for a in (b, c, g, h, shift)):
+        raise ValueError("non-finite entries in the Gauss-Newton system")
+    u = np.flatnonzero(np.bincount(w, minlength=len(g)) == 0)
+    b_w, c_u = b[:, w], c[:, u]
+    bz = b[:, u] - matvec(b_w, c_u)
+    fit = gram(bz, 2.0)
+    rhs_fit = 2.0 * matvec(bz, matvec(b_w, h), trans=True) - g[u]
+
+    def attempt(ridge: float):
+        s = shift + ridge
+        reduced = plus_diagonal(fit + matvec(c_u, c_u * s[w][:, None], trans=True), s[u])
+        factor = SparseFactor(reduced) if sparse else CholeskyFactor(reduced)
+        step = np.empty(len(g))
+        step[u] = factor.solve(rhs_fit + matvec(c_u, g[w] - s[w] * h, trans=True))
+        step[w] = -h - matvec(c_u, step[u])
+        return step, -(2.0 * matvec(b_w, matvec(b, step), trans=True) + s[w] * step[w] + g[w])
+
+    (step, kappa), regularized = _with_ridge(
+        attempt, lambda: 2.0 * np.asarray((b.multiply(b) if sparse else b * b).sum(axis=0)).ravel() + shift
+    )
+    return KktSolution(step=step, multipliers=kappa, regularized=regularized)

@@ -8,9 +8,12 @@ Solves
 where F is a weighted measurement residual and H the power flow physics of
 one region.  The quadratic model uses the Gauss-Newton Hessian
 2 B^T B + rho P^T P + mu I (B the residual Jacobian, P the prox selector),
-each step solves one KKT system, and steps are globalized with a
-backtracking Armijo search on the exact l1 merit function.  The Hessian
-and the KKT factorization are dense or sparse as the Jacobians are.
+and steps are globalized with a backtracking Armijo search on the exact
+l1 merit function.  Each step solves one KKT system.  Constraints that
+name the columns where their Jacobian is the identity (identity_columns:
+the p and q of grid.PowerFlowModel) get linalg.solve_reduced_kkt, a
+Cholesky solve in the remaining (theta, v) space; others get the bordered
+linalg.solve_kkt.  Either is dense or sparse as the Jacobians are.
 
 The same routine serves three callers: the distributed consensus loop
 (prox over all coordinates, lin from the coupling duals), the alternating
@@ -68,13 +71,13 @@ def solve_local(
 ) -> LocalSolution:
     """Run the SQP from y0 until the KKT residual drops below tol.
 
-    residual and constraints expose eval(y) and jacobian(y); the
-    Jacobians may be dense or scipy.sparse, and the Gauss-Newton Hessian
-    and the KKT factorization follow the residual Jacobian's kind.  prox_idx
-    selects the coordinates the proximal term acts on (None means all of
-    them); prox_target must match its length.  Returns the last iterate
-    with converged=False when max_inner runs out; raises InnerDiverged when
-    the line search cannot produce decrease.
+    residual and constraints expose eval(y) and jacobian(y), both dense or
+    both scipy.sparse; constraints may also name identity_columns, which
+    picks the reduced step.  prox_idx selects the coordinates the proximal
+    term acts on (None means all of them); prox_target must match its
+    length.  Returns the last iterate with converged=False when max_inner
+    runs out; raises InnerDiverged when the line search cannot produce
+    decrease and SingularKkt when a step's system stays singular.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -96,6 +99,7 @@ def solve_local(
     h = constraints.eval(y)
     big_c = constraints.jacobian(y)
     kappa = np.zeros(big_c.shape[0])
+    identity = getattr(constraints, "identity_columns", None)
     nu = 10.0
     inner = 0
     kkt_res = np.inf
@@ -126,18 +130,13 @@ def solve_local(
             )
         if inner == max_inner:
             break
-        hess = linalg.gram(big_b, 2.0)
         shift = np.full(n, mu)
         shift[idx] += rho
-        if scipy.sparse.issparse(hess):
-            hess = hess + scipy.sparse.diags_array(shift)
+        if identity is None:
+            hess = linalg.plus_diagonal(linalg.gram(big_b, 2.0), shift)
+            sol = linalg.solve_kkt(linalg.KktSystem(hess, big_c, grad, h))
         else:
-            hess[np.diag_indices(n)] += shift
-        sol = linalg.solve_kkt(
-            linalg.KktSystem(
-                hessian=hess, constraint_jacobian=big_c, gradient=grad, residual=h
-            )
-        )
+            sol = linalg.solve_reduced_kkt(big_b, big_c, identity, shift, grad, h)
         step, kappa_new = sol.step, sol.multipliers
         # The merit penalty must dominate the multipliers and never shrink.
         nu = max(nu, 2.0 * np.abs(kappa_new).max(initial=0.0) + 1.0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition
+import tiling
+from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition, powerflow
 from gridest.errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
@@ -260,6 +261,33 @@ def test_every_penalty_converges_or_ends_with_a_note(part30, mset30, rho):
     result = aladin.run_aladin(part30, mset30, config=aladin.RunConfig(rho=rho))
     assert result.converged or result.note
     assert len(result.history) == result.iterations
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, DEFAULT_SEED])
+def test_every_penalty_from_1e2_to_1e8_reaches_the_central_optimum(case30, part30, truth30, seed):
+    """The reduced region Hessian grows with rho as a whole, so a large
+    penalty no longer reads as a singular region system, as the bordered
+    matrix's constraint pivots, shrinking like 1/rho, did from 1e7."""
+    mset = measurements.simulate_measurements(
+        case30, truth30, rng=seed, measured_lines=partition.internal_line_keys(part30)
+    )
+    reference = central.solve_central(case30, mset).x
+    for rho in [10.0**e for e in range(2, 9)]:
+        result = aladin.run_aladin(part30, mset, config=aladin.RunConfig(rho=rho))
+        assert result.converged, f"rho={rho:g}: {result.note}"
+        gap = np.abs(partition.restrict_state(part30, result.zs) - reference).max()
+        assert gap <= 1e-5, f"rho={rho:g}: gap to central {gap:.3e}"
+
+
+def test_the_480_bus_grid_converges_at_rho_1e8():
+    case = tiling.tiled_case(16)
+    part = partition.partition_grid(case, tiling.tile_assignment(case))
+    truth = powerflow.solve_power_flow(case).state
+    mset = measurements.simulate_measurements(
+        case, truth, rng=1, measured_lines=partition.internal_line_keys(part)
+    )
+    result = aladin.run_aladin(part, mset, config=aladin.RunConfig(rho=1e8))
+    assert result.converged, result.note
 
 
 def test_a_consensus_step_to_a_zero_voltage_ends_the_run_with_a_note(part30, mset30):

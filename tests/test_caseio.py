@@ -273,6 +273,18 @@ def test_convert_tables_rejects_non_integral_ids_types_and_statuses(tmp_path, ca
     assert not (tmp_path / "mini.yaml").exists()
 
 
+def test_convert_tables_rejects_a_duplicate_bus_id(tmp_path, capsys):
+    # A second row for bus 2 used to replace the first, and its load with it.
+    bad = MINI_TABLES.replace("3 1  5.0", "2 1  5.0")
+    with pytest.raises(ValidationError, match="bus row 3: bus id 2 appears twice"):
+        caseio.convert_tables(bad, "mini")
+    tables = tmp_path / "mini.txt"
+    tables.write_text(bad)
+    assert cli.main(["convert", str(tables), str(tmp_path / "mini.yaml")]) == 2
+    assert "bus id 2 appears twice" in capsys.readouterr().err
+    assert not (tmp_path / "mini.yaml").exists()
+
+
 def test_convert_tables_accepts_integral_floats():
     written = MINI_TABLES.replace("1 2 0.02", "1.0 2.0 0.02").replace("130 0 0 1\n2 3", "130 0 0 1.0\n2 3")
     assert written != MINI_TABLES

@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 import gridest
-from gridest import admm, aladin, caseio, cli
+from gridest import admm, aladin, caseio, cli, local_solver
+from gridest.errors import SingularKkt
 
 
 def _run(*argv):
@@ -64,9 +65,19 @@ def test_estimate_reports_nonconvergence_with_exit_one(tmp_path, capsys):
     assert (tmp_path / "aladin_history.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:KKT factorization failed")
-def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, capsys):
-    assert _run("estimate", "--rho", 1e8, "--out", tmp_path) == 1
+def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, capsys, monkeypatch):
+    solve = local_solver.solve_local
+    calls = 0
+
+    def singular_in_second_iteration(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 4:  # default4: outer iteration 1 solves four regions
+            raise SingularKkt("KKT system singular even after ridge regularization")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(local_solver, "solve_local", singular_in_second_iteration)
+    assert _run("estimate", "--out", tmp_path) == 1
     assert "singular" in capsys.readouterr().err
     history = (tmp_path / "aladin_history.csv").read_text().splitlines()
     assert history[3] == ",".join(caseio.HISTORY_COLUMNS)

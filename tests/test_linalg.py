@@ -405,3 +405,17 @@ def test_sparse_solve_kkt_stationarity_feasibility_and_dense_agreement(n, seed):
     assert not sol.regularized and not dense.regularized
     assert np.abs(sol.step - dense.step).max() <= 1e-10
     assert np.abs(sol.multipliers - dense.multipliers).max(initial=0.0) <= 1e-10
+
+
+def test_cholesky_factor_solves_spd_systems_and_rejects_the_rest():
+    rng = np.random.default_rng(3)
+    root = rng.standard_normal((12, 9))
+    m = root.T @ root
+    b = rng.standard_normal((9, 4))
+    x = linalg.CholeskyFactor(m).solve(b)
+    assert x.shape == (9, 4)
+    assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+    # Semidefinite (rank 3 of 9), indefinite, and a pivot below PIVOT_RTOL.
+    for bad in (root[:3].T @ root[:3], m - 10.0 * np.eye(9), np.diag([1.0, 1e-15])):
+        with pytest.raises(SingularMatrix):
+            linalg.CholeskyFactor(bad)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from gridest import linalg, local_solver
-from gridest.errors import InnerDiverged
+from conftest import DEFAULT_SEED, random_connected_assignment
+from gridest import central, grid, linalg, local_solver, measurements, partition
+from gridest.errors import InnerDiverged, SingularKkt
 
 
 class _Affine:
@@ -157,3 +159,95 @@ def test_stall_at_rounding_floor_counts_as_convergence():
     assert sol.inner_iterations < 50
     expected = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.allclose(sol.y, expected, atol=1e-9)
+
+
+# The reduced (theta, v) step against the bordered solve of the full system.
+
+def _bordered(big_b, big_c, shift, grad, h):
+    hess = linalg.gram(big_b, 2.0)
+    if scipy.sparse.issparse(hess):
+        hess = hess + scipy.sparse.diags_array(shift)
+    else:
+        hess[np.diag_indices(len(shift))] += shift
+    return linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=big_c, gradient=grad, residual=h))
+
+
+def _assert_steps_agree(residual, model, y, shift, sparse=False):
+    rng = np.random.default_rng(len(y))
+    big_b, big_c = residual.jacobian(y, sparse=sparse), model.jacobian(y, sparse=sparse)
+    h = model.eval(y)
+    grad = 2.0 * linalg.matvec(big_b, residual.eval(y), trans=True) + rng.standard_normal(len(y))
+    got = linalg.solve_reduced_kkt(big_b, big_c, model.identity_columns, shift, grad, h)
+    want = _bordered(big_b, big_c, shift, grad, h)
+    assert not got.regularized and not want.regularized
+    assert np.abs(got.step - want.step).max() <= 1e-10 * np.abs(want.step).max()
+    assert np.abs(got.multipliers - want.multipliers).max() <= 1e-10 * np.abs(want.multipliers).max()
+
+
+def _region_partitions(case30, part30, mset30, truth30, two_tile30):
+    random_part = partition.partition_grid(case30, random_connected_assignment(case30, 5, 11))
+    random_set = measurements.simulate_measurements(
+        case30, truth30, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(random_part)
+    )
+    return [(part30, mset30), two_tile30, (random_part, random_set)]
+
+
+@pytest.mark.parametrize("prox", ["all", "coupled"])
+def test_reduced_region_step_matches_the_bordered_solve(case30, part30, mset30, truth30, two_tile30, prox):
+    """Every region of paper30, two_tile30 and a random partition, at a flat
+    start and after two Gauss-Newton steps, with the prox of the consensus
+    loop (all coordinates) or of the alternating baseline (coupled copies)."""
+    rho = 1e4
+    for part, mset in _region_partitions(case30, part30, mset30, truth30, two_tile30):
+        for region, rset in zip(part.regions, measurements.split_by_region(mset, part)):
+            residual = measurements.RegionResidual(region.case, rset)
+            model = grid.PowerFlowModel(region.case)
+            flat = grid.flat_state(region.case.n_bus)
+            idx = None if prox == "all" else region.coupling_cols
+            shift = np.zeros(len(flat))
+            shift[slice(None) if idx is None else idx] = rho
+            target = flat if idx is None else flat[idx]
+            mid = local_solver.solve_local(
+                residual, model, y0=flat, rho=rho, prox_target=target, prox_idx=idx, max_inner=2
+            ).y
+            for y in (flat, mid):
+                _assert_steps_agree(residual, model, y, shift)
+
+
+def test_reduced_central_step_matches_the_bordered_solve(case30, mset30, truth30, two_tile30):
+    """The sparse form, with the central solve's Levenberg ridge as the only shift."""
+    tile_part, tile_set = two_tile30
+    for case, mset in ((case30, mset30), (tile_part.case, tile_set)):
+        residual = measurements.RegionResidual(case, mset)
+        model = grid.PowerFlowModel(case)
+        flat = grid.flat_state(case.n_bus)
+        mid = local_solver.solve_local(
+            central._sparse(residual), central._sparse(model), y0=flat, mu=central.MU, max_inner=2
+        ).y
+        for y in (flat, mid):
+            _assert_steps_agree(residual, model, y, np.full(len(y), central.MU), sparse=True)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_reduced_hessian_left_singular_after_the_ridge_raises_singular_kkt(case30, truth30, monkeypatch, sparse):
+    """Zero weights with rho = mu = 0 leave Z^T H Z = 0.  The ridge makes it
+    definite; a ridge of zero leaves it singular, which must be loud."""
+    mset = measurements.simulate_measurements(
+        case30, truth30, noise=None, node_weights=np.zeros(4), line_weights=np.zeros(3)
+    )
+    residual, model = measurements.RegionResidual(case30, mset), grid.PowerFlowModel(case30)
+    y = truth30.copy()
+    y[grid.P::4] += 0.01  # off the physics, so the step has work to do
+    big_b, big_c = residual.jacobian(y, sparse=sparse), model.jacobian(y, sparse=sparse)
+    zero = np.zeros(len(y))
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        sol = linalg.solve_reduced_kkt(big_b, big_c, model.identity_columns, zero, zero, model.eval(y))
+    assert sol.regularized
+    assert np.abs(linalg.matvec(big_c, sol.step) + model.eval(y)).max() <= 1e-12
+    monkeypatch.setattr(linalg, "RIDGE_SCALE", 0.0)
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        with pytest.raises(SingularKkt):
+            linalg.solve_reduced_kkt(big_b, big_c, model.identity_columns, zero, zero, model.eval(y))
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        with pytest.raises(SingularKkt):
+            local_solver.solve_local(residual, model, y0=y)

@@ -29,6 +29,7 @@ keeps numpy's bits.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -219,6 +220,7 @@ class SparseFactor(_Factor):
     stored pattern admits no nonzero diagonal under any row permutation),
     when SuperLU meets an exactly zero pivot, or when a diagonal entry of U
     falls below PIVOT_RTOL times the largest absolute entry of the matrix.
+    The structural verdict is cached per exact pattern (_full_structural_rank).
     """
 
     def __init__(self, matrix):
@@ -229,7 +231,7 @@ class SparseFactor(_Factor):
         # column with no candidate pivot row can abort the factorization
         # mid-way or crash the process.  Such a matrix is singular for any
         # values, so it never reaches SuperLU.
-        if scipy.sparse.csgraph.structural_rank(m.tocsr()) < m.shape[0]:
+        if not _full_structural_rank(_Pattern(m)):
             raise SingularMatrix("structurally singular matrix")
         try:
             self._lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD")
@@ -240,6 +242,48 @@ class SparseFactor(_Factor):
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
+
+
+class _Pattern:
+    """The stored pattern of a compressed sparse matrix as a cache key.
+
+    Equal only to a pattern with the same shape, indptr and indices, entry
+    for entry: the verdict it keys guards SuperLU's memory safety, so a
+    hash collision must never pass for a hit.  It holds copies, so a caller
+    that later writes into its matrix cannot change a cached pattern.
+    """
+
+    __slots__ = ("shape", "indptr", "indices")
+
+    def __init__(self, m):
+        self.shape = m.shape
+        self.indptr = m.indptr.copy()
+        self.indices = m.indices.copy()
+
+    def __hash__(self) -> int:
+        return hash((self.shape, len(self.indices)))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _Pattern) and self.shape == other.shape
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+
+@functools.lru_cache(maxsize=8)
+def _full_structural_rank(pattern: _Pattern) -> bool:
+    """Whether a square pattern's structural rank is its size.
+
+    A run factors the same few patterns over and over (the Newton matrix,
+    the consensus KKT, the central step), and the bipartite matching costs
+    milliseconds on thousands of rows, so the last few verdicts are kept.
+    Structural rank counts stored entries, explicit zeros included, and a
+    pattern's transpose has the same rank, so the CSC arrays are read as
+    CSR with no conversion.
+    """
+    transposed = scipy.sparse.csr_array(
+        (np.ones(len(pattern.indices)), pattern.indices, pattern.indptr), shape=pattern.shape[::-1]
+    )
+    return scipy.sparse.csgraph.structural_rank(transposed) == pattern.shape[0]
 
 
 def _max_abs(a) -> float:

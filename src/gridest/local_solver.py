@@ -54,6 +54,8 @@ class LocalSolution:
     fit: float
     inner_iterations: int
     kkt_residual: float
+    #: The absolute KKT tolerance the solve stopped against.
+    tol: float
     converged: bool
 
 
@@ -68,8 +70,11 @@ def solve_local(
     mu: float = 0.0,
     tol: float = 1e-8,
     max_inner: int = 50,
+    relative: bool = False,
 ) -> LocalSolution:
-    """Run the SQP from y0 until the KKT residual drops below tol.
+    """Run the SQP from y0 until the KKT residual drops below tol, or below
+    tol * max(1, r0) when relative, r0 the KKT residual at y0 with zero
+    multipliers.  The solution's tol is the absolute tolerance used.
 
     residual and constraints expose eval(y) and jacobian(y), both dense or
     both scipy.sparse; constraints may also name identity_columns, which
@@ -111,6 +116,8 @@ def solve_local(
             np.abs(grad + linalg.matvec(big_c, kappa, trans=True)).max(initial=0.0),
             np.abs(h).max(initial=0.0),
         )
+        if relative and inner == 0:
+            tol *= max(1.0, kkt_res)
         # The stationarity sum cancels numbers of scale |B^T||b| + |C^T||k|,
         # so it cannot be driven below the rounding of that sum.  Once the
         # accepted steps are pure rounding dust at a feasible iterate, the
@@ -126,7 +133,7 @@ def solve_local(
             return LocalSolution(
                 y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
                 constraint_jacobian=big_c, fit=float(b @ b),
-                inner_iterations=inner, kkt_residual=kkt_res, converged=True,
+                inner_iterations=inner, kkt_residual=kkt_res, tol=tol, converged=True,
             )
         if inner == max_inner:
             break
@@ -180,7 +187,7 @@ def solve_local(
     return LocalSolution(
         y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
         constraint_jacobian=big_c, fit=float(b @ b),
-        inner_iterations=inner, kkt_residual=kkt_res, converged=False,
+        inner_iterations=inner, kkt_residual=kkt_res, tol=tol, converged=False,
     )
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiling
-from gridest import admm, aladin, central, coordinator, local_solver, measurements, partition, powerflow
+from gridest import admm, aladin, central, coordinator, linalg, local_solver, measurements, partition, powerflow
 from gridest.errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
@@ -140,6 +140,67 @@ def test_inexact_solves_save_inner_iterations_without_an_outer_one(monkeypatch, 
         return sum(sum(record.inner_iterations) for record in result.history)
 
     assert total(aladin30) < total(exact)
+
+
+def test_a_tighter_start_tolerance_costs_inner_iterations_only(monkeypatch, aladin30, part30, mset30, truth30):
+    """The relative first-iteration stop, at a start tolerance of 1e-14
+    (and the same floor in later iterations), costs inner iterations but
+    no outer one."""
+    monkeypatch.setattr(aladin, "INNER_TOL_START", 1e-14)
+    tight = aladin.run_aladin(part30, mset30, truth=truth30)
+    assert all(record.inner_tol == 1e-14 for record in tight.history)
+    assert tight.iterations == aladin30.iterations
+    assert all(record.note == "" for record in tight.history)
+    first = zip(tight.history[0].inner_iterations, aladin30.history[0].inner_iterations)
+    assert all(more > fewer for more, fewer in first)
+    assert (sum(sum(record.inner_iterations) for record in tight.history)
+            > sum(sum(record.inner_iterations) for record in aladin30.history))
+
+
+def test_first_iteration_solves_stop_relative_to_their_start(monkeypatch, aladin30, part30, mset30):
+    """A flat start's KKT residual is far above 1, so iteration 1 stops at
+    INNER_TOL_START times it, within 3 steps per region; later iterations
+    keep the absolute schedule, and the run still takes 3 iterations."""
+    assert aladin30.iterations == 3
+    assert max(aladin30.history[0].inner_iterations) <= 3
+    solve = local_solver.solve_local
+    sols = []
+
+    def recording(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(local_solver, "solve_local", recording)
+    result = aladin.run_aladin(part30, mset30)
+    n = part30.n_regions
+    assert [sol.inner_iterations for sol in sols[:n]] == list(aladin30.history[0].inner_iterations)
+    assert all(sol.tol > 1e3 * aladin.INNER_TOL_START for sol in sols[:n])
+    for record in result.history[1:]:
+        for sol in sols[(record.iteration - 1) * n: record.iteration * n]:
+            assert sol.tol == record.inner_tol
+            assert sol.converged and sol.kkt_residual <= sol.tol
+
+
+def test_the_240_bus_grid_stops_its_first_solves_early_and_matches_central():
+    """With two_tile30, the second tiled size: 8 tiles, seed 1."""
+    case = tiling.tiled_case(8)
+    part = partition.partition_grid(case, tiling.tile_assignment(case))
+    truth = powerflow.solve_power_flow(case).state
+    mset = measurements.simulate_measurements(
+        case, truth, rng=1, measured_lines=partition.internal_line_keys(part)
+    )
+    result = aladin.run_aladin(part, mset)
+    assert result.converged, result.note
+    assert result.iterations == 3
+    assert max(result.history[0].inner_iterations) <= 3
+    gap = np.abs(partition.restrict_state(part, result.zs) - central.solve_central(case, mset).x).max()
+    assert gap <= 1e-5
+
+
+def test_pretransposed_couplings_give_the_same_bits(part30):
+    lam = np.random.default_rng(3).standard_normal(part30.n_coupling_rows)
+    for a in part30.coupling:
+        assert np.array_equal(linalg.matvec(a.T.tocsr(), lam), linalg.matvec(a, lam, trans=True))
 
 
 def test_two_tile_estimate_matches_the_central_solve(two_tile30):

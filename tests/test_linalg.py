@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,6 +314,51 @@ def test_sparse_factor_rejects_singular_matrix():
     for m in ([[0.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2e-16]]):
         with pytest.raises(SingularMatrix):
             linalg.SparseFactor(scipy.sparse.csc_array(m))
+
+
+def _counting_structural_rank(monkeypatch):
+    """Empty the structural-rank cache and count the checks it runs."""
+    linalg._full_structural_rank.cache_clear()
+    rank = scipy.sparse.csgraph.structural_rank
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "structural_rank", counting)
+    return calls
+
+
+def test_sparse_factor_checks_each_pattern_structure_once(monkeypatch):
+    calls = _counting_structural_rank(monkeypatch)
+    m = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
+    linalg.SparseFactor(scipy.sparse.csc_array(m))
+    linalg.SparseFactor(scipy.sparse.csc_array(2.0 * m))
+    assert len(calls) == 1
+    # The same shape and nonzero count in other places is another pattern.
+    linalg.SparseFactor(scipy.sparse.csc_array(m[::-1]))
+    assert len(calls) == 2
+
+
+def test_a_structurally_singular_pattern_raises_after_full_rank_patterns_are_cached(monkeypatch):
+    calls = _counting_structural_rank(monkeypatch)
+    for n in range(2, 6):
+        linalg.SparseFactor(scipy.sparse.csc_array(np.eye(n)))
+    # The shape and nonzero count of the cached 3x3 identity, first column empty.
+    singular = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for _ in range(2):
+        with pytest.raises(SingularMatrix, match="structurally singular"):
+            linalg.SparseFactor(scipy.sparse.csc_array(singular))
+    assert len(calls) == 5
+
+
+def test_the_structural_rank_cache_stays_bounded():
+    linalg._full_structural_rank.cache_clear()
+    for n in range(1, 41):
+        linalg.SparseFactor(scipy.sparse.csc_array(np.eye(n)))
+    info = linalg._full_structural_rank.cache_info()
+    assert info.currsize <= info.maxsize <= 16
 
 
 def test_sparse_solve_kkt_ridge_recovers_a_singular_hessian_block():

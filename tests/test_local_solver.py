@@ -130,6 +130,26 @@ def test_max_inner_exhaustion_reports_not_converged():
     assert sol.inner_iterations == 0
 
 
+def test_a_relative_solve_stops_against_its_start_residual():
+    """relative scales tol by max(1, r0), r0 the KKT residual at y0 (what
+    a zero-step solve reports); each solution records the tolerance used."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 5))
+    b = 1e3 * rng.standard_normal(8)
+    residual, constraints = _Affine(a, b), _no_constraints(5)
+    r0 = local_solver.solve_local(residual, constraints, y0=np.zeros(5), tol=0.0, max_inner=0).kkt_residual
+    assert r0 > 1.0
+    relative = local_solver.solve_local(residual, constraints, y0=np.zeros(5), tol=1e-2, relative=True)
+    assert relative.tol == 1e-2 * r0
+    assert relative.converged and relative.kkt_residual <= relative.tol
+    absolute = local_solver.solve_local(residual, constraints, y0=np.zeros(5), tol=1e-2)
+    assert absolute.tol == 1e-2
+    # A start residual below 1 leaves the tolerance absolute.
+    small = local_solver.solve_local(residual, constraints, y0=absolute.y, tol=1e-2, relative=True)
+    assert small.tol == 1e-2
+    assert small.inner_iterations == 0
+
+
 def test_lying_jacobian_raises_inner_diverged():
     # A Jacobian with the wrong sign turns the computed step into an
     # ascent direction; backtracking must give up rather than loop.

@@ -57,7 +57,6 @@ class SensitivityUpload:
 class ConsensusSolution:
     steps: list[np.ndarray]
     lam: np.ndarray
-    kappas: list[np.ndarray]
     regularized: bool
 
     def float_count(self, region: int) -> int:
@@ -75,7 +74,6 @@ def solve_consensus(
         raise DimensionMismatch("no regions")
     n_coupling = couplings[0].shape[0]
     sizes = []
-    con_sizes = []
     for up, a in zip(uploads, couplings):
         n_i = up.fit_hessian.shape[0]
         if up.fit_hessian.shape != (n_i, n_i):
@@ -89,7 +87,6 @@ def solve_consensus(
         if up.coupling_image.shape != (n_coupling,):
             raise DimensionMismatch(f"region {up.region}: coupling image length mismatch")
         sizes.append(n_i)
-        con_sizes.append(up.constraint_jacobian.shape[0])
 
     hessian = scipy.sparse.block_diag(
         [scipy.sparse.coo_array(2.0 * up.fit_hessian) for up in uploads], format="csr"
@@ -100,7 +97,7 @@ def solve_consensus(
     border = scipy.sparse.hstack([scipy.sparse.csr_array(a, dtype=float) for a in couplings])
     jac = scipy.sparse.vstack([physics, border], format="csr")
     gradient = 2.0 * np.concatenate([up.fit_gradient for up in uploads])
-    m_total = sum(con_sizes)
+    m_total = physics.shape[0]
     gap = np.sum([up.coupling_image for up in uploads], axis=0)
     residual = np.concatenate([np.zeros(m_total), gap])
 
@@ -109,14 +106,5 @@ def solve_consensus(
             hessian=hessian, constraint_jacobian=jac, gradient=gradient, residual=residual
         )
     )
-    steps = []
-    kappas = []
-    offset = 0
-    con_offset = 0
-    for n_i, m_i in zip(sizes, con_sizes):
-        steps.append(sol.step[offset : offset + n_i])
-        kappas.append(sol.multipliers[con_offset : con_offset + m_i])
-        offset += n_i
-        con_offset += m_i
-    lam = sol.multipliers[m_total:]
-    return ConsensusSolution(steps=steps, lam=lam, kappas=kappas, regularized=sol.regularized)
+    steps = np.split(sol.step, np.cumsum(sizes)[:-1])
+    return ConsensusSolution(steps=steps, lam=sol.multipliers[m_total:], regularized=sol.regularized)

@@ -9,12 +9,14 @@ explicit null-space basis instead: solve_reduced_kkt eliminates those
 columns and factors the reduced Hessian, 2 N rows where the bordered
 matrix has 6 N, by Cholesky.  Every region, ADMM and central step does.
 
-The kind of the input picks the factorization; there is no size
-threshold.  Dense input is factored densely (LU, Cholesky or
-Bunch-Kaufman LDL^T through LAPACK): the region steps and the posterior
-bound's interior eliminations.  scipy.sparse input is factored with
-SuperLU (COLAMD column ordering): the consensus QP, the central step and
-the Newton power flow, hundreds to thousands of rows under 1 % nonzero.
+solve_kkt factors with SuperLU whatever kind its blocks are: its systems,
+the consensus QP and the multiplier refit of a Gauss-Newton solve stalled
+at its rounding floor, are mostly zeros.  Elsewhere the kind of the input
+picks the factorization; there is no size threshold.  Dense input is
+factored densely (LU or Cholesky through LAPACK): the region steps and
+the posterior bound's interior eliminations.  scipy.sparse input is
+factored with SuperLU (COLAMD column ordering): the central step and the
+Newton power flow, hundreds to thousands of rows under 1 % nonzero.
 
 All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
 gram and matvec below, never on numpy's matmul.  numpy and scipy each
@@ -45,7 +47,7 @@ from .errors import DimensionMismatch, SingularKkt, SingularMatrix
 
 # A pivot below PIVOT_RTOL times the largest absolute entry counts as zero.
 PIVOT_RTOL = 1e-14
-# Ridge added to the Hessian block when the bordered factorization fails.
+# Ridge added to the Hessian block when a KKT factorization fails.
 RIDGE_SCALE = 1e-9
 
 
@@ -156,44 +158,6 @@ class _Factor:
         x = self._solve_factored(b)
         x += self._solve_factored(b - matvec(self.matrix, x))
         return x
-
-
-class SymmetricFactor(_Factor):
-    """Bunch-Kaufman LDL^T factorization of a symmetric indefinite matrix.
-
-    LAPACK dsytrf factors, dsytrs solves.  Raises SingularMatrix when a 1x1
-    pivot, or the smaller eigenvalue in magnitude of a 2x2 pivot block, is
-    at most PIVOT_RTOL times the largest absolute entry of the matrix.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(m := np.asarray(matrix, dtype=float))
-        n = m.shape[0]
-        # Without the workspace query dsytrf gets lwork = n and falls back
-        # to the unblocked dsytf2, several times slower at a few hundred rows.
-        lwork, _ = scipy.linalg.lapack.dsytrf_lwork(n, lower=1)
-        self._ldu, self._ipiv, info = scipy.linalg.lapack.dsytrf(m, lower=1, lwork=max(int(lwork), 1))
-        if info > 0:
-            raise SingularMatrix("zero pivot in LDL^T factorization")
-        tol = PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny)
-        # A negative ipiv entry marks a row of a 2x2 block of D; a block takes
-        # two consecutive negative entries, so each run of them splits into
-        # pairs from its start.
-        d = self._ldu.diagonal()
-        pos = np.arange(n)
-        two = self._ipiv < 0
-        run_start = np.maximum.accumulate(np.where(two, 0, pos + 1))
-        first = np.flatnonzero(two & ((pos - run_start) % 2 == 0))
-        if np.any(np.abs(d[~two]) <= tol):
-            raise SingularMatrix("zero pivot in LDL^T factorization")
-        a, b, c = d[first], self._ldu[first + 1, first], d[first + 1]
-        half_tr = 0.5 * (a + c)
-        disc = np.hypot(0.5 * (a - c), b)
-        if np.any(np.minimum(np.abs(half_tr - disc), np.abs(half_tr + disc)) <= tol):
-            raise SingularMatrix("singular 2x2 pivot block in LDL^T factorization")
-
-    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lapack.dsytrs(self._ldu, self._ipiv, rhs, lower=1)[0]
 
 
 class CholeskyFactor(_Factor):
@@ -309,9 +273,8 @@ class KktSystem:
         [ J   0  ] [ mult ] = [ -residual ]
 
     hessian must be symmetric (checked to 1e-12 relative); the constraint
-    block may be empty (zero rows).  Either block may be a scipy.sparse
-    matrix, which is kept as CSR; solve_kkt then factors the bordered
-    matrix sparsely.
+    block may be empty (zero rows).  Either block may be dense or
+    scipy.sparse, which is kept as CSR.
     """
 
     hessian: np.ndarray | scipy.sparse.sparray
@@ -397,19 +360,18 @@ def _with_ridge(attempt, hessian_diagonal):
 
 
 def solve_kkt(system: KktSystem) -> KktSolution:
-    """Solve one KKT system by factoring the full bordered matrix.
+    """Solve one KKT system by factoring the full bordered matrix with
+    SparseFactor, whatever kind its blocks are.
 
-    Dense blocks are factored with SymmetricFactor, scipy.sparse blocks
-    with SparseFactor.  A singular factor gets one retry with a ridge on
-    the Hessian block and a warning (_with_ridge); a system that stays
-    singular raises SingularKkt.  Post-conditions (for the unridged
-    solve): the stationarity and feasibility residuals of the returned
-    solution are below 1e-8 in the infinity norm.
+    A singular factor gets one retry with a ridge on the Hessian block and
+    a warning (_with_ridge); a system that stays singular raises
+    SingularKkt.  Post-conditions (for the unridged solve): the
+    stationarity and feasibility residuals of the returned solution are
+    below 1e-8 in the infinity norm.
     """
     def factor(ridge: float):
-        matrix = bordered_matrix(plus_diagonal(system.hessian, ridge) if ridge else system.hessian,
-                                 system.constraint_jacobian)
-        return SparseFactor(matrix) if scipy.sparse.issparse(matrix) else SymmetricFactor(matrix)
+        hessian = plus_diagonal(system.hessian, ridge) if ridge else system.hessian
+        return SparseFactor(bordered_matrix(hessian, system.constraint_jacobian))
 
     factored, regularized = _with_ridge(factor, system.hessian.diagonal)
     sol = factored.solve(np.concatenate([-system.gradient, -system.residual]))

@@ -9,11 +9,11 @@ where F is a weighted measurement residual and H the power flow physics of
 one region.  The quadratic model uses the Gauss-Newton Hessian
 2 B^T B + rho P^T P + mu I (B the residual Jacobian, P the prox selector),
 and steps are globalized with a backtracking Armijo search on the exact
-l1 merit function.  Each step solves one KKT system.  Constraints that
-name the columns where their Jacobian is the identity (identity_columns:
-the p and q of grid.PowerFlowModel) get linalg.solve_reduced_kkt, a
-Cholesky solve in the remaining (theta, v) space; others get the bordered
-linalg.solve_kkt.  Either is dense or sparse as the Jacobians are.
+l1 merit function.  Each step solves one KKT system with
+linalg.solve_reduced_kkt, which eliminates the columns where the
+constraint Jacobian is the identity (identity_columns: the p and q of
+grid.PowerFlowModel) and solves in the remaining (theta, v) space, dense
+or sparse as the Jacobians are.
 
 The same routine serves three callers: the distributed consensus loop
 (prox over all coordinates, lin from the coupling duals), the alternating
@@ -77,12 +77,13 @@ def solve_local(
     multipliers.  The solution's tol is the absolute tolerance used.
 
     residual and constraints expose eval(y) and jacobian(y), both dense or
-    both scipy.sparse; constraints may also name identity_columns, which
-    picks the reduced step.  prox_idx selects the coordinates the proximal
-    term acts on (None means all of them); prox_target must match its
-    length.  Returns the last iterate with converged=False when max_inner
-    runs out; raises InnerDiverged when the line search cannot produce
-    decrease and SingularKkt when a step's system stays singular.
+    both scipy.sparse; constraints must also name identity_columns, one
+    column per constraint row where its Jacobian is that row's unit
+    vector (linalg.solve_reduced_kkt).  prox_idx selects the coordinates
+    the proximal term acts on (None means all of them); prox_target must
+    match its length.  Returns the last iterate with converged=False when
+    max_inner runs out; raises InnerDiverged when the line search cannot
+    produce decrease and SingularKkt when a step's system stays singular.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -104,7 +105,6 @@ def solve_local(
     h = constraints.eval(y)
     big_c = constraints.jacobian(y)
     kappa = np.zeros(big_c.shape[0])
-    identity = getattr(constraints, "identity_columns", None)
     nu = 10.0
     inner = 0
     kkt_res = np.inf
@@ -139,11 +139,7 @@ def solve_local(
             break
         shift = np.full(n, mu)
         shift[idx] += rho
-        if identity is None:
-            hess = linalg.plus_diagonal(linalg.gram(big_b, 2.0), shift)
-            sol = linalg.solve_kkt(linalg.KktSystem(hess, big_c, grad, h))
-        else:
-            sol = linalg.solve_reduced_kkt(big_b, big_c, identity, shift, grad, h)
+        sol = linalg.solve_reduced_kkt(big_b, big_c, constraints.identity_columns, shift, grad, h)
         step, kappa_new = sol.step, sol.multipliers
         # The merit penalty must dominate the multipliers and never shrink.
         nu = max(nu, 2.0 * np.abs(kappa_new).max(initial=0.0) + 1.0)

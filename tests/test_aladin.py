@@ -130,25 +130,14 @@ def test_inner_tolerance_follows_the_consensus_violation(aladin30):
     assert all(record.inner_tol >= aladin.INNER_TOL for record in history)
 
 
-def test_inexact_solves_save_inner_iterations_without_an_outer_one(monkeypatch, aladin30, part30, mset30, truth30):
-    monkeypatch.setattr(aladin, "INNER_TOL_START", aladin.INNER_TOL)
-    exact = aladin.run_aladin(part30, mset30, truth=truth30)
-    assert all(record.inner_tol == aladin.INNER_TOL for record in exact.history)
-    assert exact.iterations == aladin30.iterations
-
-    def total(result):
-        return sum(sum(record.inner_iterations) for record in result.history)
-
-    assert total(aladin30) < total(exact)
-
-
-def test_a_tighter_start_tolerance_costs_inner_iterations_only(monkeypatch, aladin30, part30, mset30, truth30):
-    """The relative first-iteration stop, at a start tolerance of 1e-14
-    (and the same floor in later iterations), costs inner iterations but
-    no outer one."""
-    monkeypatch.setattr(aladin, "INNER_TOL_START", 1e-14)
+@pytest.mark.parametrize("start", [aladin.INNER_TOL, 1e-14])
+def test_a_tighter_start_tolerance_costs_inner_iterations_only(monkeypatch, aladin30, part30, mset30, truth30, start):
+    """The relative first-iteration stop, at a start tolerance of
+    INNER_TOL or 1e-14 (and the same floor in later iterations), costs
+    inner iterations but no outer one."""
+    monkeypatch.setattr(aladin, "INNER_TOL_START", start)
     tight = aladin.run_aladin(part30, mset30, truth=truth30)
-    assert all(record.inner_tol == 1e-14 for record in tight.history)
+    assert all(record.inner_tol == start for record in tight.history)
     assert tight.iterations == aladin30.iterations
     assert all(record.note == "" for record in tight.history)
     first = zip(tight.history[0].inner_iterations, aladin30.history[0].inner_iterations)

@@ -143,46 +143,6 @@ def test_solve_linear_sends_sparse_input_to_sparse_lu():
         linalg.solve_linear(scipy.sparse.csr_array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
 
 
-def test_symmetric_factor_indefinite_system():
-    rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    eig = np.array([-4.0, -2.0, -1.0, -0.5, 0.3, 1.0, 2.0, 3.0, 5.0])
-    m = q @ np.diag(eig) @ q.T
-    m = 0.5 * (m + m.T)
-    factor = linalg.SymmetricFactor(m)
-    for _ in range(3):
-        b = rng.standard_normal(9)
-        x = factor.solve(b)
-        assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
-
-
-def test_symmetric_factor_rejects_singular_matrix():
-    m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularMatrix):
-        linalg.SymmetricFactor(m)
-
-
-def test_symmetric_factor_rejects_a_singular_2x2_pivot_block():
-    # 1 (+) [[0, e], [e, 0]]: the zero diagonal forces a 2x2 pivot whose
-    # eigenvalues +-1e-15 are below PIVOT_RTOL times the largest entry.
-    m = np.zeros((3, 3))
-    m[0, 0] = 1.0
-    m[1, 2] = m[2, 1] = 1e-15
-    with pytest.raises(SingularMatrix, match="2x2"):
-        linalg.SymmetricFactor(m)
-
-
-def test_symmetric_factor_solves_the_columns_of_a_2d_rhs():
-    rng = np.random.default_rng(2)
-    root = rng.standard_normal((12, 12))
-    m = root + root.T
-    m[:4, :4] = 0.0  # zero diagonal entries force 2x2 pivots
-    b = rng.standard_normal((12, 5))
-    x = linalg.SymmetricFactor(m).solve(b)
-    assert x.shape == (12, 5)
-    assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
-
-
 def test_solve_kkt_hand_example():
     # minimize d^T d + (2, 0)^T d subject to d_1 + d_2 = 0:
     # elimination gives step (-1/2, 1/2) and multiplier -1.

@@ -10,11 +10,13 @@ from gridest.errors import InnerDiverged, SingularKkt
 
 
 class _Affine:
-    """eval(y) = A y - b with the exact Jacobian A."""
+    """eval(y) = A y - b with the exact Jacobian A.  As constraints, A's
+    column identity_columns[r] must be unit vector r."""
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, identity_columns=()):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
+        self.identity_columns = np.asarray(identity_columns, dtype=int)
 
     def eval(self, y):
         return self.a @ y - self.b
@@ -90,7 +92,7 @@ def test_linear_penalty_shifts_the_optimum():
 def test_equality_constraint_and_multipliers():
     # minimize ||y - a||^2 subject to y_1 + y_2 = 1.
     a = np.array([3.0, -1.0])
-    constraints = _Affine(np.array([[1.0, 1.0]]), np.array([1.0]))
+    constraints = _Affine(np.array([[1.0, 1.0]]), np.array([1.0]), identity_columns=[1])
     sol = local_solver.solve_local(_Affine(np.eye(2), a), constraints, y0=np.zeros(2))
     assert sol.converged
     # Projection of a onto the constraint plane.
@@ -102,21 +104,26 @@ def test_equality_constraint_and_multipliers():
 
 
 def test_nonlinear_problem_converges_quadratically():
-    class Circle:
+    # minimize ||y - t||^2 on the paraboloid y_2 = y_0^2 + y_1^2, whose
+    # Jacobian is the identity on column 2.
+    class Paraboloid:
+        identity_columns = np.array([2])
+
         def eval(self, y):
-            return np.array([y[0] ** 2 + y[1] ** 2 - 4.0])
+            return np.array([y[2] - y[0] ** 2 - y[1] ** 2])
 
         def jacobian(self, y):
-            return np.array([[2.0 * y[0], 2.0 * y[1]]])
+            return np.array([[-2.0 * y[0], -2.0 * y[1], 1.0]])
 
-    target = np.array([3.0, 0.1])
-    sol = local_solver.solve_local(
-        _Affine(np.eye(2), target), Circle(), y0=np.array([1.5, 0.5])
-    )
+    paraboloid = Paraboloid()
+    target = np.array([1.0, 0.0, 0.5])
+    sol = local_solver.solve_local(_Affine(np.eye(3), target), paraboloid, y0=np.zeros(3))
     assert sol.converged
-    assert sol.y[0] ** 2 + sol.y[1] ** 2 == pytest.approx(4.0, abs=1e-8)
-    # The constrained optimum of a radial objective sits on the ray to the target.
-    assert np.allclose(sol.y, 2.0 * target / np.linalg.norm(target), atol=1e-6)
+    assert np.abs(paraboloid.eval(sol.y)).max() <= 1e-8
+    stationarity = 2.0 * (sol.y - target) + paraboloid.jacobian(sol.y).T @ sol.kappa
+    assert np.abs(stationarity).max() <= 1e-8
+    # On y = (x, 0, x^2) the objective's derivative 4 x^3 - 2 vanishes at x = 2^(-1/3).
+    assert np.allclose(sol.y, [2.0 ** (-1 / 3), 0.0, 2.0 ** (-2 / 3)], atol=1e-8)
 
 
 def test_max_inner_exhaustion_reports_not_converged():
@@ -271,3 +278,31 @@ def test_a_reduced_hessian_left_singular_after_the_ridge_raises_singular_kkt(cas
     with pytest.warns(UserWarning, match="KKT factorization failed"):
         with pytest.raises(SingularKkt):
             local_solver.solve_local(residual, model, y0=y)
+
+
+@pytest.mark.parametrize("form", ["region", "central"])
+def test_refit_multipliers_are_the_least_squares_multipliers(part30, mset30, case30, central30, form):
+    """The refit at a converged iterate: a dense paper30 region with its
+    consensus prox, and the central solve in its sparse form."""
+    if form == "region":
+        region, rset = part30.regions[0], measurements.split_by_region(mset30, part30)[0]
+        residual = measurements.RegionResidual(region.case, rset)
+        model = grid.PowerFlowModel(region.case)
+        flat = grid.flat_state(region.case.n_bus)
+        rho = 1e4
+        y = local_solver.solve_local(residual, model, y0=flat, rho=rho, prox_target=flat).y
+        grad = 2.0 * residual.jacobian(y).T @ residual.eval(y) + rho * (y - flat)
+        big_c = model.jacobian(y)
+    else:
+        residual = central._sparse(measurements.RegionResidual(case30, mset30))
+        model = central._sparse(grid.PowerFlowModel(case30))
+        y = central30.x
+        grad = 2.0 * linalg.matvec(residual.jacobian(y), residual.eval(y), trans=True)
+        big_c = model.jacobian(y)
+        assert scipy.sparse.issparse(big_c)
+    kappa, kkt_res = local_solver._refit_multipliers(grad, big_c, model.eval(y), None, np.inf)
+    dense_c = big_c.toarray() if scipy.sparse.issparse(big_c) else big_c
+    want = np.linalg.lstsq(dense_c.T, -grad, rcond=None)[0]
+    assert np.abs(kappa - want).max() <= 1e-10 * np.abs(want).max()
+    # The refit leaves stationarity at the rounding of the gradient.
+    assert kkt_res <= 1e-11 * np.abs(grad).max()

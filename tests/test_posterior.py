@@ -159,7 +159,7 @@ def test_monte_carlo_consistency(case6, truth6):
 
 
 def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
-    """Reference: dense bordered matrix factored with Bunch-Kaufman."""
+    """Reference: dense bordered matrix factored with LU (solve_linear)."""
     hess = scipy.linalg.block_diag(*[bj.T @ bj for bj in fit_jacobians])
     cons = scipy.linalg.block_diag(*constraint_jacobians)
     if couplings is not None:
@@ -168,7 +168,7 @@ def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
     n = hess.shape[0]
     rhs = np.zeros((bordered.shape[0], n))
     rhs[:n] = np.eye(n)
-    cov = linalg.SymmetricFactor(bordered).solve(rhs)[:n]
+    cov = linalg.solve_linear(bordered, rhs)[:n]
     return 0.5 * (cov + cov.T)
 
 

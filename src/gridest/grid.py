@@ -41,6 +41,7 @@ so callers choose the container and get identical numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,8 @@ class Bus:
     def __post_init__(self):
         if self.kind not in BUS_KINDS:
             raise ValidationError(f"bus {self.id}: unknown kind {self.kind!r}, expected one of {BUS_KINDS}")
+        if not all(map(math.isfinite, (self.p_load, self.q_load, self.p_gen, self.q_gen, self.v_setpoint))):
+            raise ValidationError(f"bus {self.id}: loads, generation and voltage setpoint must be finite")
         if self.v_setpoint <= 0.0:
             raise ValidationError(f"bus {self.id}: voltage setpoint must be positive")
 
@@ -94,6 +97,8 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus}-{self.to_bus}: self loops are not allowed")
+        if not (math.isfinite(self.r) and math.isfinite(self.x)):
+            raise ValidationError(f"line {self.from_bus}-{self.to_bus}: r and x must be finite")
         if self.r * self.r + self.x * self.x <= 0.0:
             raise ValidationError(f"line {self.from_bus}-{self.to_bus}: r^2 + x^2 must be positive")
 
@@ -126,8 +131,8 @@ class GridCase:
     _by_key: dict[tuple[int, int], Line] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base_mva <= 0.0:
-            raise ValidationError("base MVA must be positive")
+        if not 0.0 < self.base_mva < math.inf:
+            raise ValidationError(f"case {self.name}: base MVA must be positive and finite")
         ids = [bus.id for bus in self.buses]
         if len(set(ids)) != len(ids):
             seen, dupes = set(), set()

@@ -1,22 +1,27 @@
 """Direct solvers used everywhere else in the package.
 
-Square general systems go through partially pivoted LU.  A KKT system is
-symmetric but indefinite; solve_kkt factors it whole, as a bordered
-matrix, with no assumption that the Hessian block alone is invertible.
-A Gauss-Newton KKT system whose constraint Jacobian is the identity on
-some columns, as the power-flow rows are on each node's (p, q), has an
-explicit null-space basis instead: solve_reduced_kkt eliminates those
-columns and factors the reduced Hessian, 2 N rows where the bordered
-matrix has 6 N, by Cholesky.  Every region, ADMM and central step does.
+Every factorization is a _Factor: it factors a square matrix once, then
+solves right-hand sides with one step of iterative refinement each.
+Which factor serves which caller:
 
-solve_kkt factors with SuperLU whatever kind its blocks are: its systems,
-the consensus QP and the multiplier refit of a Gauss-Newton solve stalled
-at its rounding floor, are mostly zeros.  Elsewhere the kind of the input
-picks the factorization; there is no size threshold.  Dense input is
-factored densely (LU or Cholesky through LAPACK): the region steps and
-the posterior bound's interior eliminations.  scipy.sparse input is
-factored with SuperLU (COLAMD column ordering): the central step and the
-Newton power flow, hundreds to thousands of rows under 1 % nonzero.
+* LuFactor, partially pivoted dense LU: solve_linear on dense input, the
+  posterior bound's interior eliminations and its boundary system.
+* CholeskyFactor: solve_reduced_kkt on dense Jacobians, every region and
+  ADMM step.  A Gauss-Newton KKT system whose constraint Jacobian is the
+  identity on some columns, as the power-flow rows are on each node's
+  (p, q), has an explicit null-space basis: solve_reduced_kkt eliminates
+  those columns and factors the reduced Hessian, 2 N rows where the
+  bordered matrix has 6 N.
+* SparseFactor, SuperLU with COLAMD column ordering: solve_linear and
+  solve_reduced_kkt on scipy.sparse input (the Newton power flow and the
+  central step, hundreds to thousands of rows under 1 % nonzero), and
+  every solve_kkt system.  solve_kkt factors the whole bordered matrix,
+  symmetric but indefinite, with no assumption that the Hessian block
+  alone is invertible; its systems, the consensus QP and the multiplier
+  refit of a Gauss-Newton solve stalled at its rounding floor, are mostly
+  zeros, so KktSystem keeps both blocks as CSR.
+
+The kind of the input picks the factor; there is no size threshold.
 
 All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
 gram and matvec below, never on numpy's matmul.  numpy and scipy each
@@ -106,40 +111,20 @@ def matvec(a, x, trans: bool = False):
 
 
 def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a square system: dense LU, or SparseFactor for scipy.sparse input.
+    """Solve a square system: LuFactor for dense input, SparseFactor for
+    scipy.sparse input.
 
-    A dense matrix is factored with partially pivoted LU.  One step of
-    iterative refinement keeps the backward error at
+    The factor's refinement step keeps the backward error at
     norm(A x - rhs, inf) <= 1e-9 (1 + norm(rhs, inf)) for anything this
-    package produces.
-
-    Raises SingularMatrix when a pivot falls below PIVOT_RTOL times the
-    largest absolute entry of the matrix (and as SparseFactor describes
-    for sparse input).
+    package produces.  Raises ValueError on non-finite entries,
+    DimensionMismatch on a non-square matrix or an rhs of the wrong
+    length, and SingularMatrix as the factor describes.
     """
     sparse = scipy.sparse.issparse(matrix)
     a = scipy.sparse.csc_array(matrix, dtype=float) if sparse else np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {a.shape[0]}")
-    if not (np.all(np.isfinite(a.data if sparse else a)) and np.all(np.isfinite(b))):
+    if not (np.all(np.isfinite(a.data if sparse else a)) and np.all(np.isfinite(rhs))):
         raise ValueError("non-finite entries in linear system")
-    if sparse:
-        return SparseFactor(a).solve(b)
-    # LAPACK and BLAS read Fortran order; converting once here spares the
-    # refinement product a copy.
-    a = np.asfortranarray(a)
-    scale = max(np.abs(a).max(), np.finfo(float).tiny)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    if np.abs(np.diag(lu)).min() <= PIVOT_RTOL * scale:
-        raise SingularMatrix("pivot below singularity threshold in LU factorization")
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    x += scipy.linalg.lu_solve((lu, piv), b - matvec(a, x))
-    return x
+    return (SparseFactor if sparse else LuFactor)(a).solve(rhs)
 
 
 class _Factor:
@@ -160,6 +145,24 @@ class _Factor:
         return x
 
 
+class LuFactor(_Factor):
+    """Partially pivoted LU factorization (LAPACK dgetrf, dgetrs) of a dense
+    matrix, held in Fortran order so that neither LAPACK nor the refinement
+    product copies it.  Raises SingularMatrix when a pivot falls below
+    PIVOT_RTOL times the largest absolute entry of the matrix."""
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(m := np.asfortranarray(matrix, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            self._lu = scipy.linalg.lu_factor(m)
+        if np.abs(np.diag(self._lu[0])).min() <= PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny):
+            raise SingularMatrix("pivot below singularity threshold in LU factorization")
+
+    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lu_solve(self._lu, rhs)
+
+
 class CholeskyFactor(_Factor):
     """Cholesky factorization L L^T (LAPACK dpotrf, dpotrs) of a symmetric
     positive definite matrix, of which only the lower triangle is read.
@@ -178,13 +181,15 @@ class CholeskyFactor(_Factor):
 
 
 class SparseFactor(_Factor):
-    """Sparse LU factorization (SuperLU, COLAMD column ordering).
+    """Sparse LU factorization (SuperLU, COLAMD column ordering) of a
+    scipy.sparse matrix of any format, converted to CSC.
 
     Raises SingularMatrix when the matrix is structurally singular (its
     stored pattern admits no nonzero diagonal under any row permutation),
     when SuperLU meets an exactly zero pivot, or when a diagonal entry of U
     falls below PIVOT_RTOL times the largest absolute entry of the matrix.
-    The structural verdict is cached per exact pattern (_full_structural_rank).
+    The structural verdict is cached per exact pattern, keyed on the bytes
+    of indptr and indices (_full_structural_rank).
     """
 
     def __init__(self, matrix):
@@ -195,7 +200,7 @@ class SparseFactor(_Factor):
         # column with no candidate pivot row can abort the factorization
         # mid-way or crash the process.  Such a matrix is singular for any
         # values, so it never reaches SuperLU.
-        if not _full_structural_rank(_Pattern(m)):
+        if not _full_structural_rank(m.shape, m.indices.dtype.str, m.indptr.tobytes(), m.indices.tobytes()):
             raise SingularMatrix("structurally singular matrix")
         try:
             self._lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD")
@@ -208,61 +213,29 @@ class SparseFactor(_Factor):
         return self._lu.solve(rhs)
 
 
-class _Pattern:
-    """The stored pattern of a compressed sparse matrix as a cache key.
-
-    Equal only to a pattern with the same shape, indptr and indices, entry
-    for entry: the verdict it keys guards SuperLU's memory safety, so a
-    hash collision must never pass for a hit.  It holds copies, so a caller
-    that later writes into its matrix cannot change a cached pattern.
-    """
-
-    __slots__ = ("shape", "indptr", "indices")
-
-    def __init__(self, m):
-        self.shape = m.shape
-        self.indptr = m.indptr.copy()
-        self.indices = m.indices.copy()
-
-    def __hash__(self) -> int:
-        return hash((self.shape, len(self.indices)))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, _Pattern) and self.shape == other.shape
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
-
-
 @functools.lru_cache(maxsize=8)
-def _full_structural_rank(pattern: _Pattern) -> bool:
-    """Whether a square pattern's structural rank is its size.
+def _full_structural_rank(shape: tuple[int, int], index_dtype: str, indptr: bytes, indices: bytes) -> bool:
+    """Whether a square CSC pattern's structural rank is its size.
 
     A run factors the same few patterns over and over (the Newton matrix,
     the consensus KKT, the central step), and the bipartite matching costs
     milliseconds on thousands of rows, so the last few verdicts are kept.
-    Structural rank counts stored entries, explicit zeros included, and a
-    pattern's transpose has the same rank, so the CSC arrays are read as
-    CSR with no conversion.
+    The key is the pattern's bytes: the verdict guards SuperLU's memory
+    safety, so a hit needs them equal, not just their hash, and being
+    copies, they do not change when the caller later writes into its
+    matrix.  Structural rank counts stored entries, explicit zeros
+    included, and a pattern's transpose has the same rank, so the CSC
+    arrays are read as CSR with no conversion.
     """
-    transposed = scipy.sparse.csr_array(
-        (np.ones(len(pattern.indices)), pattern.indices, pattern.indptr), shape=pattern.shape[::-1]
-    )
-    return scipy.sparse.csgraph.structural_rank(transposed) == pattern.shape[0]
+    indptr, indices = (np.frombuffer(a, dtype=index_dtype) for a in (indptr, indices))
+    transposed = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=shape[::-1])
+    return scipy.sparse.csgraph.structural_rank(transposed) == shape[0]
 
 
 def _max_abs(a) -> float:
     """Largest absolute entry of a dense array or a scipy.sparse matrix (0 if empty)."""
     values = a.data if scipy.sparse.issparse(a) else a
     return float(np.abs(values).max(initial=0.0))
-
-
-def _as_block(a):
-    """A KKT block as float: a dense array, or CSR when it arrives as scipy.sparse."""
-    if scipy.sparse.issparse(a):
-        out = scipy.sparse.csr_array(a, dtype=float)
-        out.sum_duplicates()
-        return out
-    return np.asarray(a, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -273,18 +246,17 @@ class KktSystem:
         [ J   0  ] [ mult ] = [ -residual ]
 
     hessian must be symmetric (checked to 1e-12 relative); the constraint
-    block may be empty (zero rows).  Either block may be dense or
-    scipy.sparse, which is kept as CSR.
+    block may be empty (zero rows).  Either block may arrive dense or
+    scipy.sparse; both are kept as CSR, since solve_kkt factors sparse.
     """
 
-    hessian: np.ndarray | scipy.sparse.sparray
-    constraint_jacobian: np.ndarray | scipy.sparse.sparray
+    hessian: scipy.sparse.csr_array
+    constraint_jacobian: scipy.sparse.csr_array
     gradient: np.ndarray
     residual: np.ndarray
 
     def __post_init__(self):
-        h = _as_block(self.hessian)
-        j = _as_block(self.constraint_jacobian)
+        h, j = (scipy.sparse.csr_array(a, dtype=float) for a in (self.hessian, self.constraint_jacobian))
         g = np.asarray(self.gradient, dtype=float)
         r = np.asarray(self.residual, dtype=float)
         object.__setattr__(self, "hessian", h)
@@ -300,8 +272,8 @@ class KktSystem:
             raise DimensionMismatch(f"gradient shape {g.shape} does not match state size {n}")
         if r.shape != (j.shape[0],):
             raise DimensionMismatch(f"residual shape {r.shape} does not match constraint count {j.shape[0]}")
-        for name, arr in (("hessian", h), ("constraint jacobian", j), ("gradient", g), ("residual", r)):
-            if not np.all(np.isfinite(arr.data if scipy.sparse.issparse(arr) else arr)):
+        for name, arr in (("hessian", h.data), ("constraint jacobian", j.data), ("gradient", g), ("residual", r)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
         if _max_abs(h - h.T) > 1e-12 * (1.0 + _max_abs(h)):
             raise ValueError("hessian is not symmetric")
@@ -360,8 +332,8 @@ def _with_ridge(attempt, hessian_diagonal):
 
 
 def solve_kkt(system: KktSystem) -> KktSolution:
-    """Solve one KKT system by factoring the full bordered matrix with
-    SparseFactor, whatever kind its blocks are.
+    """Solve one KKT system by factoring the full bordered matrix, CSC
+    from the CSR blocks, with SparseFactor.
 
     A singular factor gets one retry with a ridge on the Hessian block and
     a warning (_with_ridge); a system that stays singular raises

@@ -194,8 +194,7 @@ def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     ||grad + C^T k||.  Returns (kappa, kkt_res) of whichever of the given
     and the refitted multipliers has the smaller KKT residual.
     """
-    n = len(grad)
-    eye = scipy.sparse.eye_array(n) if scipy.sparse.issparse(big_c) else np.eye(n)
+    eye = scipy.sparse.eye_array(len(grad))
     fitted = linalg.solve_kkt(
         linalg.KktSystem(hessian=eye, constraint_jacobian=big_c, gradient=grad, residual=np.zeros(len(h)))
     ).multipliers

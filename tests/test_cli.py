@@ -243,6 +243,20 @@ def test_convert_rejects_a_bad_base_mva_with_exit_two(tmp_path, capsys, base_mva
     assert "(line 1)" in err
 
 
+@pytest.mark.parametrize("column, token", [(2, "nan"), (3, "inf"), (2, "-inf")])
+def test_convert_rejects_a_non_finite_branch_value_with_exit_two(tmp_path, capsys, column, token):
+    row = ["1", "2", "0.02", "0.06", "0", "0", "0", "0", "0", "0", "1"]
+    row[column] = token
+    tables = tmp_path / "t.txt"
+    tables.write_text(
+        "base_mva 100\n[bus]\n1 3 0 0 0 0 1 1.06 0 132 1 1.06 0.94\n2 1 20 10 0 0 1 1 0 132 1 1.06 0.94\n"
+        f"[branch]\n{' '.join(row)}\n"
+    )
+    assert _run("convert", tables, tmp_path / "out.yaml") == 2
+    assert capsys.readouterr().err.startswith("error: line 1-2: r and x must be finite")
+    assert not (tmp_path / "out.yaml").exists()
+
+
 def test_check_rejects_a_non_finite_case_value_with_exit_two(tmp_path, capsys):
     path = tmp_path / "c.yaml"
     caseio.dump_case(caseio.builtin_case("six_bus"), path)

@@ -44,6 +44,18 @@ def test_line_validation():
     assert grid.Line(2, 1, 0.1, 0.2).key() == (1, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_data_model_rejects_non_finite_numbers(bad):
+    for field in ("p_load", "q_load", "p_gen", "q_gen", "v_setpoint"):
+        with pytest.raises(ValidationError, match="bus 4: .* must be finite"):
+            grid.Bus(4, **{field: bad})
+    for r, x in ((bad, 0.1), (0.02, bad)):
+        with pytest.raises(ValidationError, match="line 1-2: r and x must be finite"):
+            grid.Line(1, 2, r, x)
+    with pytest.raises(ValidationError, match="case t: base MVA"):
+        grid.GridCase("t", bad, (grid.Bus(1, "slack"),), ())
+
+
 def test_zero_resistance_line_admittance():
     line = grid.Line(1, 2, 0.0, 0.2)
     assert line.g == pytest.approx(0.0)

@@ -184,57 +184,64 @@ def test_solve_kkt_without_constraints_is_a_newton_step():
     assert sol.multipliers.size == 0
 
 
+# KktSystem keeps both blocks as CSR whatever kind it receives, so each of
+# the next three tests runs its assertions on dense and on sparse input.
+BLOCK_KINDS = (np.asarray, scipy.sparse.csr_array)
+
+
 def test_solve_kkt_ridge_recovers_a_singular_hessian_block():
     # Zero Hessian with one constraint row: the bordered matrix has an
     # exactly zero pivot until the ridge fills the unconstrained direction.
-    system = linalg.KktSystem(
-        hessian=np.zeros((2, 2)),
-        constraint_jacobian=np.array([[1.0, 0.0]]),
-        gradient=np.array([0.0, 0.0]),
-        residual=np.array([1.0]),
-    )
-    with pytest.warns(UserWarning):
-        sol = linalg.solve_kkt(system)
-    assert sol.regularized
-    assert abs(sol.step[0] + 1.0) <= 1e-9
+    for kind in BLOCK_KINDS:
+        system = linalg.KktSystem(
+            hessian=kind(np.zeros((2, 2))),
+            constraint_jacobian=kind(np.array([[1.0, 0.0]])),
+            gradient=np.array([0.0, 0.0]),
+            residual=np.array([1.0]),
+        )
+        with pytest.warns(UserWarning):
+            sol = linalg.solve_kkt(system)
+        assert sol.regularized
+        assert abs(sol.step[0] + 1.0) <= 1e-9
 
 
 def test_solve_kkt_raises_when_ridge_cannot_help():
     # Duplicated constraint rows stay linearly dependent no matter what
     # is added to the Hessian block.
-    system = linalg.KktSystem(
-        hessian=np.zeros((2, 2)),
-        constraint_jacobian=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        gradient=np.zeros(2),
-        residual=np.zeros(2),
-    )
-    with pytest.warns(UserWarning):
-        with pytest.raises(SingularKkt):
-            linalg.solve_kkt(system)
-
-
-def test_kkt_system_validation():
-    with pytest.raises(ValueError):
-        linalg.KktSystem(
-            hessian=np.array([[1.0, 2.0], [0.0, 1.0]]),
-            constraint_jacobian=np.zeros((0, 2)),
-            gradient=np.zeros(2),
-            residual=np.zeros(0),
-        )
-    with pytest.raises(DimensionMismatch):
-        linalg.KktSystem(
-            hessian=np.eye(2),
-            constraint_jacobian=np.zeros((1, 3)),
-            gradient=np.zeros(2),
-            residual=np.zeros(1),
-        )
-    with pytest.raises(DimensionMismatch):
-        linalg.KktSystem(
-            hessian=np.eye(2),
-            constraint_jacobian=np.zeros((1, 2)),
+    for kind in BLOCK_KINDS:
+        system = linalg.KktSystem(
+            hessian=kind(np.zeros((2, 2))),
+            constraint_jacobian=kind(np.array([[1.0, 0.0], [1.0, 0.0]])),
             gradient=np.zeros(2),
             residual=np.zeros(2),
         )
+        with pytest.warns(UserWarning):
+            with pytest.raises(SingularKkt):
+                linalg.solve_kkt(system)
+
+
+def test_kkt_system_validation():
+    # Each case: the error and its message, the hessian, the constraint
+    # Jacobian, and the lengths of the gradient and the residual.
+    cases = [
+        ((ValueError, "not symmetric"), [[1.0, 2.0], [0.0, 1.0]], np.zeros((0, 2)), 2, 0),
+        ((ValueError, "non-finite"), [[1.0, 0.0], [0.0, np.inf]], np.zeros((0, 2)), 2, 0),
+        ((ValueError, "non-finite"), np.eye(2), [[np.nan, 1.0]], 2, 1),
+        ((DimensionMismatch, "hessian must be square"), np.zeros((2, 3)), np.zeros((0, 3)), 2, 0),
+        ((DimensionMismatch, "constraint jacobian"), np.eye(2), np.zeros((1, 3)), 2, 1),
+        ((DimensionMismatch, "residual shape"), np.eye(2), np.zeros((1, 2)), 2, 2),
+    ]
+    for kind in BLOCK_KINDS:
+        for (error, match), hessian, jacobian, n_gradient, n_residual in cases:
+            with pytest.raises(error, match=match):
+                linalg.KktSystem(
+                    hessian=kind(np.array(hessian)),
+                    constraint_jacobian=kind(np.array(jacobian)),
+                    gradient=np.zeros(n_gradient),
+                    residual=np.zeros(n_residual),
+                )
+        system = linalg.KktSystem(kind(np.eye(2)), kind(np.ones((1, 2))), np.zeros(2), np.zeros(1))
+        assert system.hessian.format == system.constraint_jacobian.format == "csr"
 
 
 @settings(max_examples=25, deadline=None)
@@ -313,75 +320,22 @@ def test_a_structurally_singular_pattern_raises_after_full_rank_patterns_are_cac
     assert len(calls) == 5
 
 
+def test_a_write_into_a_factored_matrix_does_not_reach_the_cached_verdict():
+    linalg._full_structural_rank.cache_clear()
+    m = scipy.sparse.csc_array(np.eye(3))
+    linalg.SparseFactor(m)
+    # Column 0 now stores row 1, as column 1 does, so row 0 is empty.
+    m.indices[0] = 1
+    with pytest.raises(SingularMatrix, match="structurally singular"):
+        linalg.SparseFactor(m)
+
+
 def test_the_structural_rank_cache_stays_bounded():
     linalg._full_structural_rank.cache_clear()
     for n in range(1, 41):
         linalg.SparseFactor(scipy.sparse.csc_array(np.eye(n)))
     info = linalg._full_structural_rank.cache_info()
     assert info.currsize <= info.maxsize <= 16
-
-
-def test_sparse_solve_kkt_ridge_recovers_a_singular_hessian_block():
-    system = linalg.KktSystem(
-        hessian=scipy.sparse.csr_array((2, 2)),
-        constraint_jacobian=scipy.sparse.csr_array([[1.0, 0.0]]),
-        gradient=np.array([0.0, 0.0]),
-        residual=np.array([1.0]),
-    )
-    with pytest.warns(UserWarning):
-        sol = linalg.solve_kkt(system)
-    assert sol.regularized
-    assert abs(sol.step[0] + 1.0) <= 1e-9
-
-
-def test_sparse_solve_kkt_raises_when_ridge_cannot_help():
-    system = linalg.KktSystem(
-        hessian=scipy.sparse.csr_array((2, 2)),
-        constraint_jacobian=scipy.sparse.csr_array([[1.0, 0.0], [1.0, 0.0]]),
-        gradient=np.zeros(2),
-        residual=np.zeros(2),
-    )
-    with pytest.warns(UserWarning):
-        with pytest.raises(SingularKkt):
-            linalg.solve_kkt(system)
-
-
-def test_sparse_kkt_system_validation():
-    with pytest.raises(ValueError, match="not symmetric"):
-        linalg.KktSystem(
-            hessian=scipy.sparse.csr_array([[1.0, 2.0], [0.0, 1.0]]),
-            constraint_jacobian=scipy.sparse.csr_array((0, 2)),
-            gradient=np.zeros(2),
-            residual=np.zeros(0),
-        )
-    with pytest.raises(ValueError, match="non-finite"):
-        linalg.KktSystem(
-            hessian=scipy.sparse.csr_array([[1.0, 0.0], [0.0, np.inf]]),
-            constraint_jacobian=scipy.sparse.csr_array((0, 2)),
-            gradient=np.zeros(2),
-            residual=np.zeros(0),
-        )
-    with pytest.raises(ValueError, match="non-finite"):
-        linalg.KktSystem(
-            hessian=scipy.sparse.eye_array(2),
-            constraint_jacobian=scipy.sparse.csr_array([[np.nan, 1.0]]),
-            gradient=np.zeros(2),
-            residual=np.zeros(1),
-        )
-    with pytest.raises(DimensionMismatch):
-        linalg.KktSystem(
-            hessian=scipy.sparse.csr_array((2, 3)),
-            constraint_jacobian=scipy.sparse.csr_array((0, 3)),
-            gradient=np.zeros(2),
-            residual=np.zeros(0),
-        )
-    with pytest.raises(DimensionMismatch):
-        linalg.KktSystem(
-            hessian=scipy.sparse.eye_array(2),
-            constraint_jacobian=scipy.sparse.csr_array((1, 3)),
-            gradient=np.zeros(2),
-            residual=np.zeros(1),
-        )
 
 
 @settings(max_examples=25, deadline=None)

@@ -184,43 +184,56 @@ def test_solve_kkt_without_constraints_is_a_newton_step():
     assert sol.multipliers.size == 0
 
 
-# KktSystem keeps both blocks as CSR whatever kind it receives, so each of
-# the next three tests runs its assertions on dense and on sparse input.
-BLOCK_KINDS = (np.asarray, scipy.sparse.csr_array)
+# KktSystem keeps both blocks as CSR whatever kind it receives; each check
+# below runs once on dense and once on sparse input.
+
+
+def _check_ridge_recovers_a_singular_hessian_block(kind):
+    # Zero Hessian with one constraint row: the bordered matrix has an
+    # exactly zero pivot until the ridge fills the unconstrained direction.
+    system = linalg.KktSystem(
+        hessian=kind(np.zeros((2, 2))),
+        constraint_jacobian=kind(np.array([[1.0, 0.0]])),
+        gradient=np.array([0.0, 0.0]),
+        residual=np.array([1.0]),
+    )
+    with pytest.warns(UserWarning):
+        sol = linalg.solve_kkt(system)
+    assert sol.regularized
+    assert abs(sol.step[0] + 1.0) <= 1e-9
 
 
 def test_solve_kkt_ridge_recovers_a_singular_hessian_block():
-    # Zero Hessian with one constraint row: the bordered matrix has an
-    # exactly zero pivot until the ridge fills the unconstrained direction.
-    for kind in BLOCK_KINDS:
-        system = linalg.KktSystem(
-            hessian=kind(np.zeros((2, 2))),
-            constraint_jacobian=kind(np.array([[1.0, 0.0]])),
-            gradient=np.array([0.0, 0.0]),
-            residual=np.array([1.0]),
-        )
-        with pytest.warns(UserWarning):
-            sol = linalg.solve_kkt(system)
-        assert sol.regularized
-        assert abs(sol.step[0] + 1.0) <= 1e-9
+    _check_ridge_recovers_a_singular_hessian_block(np.asarray)
+
+
+def test_sparse_solve_kkt_ridge_recovers_a_singular_hessian_block():
+    _check_ridge_recovers_a_singular_hessian_block(scipy.sparse.csr_array)
+
+
+def _check_raises_when_ridge_cannot_help(kind):
+    # Duplicated constraint rows stay linearly dependent no matter what
+    # is added to the Hessian block.
+    system = linalg.KktSystem(
+        hessian=kind(np.zeros((2, 2))),
+        constraint_jacobian=kind(np.array([[1.0, 0.0], [1.0, 0.0]])),
+        gradient=np.zeros(2),
+        residual=np.zeros(2),
+    )
+    with pytest.warns(UserWarning):
+        with pytest.raises(SingularKkt):
+            linalg.solve_kkt(system)
 
 
 def test_solve_kkt_raises_when_ridge_cannot_help():
-    # Duplicated constraint rows stay linearly dependent no matter what
-    # is added to the Hessian block.
-    for kind in BLOCK_KINDS:
-        system = linalg.KktSystem(
-            hessian=kind(np.zeros((2, 2))),
-            constraint_jacobian=kind(np.array([[1.0, 0.0], [1.0, 0.0]])),
-            gradient=np.zeros(2),
-            residual=np.zeros(2),
-        )
-        with pytest.warns(UserWarning):
-            with pytest.raises(SingularKkt):
-                linalg.solve_kkt(system)
+    _check_raises_when_ridge_cannot_help(np.asarray)
 
 
-def test_kkt_system_validation():
+def test_sparse_solve_kkt_raises_when_ridge_cannot_help():
+    _check_raises_when_ridge_cannot_help(scipy.sparse.csr_array)
+
+
+def _check_kkt_system_validation(kind):
     # Each case: the error and its message, the hessian, the constraint
     # Jacobian, and the lengths of the gradient and the residual.
     cases = [
@@ -231,17 +244,24 @@ def test_kkt_system_validation():
         ((DimensionMismatch, "constraint jacobian"), np.eye(2), np.zeros((1, 3)), 2, 1),
         ((DimensionMismatch, "residual shape"), np.eye(2), np.zeros((1, 2)), 2, 2),
     ]
-    for kind in BLOCK_KINDS:
-        for (error, match), hessian, jacobian, n_gradient, n_residual in cases:
-            with pytest.raises(error, match=match):
-                linalg.KktSystem(
-                    hessian=kind(np.array(hessian)),
-                    constraint_jacobian=kind(np.array(jacobian)),
-                    gradient=np.zeros(n_gradient),
-                    residual=np.zeros(n_residual),
-                )
-        system = linalg.KktSystem(kind(np.eye(2)), kind(np.ones((1, 2))), np.zeros(2), np.zeros(1))
-        assert system.hessian.format == system.constraint_jacobian.format == "csr"
+    for (error, match), hessian, jacobian, n_gradient, n_residual in cases:
+        with pytest.raises(error, match=match):
+            linalg.KktSystem(
+                hessian=kind(np.array(hessian)),
+                constraint_jacobian=kind(np.array(jacobian)),
+                gradient=np.zeros(n_gradient),
+                residual=np.zeros(n_residual),
+            )
+    system = linalg.KktSystem(kind(np.eye(2)), kind(np.ones((1, 2))), np.zeros(2), np.zeros(1))
+    assert system.hessian.format == system.constraint_jacobian.format == "csr"
+
+
+def test_kkt_system_validation():
+    _check_kkt_system_validation(np.asarray)
+
+
+def test_sparse_kkt_system_validation():
+    _check_kkt_system_validation(scipy.sparse.csr_array)
 
 
 @settings(max_examples=25, deadline=None)

@@ -302,8 +302,20 @@ def load_measurements(path: str | Path) -> tuple[measurements_mod.MeasurementSet
     return mset, meta
 
 
+# Table columns whose values convert_tables hands to the data model, which
+# rejects a non-finite one and names its field: the bus loads, the
+# generator outputs and the branch impedance.
+_MODEL_COLUMNS = {"bus": (2, 3), "gen": (1, 2), "branch": (2, 3)}
+
+
 def parse_tables(text: str) -> dict:
-    """Split classic bus/gen/branch tables into numeric rows per section."""
+    """Split classic bus/gen/branch tables into numeric rows per section.
+
+    A non-finite entry raises ParseError with its line, except in the
+    columns of _MODEL_COLUMNS.  The converter reads the other entries only
+    through comparisons or not at all, so a NaN there would pass unseen:
+    a NaN voltage magnitude fails its > 0 test and becomes 1.0.
+    """
     base_mva = None
     sections: dict[str, list[list[float]]] = {"bus": [], "gen": [], "branch": []}
     current: str | None = None
@@ -330,9 +342,14 @@ def parse_tables(text: str) -> dict:
         if current is None:
             raise ParseError(f"data before any section header: {line!r}", line=lineno)
         try:
-            sections[current].append([float(tok) for tok in line.split()])
+            row = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise ParseError(f"non-numeric table entry: {exc}", line=lineno) from exc
+        for k, value in enumerate(row):
+            if not math.isfinite(value) and k not in _MODEL_COLUMNS[current]:
+                raise ParseError(f"{current} table, column {k + 1}: expected a finite number, got {value}",
+                                 line=lineno)
+        sections[current].append(row)
     if base_mva is None:
         raise ParseError("missing base_mva line")
     if not sections["bus"]:

@@ -9,6 +9,9 @@ Unlike a region, the whole grid is large and its Jacobians are well under
 1 % nonzero, so the residual and power-flow Jacobians are requested in
 scipy.sparse form, and every step's reduced (theta, v) system, 2 N rows
 instead of the bordered 6 N, is formed sparse and factored with sparse LU.
+The Jacobians' patterns do not change between steps, so linalg computes
+where each entry of that system comes from once per solve and each step
+only refills values.
 """
 
 from __future__ import annotations

@@ -11,15 +11,18 @@ Which factor serves which caller:
   identity on some columns, as the power-flow rows are on each node's
   (p, q), has an explicit null-space basis: solve_reduced_kkt eliminates
   those columns and factors the reduced Hessian, 2 N rows where the
-  bordered matrix has 6 N.
-* SparseFactor, SuperLU with COLAMD column ordering: solve_linear and
-  solve_reduced_kkt on scipy.sparse input (the Newton power flow and the
-  central step, hundreds to thousands of rows under 1 % nonzero), and
-  every solve_kkt system.  solve_kkt factors the whole bordered matrix,
-  symmetric but indefinite, with no assumption that the Hessian block
-  alone is invertible; its systems, the consensus QP and the multiplier
-  refit of a Gauss-Newton solve stalled at its rounding floor, are mostly
-  zeros, so KktSystem keeps both blocks as CSR.
+  bordered matrix has 6 N.  It also factors C C^T for the multiplier
+  refit of local_solver on dense C.
+* SparseFactor, SuperLU with COLAMD column ordering, for scipy.sparse
+  input: solve_linear (the Newton power flow), solve_reduced_kkt (the
+  central step, hundreds to thousands of rows under 1 % nonzero), the
+  multiplier refit on sparse C, and solve_kkt.  solve_reduced_kkt keeps
+  a _ReducedPlan per Jacobian pattern, so each step refills the reduced
+  matrix from the Jacobians' data arrays and calls SuperLU once.
+  solve_kkt factors the whole bordered matrix, symmetric but indefinite,
+  with no assumption that the Hessian block alone is invertible; its one
+  caller in the package is the consensus QP, which is mostly zeros, so
+  KktSystem keeps both blocks as CSR.
 
 The kind of the input picks the factor; there is no size threshold.
 
@@ -365,18 +368,25 @@ def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gr
     BZ = B_u - B_w C_u; neither Z nor H is formed.  The multipliers are
     kappa = -(H d + gradient)_w.  Both Jacobians are dense or both
     scipy.sparse, and the kind picks the factor of Z^T H Z (positive
-    semidefinite for shift >= 0): CholeskyFactor or SparseFactor.  A
-    singular one gets solve_kkt's ridge retry, the ridge added to shift.
+    semidefinite for shift >= 0): CholeskyFactor or SparseFactor.  Sparse
+    Jacobians are read through their pattern's _ReducedPlan, so a step
+    touches only their data arrays.  A singular factor gets solve_kkt's
+    ridge retry, the ridge added to shift.
     """
     sparse = scipy.sparse.issparse(jacobian)
-    b, c = (scipy.sparse.csc_array(a, dtype=float) if sparse else np.asarray(a, dtype=float)
-            for a in (jacobian, constraint_jacobian))
+    b, c = (_canonical_csr(a) if sparse else np.asarray(a, dtype=float) for a in (jacobian, constraint_jacobian))
     g, h, shift = (np.asarray(a, dtype=float) for a in (gradient, residual, shift))
     w = np.asarray(identity_columns, dtype=np.intp)
     if not g.shape == shift.shape == (b.shape[1],) or not h.shape == w.shape == (c.shape[0],):
         raise DimensionMismatch("gradient, shift, residual or identity columns do not fit the Jacobians")
     if not all(np.all(np.isfinite(a.data if scipy.sparse.issparse(a) else a)) for a in (b, c, g, h, shift)):
         raise ValueError("non-finite entries in the Gauss-Newton system")
+    if sparse:
+        plan = _reduced_plan(b.shape, c.shape, _pattern_bytes(b), _pattern_bytes(c), w.tobytes())
+        (step, kappa), regularized = _with_ridge(
+            lambda ridge: plan.solve(b.data, c.data, shift + ridge, g, h), lambda: plan.hessian_diagonal(b.data, shift)
+        )
+        return KktSolution(step=step, multipliers=kappa, regularized=regularized)
     u = np.flatnonzero(np.bincount(w, minlength=len(g)) == 0)
     b_w, c_u = b[:, w], c[:, u]
     bz = b[:, u] - matvec(b_w, c_u)
@@ -386,13 +396,144 @@ def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gr
     def attempt(ridge: float):
         s = shift + ridge
         reduced = plus_diagonal(fit + matvec(c_u, c_u * s[w][:, None], trans=True), s[u])
-        factor = SparseFactor(reduced) if sparse else CholeskyFactor(reduced)
+        factor = CholeskyFactor(reduced)
         step = np.empty(len(g))
         step[u] = factor.solve(rhs_fit + matvec(c_u, g[w] - s[w] * h, trans=True))
         step[w] = -h - matvec(c_u, step[u])
         return step, -(2.0 * matvec(b_w, matvec(b, step), trans=True) + s[w] * step[w] + g[w])
 
-    (step, kappa), regularized = _with_ridge(
-        attempt, lambda: 2.0 * np.asarray((b.multiply(b) if sparse else b * b).sum(axis=0)).ravel() + shift
-    )
+    (step, kappa), regularized = _with_ridge(attempt, lambda: 2.0 * (b * b).sum(axis=0) + shift)
     return KktSolution(step=step, multipliers=kappa, regularized=regularized)
+
+
+def _canonical_csr(a) -> scipy.sparse.csr_array:
+    """a as a CSR array with sorted indices and no duplicates, a itself
+    left as it is."""
+    m = scipy.sparse.csr_array(a, dtype=float)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return m
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated aranges starts[k] .. starts[k] + counts[k] - 1."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): every pair of entries a <= b that share a row of a CSR pattern."""
+    entries = np.arange(indptr[-1])
+    per_entry = np.repeat(indptr[1:], np.diff(indptr)) - entries
+    return np.repeat(entries, per_entry), _ranges(entries, per_entry)
+
+
+class _ReducedPlan:
+    """The symbolic half of solve_reduced_kkt on sparse Jacobians: where
+    each entry of BZ and of Z^T H Z comes from, for one pattern of the
+    canonical CSR B (m x n) and C (r x n) and one set of identity
+    columns w.  solve() then needs only the values: each product is a
+    gather and each sum an np.bincount over fixed slots (the symbolic and
+    numeric phases of a sparse direct solver; Davis, Direct Methods for
+    Sparse Linear Systems, SIAM 2006, ch. 4-6).
+
+    BZ = B_u - B_w C_u holds the B_u entries and the product of every B_w
+    entry with each C_u entry of the row of C its column selects.  The
+    upper triangle of Z^T H Z holds the products of every same-row pair of
+    BZ entries, of every same-row pair of C_u entries, and the diagonal;
+    mirror copies it into the whole symmetric matrix, as CSC.
+    """
+
+    def __init__(self, b_shape, c_shape, b_indptr, b_indices, c_indptr, c_indices, w):
+        (m, n), r = b_shape, c_shape[0]
+        self.m, self.n, self.w = m, n, w
+        self.u = np.flatnonzero(np.bincount(w, minlength=n) == 0)
+        nu = self.nu = len(self.u)
+        k_of = np.full(n, -1)
+        k_of[w] = np.arange(r)
+        pos = np.full(n, -1)
+        pos[self.u] = np.arange(nu)
+        self.b_rows, self.b_cols = np.repeat(np.arange(m), np.diff(b_indptr)), b_indices.astype(np.intp)
+        in_w = k_of[self.b_cols] >= 0
+        self.bw, bu = np.flatnonzero(in_w), np.flatnonzero(~in_w)
+        self.bw_rows, self.bw_k = self.b_rows[self.bw], k_of[self.b_cols[self.bw]]
+        c_rows = np.repeat(np.arange(r), np.diff(c_indptr))
+        self.cu = np.flatnonzero(pos[c_indices] >= 0)
+        self.cu_rows, self.cu_cols = c_rows[self.cu], pos[c_indices[self.cu]]
+        cu_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.cu_rows, minlength=r))))
+        counts = np.diff(cu_ptr)[self.bw_k]
+        self.prod_b, self.prod_c = np.repeat(self.bw, counts), _ranges(cu_ptr[self.bw_k], counts)
+        # BZ, row-major with sorted columns: the slots of its direct and
+        # product terms.
+        keys, slot = np.unique(
+            np.concatenate((self.b_rows[bu] * nu + pos[self.b_cols[bu]],
+                            self.b_rows[self.prod_b] * nu + self.cu_cols[self.prod_c])),
+            return_inverse=True,
+        )
+        self.bu, self.direct_slot, self.prod_slot = bu, slot[:len(bu)], slot[len(bu):]
+        self.nbz = len(keys)
+        self.bz_rows, self.bz_cols = np.divmod(keys, nu)
+        self.fit_a, self.fit_b = _row_pairs(np.searchsorted(self.bz_rows, np.arange(m + 1)))
+        self.cw_a, self.cw_b = _row_pairs(cu_ptr)
+        self.cw_k = self.cu_rows[self.cw_a]
+        # The upper triangle of Z^T H Z, column-major: the slots of the fit
+        # pairs, the C_u pairs and the diagonal, in that order.
+        upper, self.slot = np.unique(
+            np.concatenate((self.bz_cols[self.fit_b] * nu + self.bz_cols[self.fit_a],
+                            self.cu_cols[self.cw_b] * nu + self.cu_cols[self.cw_a],
+                            np.arange(nu) * (nu + 1))),
+            return_inverse=True,
+        )
+        self.n_upper = len(upper)
+        cols, rows = np.divmod(upper, nu)
+        strict = np.flatnonzero(rows < cols)
+        keys = np.concatenate((upper, rows[strict] * nu + cols[strict]))
+        order = np.argsort(keys)
+        self.mirror = np.concatenate((np.arange(len(upper)), strict))[order]
+        cols, rows = np.divmod(keys[order], nu)
+        # SuperLU reads 32-bit indices; stored so, they are not copied per step.
+        index_dtype = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.intp
+        self.indices = rows.astype(index_dtype)
+        self.indptr = np.searchsorted(cols, np.arange(nu + 1)).astype(index_dtype)
+
+    def hessian_diagonal(self, b_data, shift):
+        return 2.0 * np.bincount(self.b_cols, b_data * b_data, minlength=self.n) + shift
+
+    def solve(self, b_data, c_data, s, g, h):
+        """(step, kappa) of solve_reduced_kkt for these values."""
+        u, w = self.u, self.w
+        cu = c_data[self.cu]
+        bz = -np.bincount(self.prod_slot, b_data[self.prod_b] * cu[self.prod_c], minlength=self.nbz)
+        bz[self.direct_slot] += b_data[self.bu]
+        s_w = s[w]
+        upper = np.bincount(self.slot, np.concatenate((2.0 * bz[self.fit_a] * bz[self.fit_b],
+                                                       s_w[self.cw_k] * cu[self.cw_a] * cu[self.cw_b], s[u])),
+                            minlength=self.n_upper)
+        reduced = scipy.sparse.csc_array((upper[self.mirror], self.indices, self.indptr), shape=(self.nu, self.nu))
+        b_w_h = np.bincount(self.bw_rows, b_data[self.bw] * h[self.bw_k], minlength=self.m)
+        rhs = (2.0 * np.bincount(self.bz_cols, bz * b_w_h[self.bz_rows], minlength=self.nu) - g[u]
+               + np.bincount(self.cu_cols, cu * (g[w] - s_w * h)[self.cu_rows], minlength=self.nu))
+        step = np.empty(self.n)
+        step[u] = du = SparseFactor(reduced).solve(rhs)
+        step[w] = -h - np.bincount(self.cu_rows, cu * du[self.cu_cols], minlength=len(w))
+        b_step = np.bincount(self.b_rows, b_data * step[self.b_cols], minlength=self.m)
+        b_w_t = np.bincount(self.bw_k, b_data[self.bw] * b_step[self.bw_rows], minlength=len(w))
+        return step, -(2.0 * b_w_t + s_w * step[w] + g[w])
+
+
+def _pattern_bytes(m) -> tuple[str, bytes, bytes]:
+    """A compressed sparse pattern as (index dtype, indptr bytes, indices bytes)."""
+    return m.indices.dtype.str, m.indptr.tobytes(), m.indices.tobytes()
+
+
+@functools.lru_cache(maxsize=8)
+def _reduced_plan(b_shape, c_shape, b_pattern, c_pattern, w) -> _ReducedPlan:
+    """The _ReducedPlan of one pattern, the last few kept: a central solve
+    meets the same pattern at every step.  The key is the patterns' bytes,
+    copies that a later write into the caller's matrices cannot reach."""
+    def arrays(pattern):
+        dtype, indptr, indices = pattern
+        return np.frombuffer(indptr, dtype=dtype), np.frombuffer(indices, dtype=dtype)
+
+    return _ReducedPlan(b_shape, c_shape, *arrays(b_pattern), *arrays(c_pattern), np.frombuffer(w, dtype=np.intp))

@@ -15,6 +15,14 @@ constraint Jacobian is the identity (identity_columns: the p and q of
 grid.PowerFlowModel) and solves in the remaining (theta, v) space, dense
 or sparse as the Jacobians are.
 
+Near the solution the stationarity residual stalls at the rounding of
+its own sum, and the multipliers of the last KKT solve belong to the
+previous iterate.  So once a step is rounding dust at a feasible iterate,
+the multipliers are refitted there by least squares; the solve converges
+when that brings the KKT residual to tol, usually at the first dust step.
+Three dust steps in a row end the solve as converged at the rounding
+floor whatever the residual.
+
 The same routine serves three callers: the distributed consensus loop
 (prox over all coordinates, lin from the coupling duals), the alternating
 baseline (prox over the coupled copies only) and the monolithic reference
@@ -119,17 +127,17 @@ def solve_local(
         if relative and inner == 0:
             tol *= max(1.0, kkt_res)
         # The stationarity sum cancels numbers of scale |B^T||b| + |C^T||k|,
-        # so it cannot be driven below the rounding of that sum.  Once the
-        # accepted steps are pure rounding dust at a feasible iterate, the
-        # solution is as stationary as float64 can express; stopping there
-        # is convergence, not failure.  kappa still comes from the KKT solve
-        # at the previous iterate, so it is refitted by least squares,
-        # min ||grad + C^T kappa||, at this one; the smaller residual of the
-        # two multiplier vectors is the one returned and reported.
-        at_floor = dust_steps >= 3 and np.abs(h).max(initial=0.0) <= tol
-        if at_floor and kkt_res > tol:
+        # so it cannot be driven below the rounding of that sum.  Once a
+        # step is rounding dust at a feasible iterate, y has stopped moving
+        # and kappa, from the KKT solve at the previous iterate, is refitted
+        # by least squares at this one; the smaller residual of the two
+        # multiplier vectors is kept.  After three dust steps the solution
+        # is as stationary as float64 can express; stopping there is
+        # convergence, not failure.
+        feasible = np.abs(h).max(initial=0.0) <= tol
+        if dust_steps >= 1 and feasible and kkt_res > tol:
             kappa, kkt_res = _refit_multipliers(grad, big_c, h, kappa, kkt_res)
-        if kkt_res <= tol or at_floor:
+        if kkt_res <= tol or (dust_steps >= 3 and feasible):
             return LocalSolution(
                 y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
                 constraint_jacobian=big_c, fit=float(b @ b),
@@ -190,13 +198,17 @@ def solve_local(
 def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     """The least-squares multipliers at a fixed iterate, if they do better.
 
-    Solves [I C^T; C 0] [s; k] = [-grad; 0], whose k minimizes
-    ||grad + C^T k||.  Returns (kappa, kkt_res) of whichever of the given
-    and the refitted multipliers has the smaller KKT residual.
+    The k that minimizes ||grad + C^T k|| solves C C^T k = -C grad.  C is
+    [C_u | I] up to a column permutation (the identity columns of
+    linalg.solve_reduced_kkt), so C C^T = I + C_u C_u^T is symmetric with
+    every eigenvalue >= 1 and needs no ridge: CholeskyFactor factors it
+    for dense C, SparseFactor for scipy.sparse C.  Returns (kappa,
+    kkt_res) of whichever of the given and the refitted multipliers has
+    the smaller KKT residual.
     """
-    eye = scipy.sparse.eye_array(len(grad))
-    fitted = linalg.solve_kkt(
-        linalg.KktSystem(hessian=eye, constraint_jacobian=big_c, gradient=grad, residual=np.zeros(len(h)))
-    ).multipliers
+    fitted = np.zeros(0)
+    if big_c.shape[0]:
+        factor = linalg.SparseFactor if scipy.sparse.issparse(big_c) else linalg.CholeskyFactor
+        fitted = factor(linalg.gram(big_c.T)).solve(-linalg.matvec(big_c, grad))
     res = max(np.abs(grad + linalg.matvec(big_c, fitted, trans=True)).max(initial=0.0), np.abs(h).max(initial=0.0))
     return (fitted, res) if res < kkt_res else (kappa, kkt_res)

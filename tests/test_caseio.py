@@ -285,6 +285,27 @@ def test_convert_tables_rejects_a_duplicate_bus_id(tmp_path, capsys):
     assert not (tmp_path / "mini.yaml").exists()
 
 
+@pytest.mark.parametrize("old, new, spot, line", [
+    ("1 1.02 0 132", "1 nan 0 132", "bus table, column 8", 4),
+    ("-40 1.02 100", "-40 nan 100", "gen table, column 6", 9),
+    ("0.03 130", "inf 130", "branch table, column 5", 12),
+    ("130 0 0 1\n2 3", "130 -inf 0 1\n2 3", "branch table, column 9", 12),
+], ids=["bus-vm", "gen-vg", "branch-charging", "branch-ratio"])
+def test_convert_tables_rejects_a_non_finite_entry_with_its_line(tmp_path, capsys, old, new, spot, line):
+    """A NaN voltage magnitude or setpoint used to fail its > 0 test and
+    leave the bus at v_setpoint 1.0."""
+    assert MINI_TABLES.count(old) == 1
+    bad = MINI_TABLES.replace(old, new)
+    with pytest.raises(ParseError, match=f"{spot}: expected a finite number") as err:
+        caseio.convert_tables(bad, "mini")
+    assert err.value.line == line
+    tables = tmp_path / "mini.txt"
+    tables.write_text(bad)
+    assert cli.main(["convert", str(tables), str(tmp_path / "mini.yaml")]) == 2
+    assert f"(line {line})" in capsys.readouterr().err
+    assert not (tmp_path / "mini.yaml").exists()
+
+
 def test_convert_tables_accepts_integral_floats():
     written = MINI_TABLES.replace("1 2 0.02", "1.0 2.0 0.02").replace("130 0 0 1\n2 3", "130 0 0 1.0\n2 3")
     assert written != MINI_TABLES

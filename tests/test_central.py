@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridest import central, grid, local_solver, measurements, partition
+import tiling
+from gridest import central, grid, local_solver, measurements, partition, powerflow
 from gridest.errors import Diverged
 
 
@@ -75,3 +76,26 @@ def test_sparse_solve_matches_the_dense_jacobian_solve(request, name):
     )
     assert dense.converged
     assert np.abs(sol.x - dense.y).max() <= 1e-8
+
+
+
+@pytest.mark.parametrize("tiles, seed, bound", [
+    *(pytest.param(0, seed, 8, id=f"ieee30-seed{seed}") for seed in (1, 2, 3, 7)),
+    pytest.param(8, 1, 9, id="tiles8-seed1"),
+])
+def test_the_multiplier_refit_at_the_first_dust_step_ends_the_solve(case30, part30, truth30, tiles, seed, bound):
+    """Once a step is rounding dust, the refitted multipliers reach tol
+    there; the solve no longer takes two more dust steps to its floor exit."""
+    if tiles:
+        case = tiling.tiled_case(tiles)
+        part = partition.partition_grid(case, tiling.tile_assignment(case))
+        truth = powerflow.solve_power_flow(case).state
+    else:
+        case, part, truth = case30, part30, truth30
+    mset = measurements.simulate_measurements(
+        case, truth, rng=seed, measured_lines=partition.internal_line_keys(part)
+    )
+    tol = 1e-9
+    sol = central.solve_central(case, mset, tol=tol)
+    assert sol.inner_iterations <= bound
+    assert sol.kkt_residual <= tol

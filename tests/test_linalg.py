@@ -399,3 +399,92 @@ def test_cholesky_factor_solves_spd_systems_and_rejects_the_rest():
     for bad in (root[:3].T @ root[:3], m - 10.0 * np.eye(9), np.diag([1.0, 1e-15])):
         with pytest.raises(SingularMatrix):
             linalg.CholeskyFactor(bad)
+
+
+# The sparse reduced Gauss-Newton step and its cached plan.
+
+def _gauss_newton_system(seed: int, r: int = 6, m: int = 14):
+    """A random sparse Gauss-Newton system on n = 3 r states: B (m x n),
+    C = [C_u | I] with its r identity columns at random places, a
+    positive shift, a gradient and a residual.  B and C are CSR."""
+    rng = np.random.default_rng(seed)
+    n = 3 * r
+    w = rng.permutation(n)[:r]
+    u = np.setdiff1d(np.arange(n), w)
+    c = np.zeros((r, n))
+    c[:, u] = scipy.sparse.random_array((r, len(u)), density=0.3, rng=rng).toarray()
+    c[np.arange(r), w] = 1.0
+    b = scipy.sparse.random_array((m, n), density=0.25, rng=rng, format="csr")
+    return (b, scipy.sparse.csr_array(c), w, rng.uniform(1e-3, 1.0, n),
+            rng.standard_normal(n), rng.standard_normal(r))
+
+
+def _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h):
+    dense = linalg.solve_reduced_kkt(b.toarray(), c.toarray(), w, shift, g, h)
+    hess = linalg.gram(b.toarray(), 2.0) + np.diag(shift)
+    bordered = linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=c, gradient=g, residual=h))
+    assert not sol.regularized
+    for want in (dense, bordered):
+        assert np.abs(sol.step - want.step).max() <= 1e-10 * np.abs(want.step).max()
+        assert np.abs(sol.multipliers - want.multipliers).max() <= 1e-10 * np.abs(want.multipliers).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_the_planned_sparse_step_matches_the_dense_and_bordered_steps(seed):
+    b, c, w, shift, g, h = _gauss_newton_system(seed)
+    sol = linalg.solve_reduced_kkt(b, c, w, shift, g, h)
+    _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h)
+
+
+def test_the_plan_reads_non_canonical_input_as_its_canonical_form():
+    """Unsorted indices and duplicate entries: the caller's matrix is left as it is."""
+    b, c, w, shift, g, h = _gauss_newton_system(1)
+    # Each row's entries twice, at half their value, in descending column order.
+    rows = [np.concatenate([b.indices[b.indptr[i]:b.indptr[i + 1]][::-1]] * 2) for i in range(b.shape[0])]
+    values = [np.concatenate([b.data[b.indptr[i]:b.indptr[i + 1]][::-1] / 2.0] * 2) for i in range(b.shape[0])]
+    doubled = scipy.sparse.csr_array(
+        (np.concatenate(values), np.concatenate(rows), np.concatenate(([0], np.cumsum([len(r) for r in rows])))),
+        shape=b.shape,
+    )
+    assert not doubled.has_canonical_format
+    before = doubled.indices.copy()
+    sol = linalg.solve_reduced_kkt(doubled, c, w, shift, g, h)
+    _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h)
+    assert np.array_equal(doubled.indices, before)
+
+
+def test_each_sparsity_pattern_gets_its_own_plan():
+    linalg._reduced_plan.cache_clear()
+    b, c, w, shift, g, h = _gauss_newton_system(2)
+    linalg.solve_reduced_kkt(b, c, w, shift, g, h)
+    linalg.solve_reduced_kkt(2.0 * b, c, w, shift, g, h)
+    assert linalg._reduced_plan.cache_info().misses == 1
+    # The same shape and nonzero count in other places is another pattern.
+    flipped = scipy.sparse.csr_array(b[::-1])
+    assert flipped.shape == b.shape and flipped.nnz == b.nnz
+    assert not np.array_equal(flipped.indices, b.indices)
+    sol = linalg.solve_reduced_kkt(flipped, c, w, shift, g, h)
+    assert linalg._reduced_plan.cache_info().misses == 2
+    _assert_matches_the_dense_and_bordered_steps(sol, flipped, c, w, shift, g, h)
+
+
+def test_a_write_into_a_solved_jacobian_does_not_reach_the_cached_plan():
+    linalg._reduced_plan.cache_clear()
+    b, c, w, shift, g, h = _gauss_newton_system(3)
+    linalg.solve_reduced_kkt(b, c, w, shift, g, h)
+    # Row 2 stores columns 2 and 15; its second entry moves to column 14.
+    assert list(b.indices[b.indptr[2]:b.indptr[3]]) == [2, 15]
+    b.indices[b.indptr[2] + 1] = 14
+    assert b.has_canonical_format
+    sol = linalg.solve_reduced_kkt(b, c, w, shift, g, h)
+    assert linalg._reduced_plan.cache_info().misses == 2
+    _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h)
+
+
+def test_the_plan_cache_stays_bounded():
+    linalg._reduced_plan.cache_clear()
+    for seed in range(20):
+        linalg.solve_reduced_kkt(*_gauss_newton_system(seed))
+    info = linalg._reduced_plan.cache_info()
+    assert info.currsize <= info.maxsize <= 8

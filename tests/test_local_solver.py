@@ -306,3 +306,17 @@ def test_refit_multipliers_are_the_least_squares_multipliers(part30, mset30, cas
     assert np.abs(kappa - want).max() <= 1e-10 * np.abs(want).max()
     # The refit leaves stationarity at the rounding of the gradient.
     assert kkt_res <= 1e-11 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_refit_multipliers_without_constraints_keep_the_gradient(sparse):
+    """No constraint rows: the refit has no multipliers, and the KKT
+    residual it reports is the gradient's."""
+    grad = np.array([0.5, -2.0, 1.0])
+    big_c = scipy.sparse.csr_array((0, 3)) if sparse else np.zeros((0, 3))
+    kappa, kkt_res = local_solver._refit_multipliers(grad, big_c, np.zeros(0), None, np.inf)
+    assert kappa.shape == (0,)
+    assert kkt_res == 2.0
+    # The given multipliers stay when the refit does no better.
+    given = np.zeros(0)
+    assert local_solver._refit_multipliers(grad, big_c, np.zeros(0), given, 2.0)[0] is given

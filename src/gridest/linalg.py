@@ -5,7 +5,9 @@ solves right-hand sides with one step of iterative refinement each.
 Which factor serves which caller:
 
 * LuFactor, partially pivoted dense LU: solve_linear on dense input, the
-  posterior bound's interior eliminations and its boundary system.
+  posterior bound's interior eliminations and its boundary system in
+  shared unknowns, which has no rows on a one-region partition (a 0 x 0
+  matrix factors and solves to an empty result).
 * CholeskyFactor: solve_reduced_kkt on dense Jacobians, every region and
   ADMM step.  A Gauss-Newton KKT system whose constraint Jacobian is the
   identity on some columns, as the power-flow rows are on each node's
@@ -159,7 +161,7 @@ class LuFactor(_Factor):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             self._lu = scipy.linalg.lu_factor(m)
-        if np.abs(np.diag(self._lu[0])).min() <= PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny):
+        if np.abs(np.diag(self._lu[0])).min(initial=np.inf) <= PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny):
             raise SingularMatrix("pivot below singularity threshold in LU factorization")
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
@@ -504,7 +506,9 @@ class _ReducedPlan:
         """(step, kappa) of solve_reduced_kkt for these values."""
         u, w = self.u, self.w
         cu = c_data[self.cu]
-        bz = -np.bincount(self.prod_slot, b_data[self.prod_b] * cu[self.prod_c], minlength=self.nbz)
+        # bincount over no entries is int64 even with weights; the float
+        # factor keeps bz float when B_w C_u has no product term.
+        bz = -1.0 * np.bincount(self.prod_slot, b_data[self.prod_b] * cu[self.prod_c], minlength=self.nbz)
         bz[self.direct_slot] += b_data[self.bu]
         s_w = s[w]
         upper = np.bincount(self.slot, np.concatenate((2.0 * bz[self.fit_a] * bz[self.fit_b],

@@ -101,6 +101,13 @@ def test_solve_linear_with_a_matrix_rhs_matches_column_solves():
     assert linalg.solve_linear(a, np.empty((40, 0))).shape == (40, 0)
 
 
+@pytest.mark.parametrize("kind", [np.zeros, scipy.sparse.csr_array], ids=["dense", "sparse"])
+@pytest.mark.parametrize("rhs_shape", [(0,), (0, 3)], ids=["vector", "matrix"])
+def test_solve_linear_solves_the_empty_system(kind, rhs_shape):
+    # A one-region partition's posterior boundary system has no rows.
+    assert linalg.solve_linear(kind((0, 0)), np.zeros(rhs_shape)).shape == rhs_shape
+
+
 def test_solve_linear_backward_error_on_ill_conditioned_system():
     # Hilbert matrix, condition number ~ 1e10 at n = 8; plain LU alone
     # would miss the backward error bound without the refinement step.
@@ -426,7 +433,9 @@ def _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h):
     assert not sol.regularized
     for want in (dense, bordered):
         assert np.abs(sol.step - want.step).max() <= 1e-10 * np.abs(want.step).max()
-        assert np.abs(sol.multipliers - want.multipliers).max() <= 1e-10 * np.abs(want.multipliers).max()
+        # max(initial=0.0): a system without constraint rows has no multipliers.
+        error = np.abs(sol.multipliers - want.multipliers).max(initial=0.0)
+        assert error <= 1e-10 * np.abs(want.multipliers).max(initial=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -435,6 +444,31 @@ def test_the_planned_sparse_step_matches_the_dense_and_bordered_steps(seed):
     b, c, w, shift, g, h = _gauss_newton_system(seed)
     sol = linalg.solve_reduced_kkt(b, c, w, shift, g, h)
     _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h)
+
+
+def _degenerate(pattern, b, c, w, shift, g, h):
+    """The system of _gauss_newton_system changed to a pattern where B_w C_u has no product term."""
+    if pattern == "no-B-entry-in-an-identity-column":
+        b = b.toarray()
+        b[:, w] = 0.0
+    elif pattern == "empty-C_u":
+        c = np.zeros(c.shape)
+        c[np.arange(len(w)), w] = 1.0
+    elif pattern == "no-constraint-rows":
+        c, w, h = c[:0], w[:0], h[:0]
+    else:
+        b = b[:0]
+    return scipy.sparse.csr_array(b), scipy.sparse.csr_array(c), w, shift, g, h
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@pytest.mark.parametrize(
+    "pattern", ["no-B-entry-in-an-identity-column", "empty-C_u", "no-constraint-rows", "no-B-rows"]
+)
+def test_the_planned_sparse_step_solves_patterns_without_product_terms(pattern, seed):
+    system = _degenerate(pattern, *_gauss_newton_system(seed))
+    _assert_matches_the_dense_and_bordered_steps(linalg.solve_reduced_kkt(*system), *system)
 
 
 def test_the_plan_reads_non_canonical_input_as_its_canonical_form():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,12 +159,11 @@ def test_monte_carlo_consistency(case6, truth6):
     assert np.abs(ratio - 1.0).max() <= 0.25
 
 
-def _dense_covariance(fit_jacobians, constraint_jacobians, couplings=None):
+def _dense_covariance(fit_jacobians, constraint_jacobians, couplings):
     """Reference: dense bordered matrix factored with LU (solve_linear)."""
     hess = scipy.linalg.block_diag(*[bj.T @ bj for bj in fit_jacobians])
     cons = scipy.linalg.block_diag(*constraint_jacobians)
-    if couplings is not None:
-        cons = np.vstack([cons, np.hstack([a.toarray() for a in couplings])])
+    cons = np.vstack([cons, np.hstack([a.toarray() for a in couplings])])
     bordered = linalg.bordered_matrix(hess, cons)
     n = hess.shape[0]
     rhs = np.zeros((bordered.shape[0], n))
@@ -186,7 +186,9 @@ def _covariance_inputs(request, name):
     if name == "central30":
         case30, mset30 = request.getfixturevalue("case30"), request.getfixturevalue("mset30")
         x = request.getfixturevalue("central30").x
-        return [measurements.RegionResidual(case30, mset30).jacobian(x)], [grid.PowerFlowModel(case30).jacobian(x)]
+        # One block with no coupling: the zero-row coupling of a one-region partition.
+        return ([measurements.RegionResidual(case30, mset30).jacobian(x)], [grid.PowerFlowModel(case30).jacobian(x)],
+                [scipy.sparse.csr_array((0, x.size))])
     if name == "ieee30":
         part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
         return _region_jacobians(part, mset, request.getfixturevalue("aladin30").zs)
@@ -207,9 +209,9 @@ def _covariance_inputs(request, name):
 
 
 def _assert_matches_the_dense_reference(args, form=list):
-    """form maps the run's CSR couplings, when args has them, to the kind
-    covariance_bound receives; the reference reads them as CSR."""
-    cov = posterior.covariance_bound(*args[:2], *map(form, args[2:]))
+    """form maps the run's CSR couplings to the kind covariance_bound
+    receives; the reference reads them as CSR."""
+    cov = posterior.covariance_bound(*args[:2], form(args[2]))
     reference = _dense_covariance(*args)
     assert np.array_equal(cov, cov.T)
     assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -233,20 +235,25 @@ def test_covariance_bound_matches_the_dense_reference_on_random_partitions(case3
     _assert_matches_the_dense_reference(_region_jacobians(part, mset, partition.extend_state(part, truth30)))
 
 
-def test_covariance_bound_allocates_little_beside_its_result():
-    # The only n x n array is the result; everything else it holds is
-    # sized by the boundary or by one region.  On two tiles the interior
-    # transients dominate the peak, so the bound needs a larger grid.
+@pytest.fixture(scope="module")
+def tiles8():
+    """covariance_bound arguments on 8 ieee30 tiles at the extended power-flow truth."""
     case = tiling.tiled_case(8)
     part = partition.partition_grid(case, tiling.tile_assignment(case))
     truth = powerflow.solve_power_flow(case).state
     mset = measurements.simulate_measurements(
         case, truth, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
     )
-    args = _region_jacobians(part, mset, partition.extend_state(part, truth))
+    return _region_jacobians(part, mset, partition.extend_state(part, truth))
+
+
+def test_covariance_bound_allocates_little_beside_its_result(tiles8):
+    # The only n x n array is the result; everything else it holds is
+    # sized by the boundary or by one region.  On two tiles the interior
+    # transients dominate the peak, so the bound needs a larger grid.
     tracemalloc.start()
     try:
-        result = posterior.covariance_bound(*args)
+        result = posterior.covariance_bound(*tiles8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -261,9 +268,61 @@ def test_zero_fit_jacobians_make_the_bound_singular(request, name):
 
 
 def test_covariance_bound_with_no_regions_is_a_dimension_mismatch():
-    for couplings in (None, []):
+    for couplings in ([], [scipy.sparse.csr_array((0, 4))]):
         with pytest.raises(DimensionMismatch, match="no regions"):
             posterior.covariance_bound([], [], couplings)
+
+
+@pytest.mark.parametrize("name", ["ieee30", "tiles8", "ieee30_one_region"])
+def test_the_boundary_system_has_two_rows_per_coupling_row(request, monkeypatch, name):
+    """The copies of a coupled state share one unknown and each boundary
+    power-flow row has one: no multiplier rows border the system."""
+    args = request.getfixturevalue("tiles8") if name == "tiles8" else _covariance_inputs(request, name)
+    shapes = []
+    original = linalg.solve_linear
+
+    def recording(matrix, rhs):
+        shapes.append(matrix.shape)
+        return original(matrix, rhs)
+
+    monkeypatch.setattr(linalg, "solve_linear", recording)
+    posterior.covariance_bound(*args)
+    n_coupling = args[2][0].shape[0]
+    # One interior solve per region, then the boundary system.
+    assert len(shapes) == len(args[0]) + 1
+    assert shapes[-1] == (2 * n_coupling, 2 * n_coupling)
+
+
+def _moved_coupling_entry(couplings, region, row, to_row):
+    """Dense couplings with one more, empty row, where region's entry in
+    row moves to to_row."""
+    dense = [np.vstack([a.toarray(), np.zeros((1, a.shape[1]))]) for a in couplings]
+    col = np.flatnonzero(dense[region][row])[0]
+    dense[region][[row, to_row], col] = 0.0, dense[region][row, col]
+    return dense
+
+
+def test_a_coupling_row_must_join_exactly_two_copies(request):
+    fit, cons, couplings = _covariance_inputs(request, "ieee30")
+    n_coupling = couplings[0].shape[0]
+    claimants = [i for i, a in enumerate(couplings) if a[[0]].nnz]
+    other = next(i for i in range(len(couplings)) if i not in claimants)
+    # Row 0 keeps one copy (the other moves to the new row), or gains a third.
+    for region, row, to_row in ((claimants[0], 0, n_coupling), (other, couplings[other].nonzero()[0][0], 0)):
+        moved = _moved_coupling_entry(couplings, region, row, to_row)
+        with pytest.raises(DimensionMismatch, match="coupling"):
+            posterior.covariance_bound(fit, cons, moved)
+    # Both copies of row 0 in one region: its two claimants merged, the
+    # second one's buses after the first one's.
+    a, b = claimants
+    rest = [i for i in range(len(fit)) if i not in claimants]
+    merged = (
+        [scipy.linalg.block_diag(fit[a], fit[b])] + [fit[i] for i in rest],
+        [scipy.linalg.block_diag(cons[a], cons[b])] + [cons[i] for i in rest],
+        [scipy.sparse.hstack([couplings[a], couplings[b]], format="csr")] + [couplings[i] for i in rest],
+    )
+    with pytest.raises(DimensionMismatch, match="coupling"):
+        posterior.covariance_bound(*merged)
 
 
 @pytest.mark.parametrize("cut", [

@@ -1,14 +1,20 @@
 """Distributed Gauss-Newton consensus estimation (ALADIN outer loop).
 
-Each outer iteration solves every region's proximal subproblem, one region
-after another, collects the Gauss-Newton sensitivities, and either stops or
-performs the coupled consensus QP followed by the full step update
-z <- y + dy, lam <- lam_QP.  The loop itself (region solves, iteration
-record, divergence and budget notes) is shared with the ADMM baseline in
-admm.py; each method supplies its subproblem terms and its coordination
-step.  Both take one RunConfig; the inner solves' budget is the module
-constant MAX_INNER.  A region whose inner solve ran out of iterations is
-named in that iteration's note.
+Each outer iteration solves every region's proximal subproblem, collects
+the Gauss-Newton sensitivities, and either stops or performs the coupled
+consensus QP followed by the full step update z <- y + dy, lam <- lam_QP.
+The region subproblems are independent, so they are solved as one batch
+(local_solver.solve_batch) over the disjoint union of the region fragments,
+built once per run: each lock-step evaluates one sparse residual and one
+physics Jacobian for all regions and takes one block-diagonal reduced
+step, while every region keeps its own tolerance, step length and stop.
+Each region's solution is the one a solve of that region alone would
+give, up to rounding.  The loop itself (region solves, iteration record,
+divergence and budget notes) is shared with the ADMM baseline in admm.py;
+each method supplies its subproblem terms and its coordination step.  Both
+take one RunConfig; the inner solves' budget is the module constant
+MAX_INNER.  A region whose inner solve ran out of iterations is named in
+that iteration's note.
 
 The region solves are inexact in the sense of the method's name: their
 KKT tolerance tightens as the regions approach consensus.  Outer iteration
@@ -34,7 +40,8 @@ LocalSolution.tol, so its converged flag means what it says.  A region
 solve or consensus QP whose KKT system stays singular after the ridge
 fallback ends the run with a note, as an inner divergence does, and so
 does a consensus step that leaves a voltage <= 0, where the next region
-solve cannot evaluate its measurements.
+solve cannot evaluate its measurements.  The note names the failing
+region of lowest index, as a region-by-region loop would meet it first.
 
 Termination needs both the consensus mismatch ||sum_i A_i y_i||_inf and
 the largest proximal displacement ||y_i - z_i||_inf to drop below eps.
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coordinator, grid, linalg, local_solver, measurements, partition as partition_mod
-from .errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError, ZeroVoltage
+from .errors import DimensionMismatch, GridestError, SingularKkt, ValidationError
 
 #: Region-solve KKT tolerance schedule: the first outer iteration's
 #: tolerance, the floor, and the factor on the previous consensus violation.
@@ -165,14 +172,60 @@ def _initial_states(part, z0, truth) -> list[np.ndarray]:
     return [np.array(z) for z in z0]
 
 
+def _region_batch(part, mset):
+    """Every region's subproblem as one problem over the disjoint union of
+    the fragments: (residual, constraints, blocks) for local_solver.solve_batch.
+
+    The union case holds each fragment's buses and lines in fragment order,
+    with the bus ids of region i shifted by i times the id span, so its
+    states and physics rows are the regions', region after region.  The
+    union residual measures each region's own nodes and lines; it lists
+    every region's node rows first and then every region's line rows, so
+    Blocks labels each row with its region.  Both Jacobians come sparse.
+    """
+    region_sets = measurements.split_by_region(mset, part)
+    ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
+    low, span = min(ids), max(ids) - min(ids) + 1
+    buses, lines, node_ids, line_ends = [], [], [], []
+    for i, (region, rset) in enumerate(zip(part.regions, region_sets)):
+        shift = i * span - low
+        buses += [grid.Bus(bus.id + shift, bus.kind, bus.p_load, bus.q_load, bus.p_gen, bus.q_gen, bus.v_setpoint)
+                  for bus in region.case.buses]
+        lines += [grid.Line(line.from_bus + shift, line.to_bus + shift, line.r, line.x) for line in region.case.lines]
+        node_ids += [node + shift for node in rset.node_ids]
+        line_ends += [(k + shift, l + shift) for k, l in rset.line_ends]
+    case = grid.GridCase(name=f"{part.case.name}/regions", base_mva=part.case.base_mva,
+                         buses=tuple(buses), lines=tuple(lines))
+    union_set = measurements.MeasurementSet(
+        node_ids=tuple(node_ids),
+        node_values=np.concatenate([s.node_values for s in region_sets]),
+        node_weights=np.concatenate([s.node_weights for s in region_sets]),
+        line_ends=tuple(line_ends),
+        line_values=np.concatenate([s.line_values for s in region_sets]),
+        line_weights=np.concatenate([s.line_weights for s in region_sets]),
+    )
+    residual = measurements.RegionResidual(case, union_set)
+    sizes = [region.case.n_bus for region in part.regions]
+    bus_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    bus_block = np.repeat(np.arange(part.n_regions), sizes)
+    blocks = local_solver.Blocks(
+        4 * bus_ptr, 2 * bus_ptr,
+        np.concatenate([np.repeat(bus_block[residual.node_pos], 4), np.repeat(bus_block[residual.line_k], 3)]),
+        voltage_cols=4 * residual.line_k + grid.V,
+    )
+    sparse = local_solver.sparse_jacobians
+    return sparse(residual), sparse(grid.PowerFlowModel(case)), blocks
+
+
 def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     """The outer loop shared by ALADIN and the ADMM baseline.
 
-    Each outer iteration solves the regions' subproblems one after another
-    from the current z_i, with prox_terms(i, z_i) giving the subproblem's
-    (lin, prox_target, prox_idx).  It logs the iteration and hands the
-    solutions, the consensus gap sum_i A_i y_i and the record to
-    coordinate(sols, gap, record), which fills in the record's
+    Each outer iteration solves the regions' subproblems from the current
+    z_i as one batch (local_solver.solve_batch over _region_batch), with
+    prox_terms(i, z_i) giving region i's (lin, prox_target, prox_idx).
+    It logs the iteration and hands the solutions (one LocalSolution per
+    region, with dense Jacobians), the consensus gap sum_i A_i y_i and the
+    record to coordinate(sols, gap, record), which fills in the record's
     communication fields and returns the next iterates and whether the
     method has terminated.  config is the run's RunConfig; each region
     solve uses config.rho, MAX_INNER and the tolerance
@@ -183,33 +236,34 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     stops at INNER_TOL_START * max(1, r0).  Only the first, because a
     relative stop in every iteration loosens the converged estimate past
     criterion 9's 1e-6 (see the module docstring).  An InnerDiverged,
-    SingularKkt or ZeroVoltage from a region solve, or a SingularKkt from
-    coordinate, ends the run unconverged with a note naming the region or
-    the consensus QP; the history then holds the iterations completed
-    before it.  Returns
+    SingularKkt or ZeroVoltage that ends a region's solve, or a SingularKkt
+    from coordinate, ends the run unconverged with a note naming the
+    lowest-index failing region or the consensus QP; the history then
+    holds the iterations completed before it.  Returns
     (zs, converged, history, note).
     """
-    region_sets = measurements.split_by_region(mset, part)
-    residuals = [measurements.RegionResidual(r.case, s) for r, s in zip(part.regions, region_sets)]
-    models = [grid.PowerFlowModel(r.case) for r in part.regions]
+    residual, model, blocks = _region_batch(part, mset)
     history: list[IterationRecord] = []
     violation = math.inf
     for k in range(1, config.max_outer + 1):
         tol = min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * violation))
-        sols = []
-        for i, z in enumerate(zs):
-            lin, prox_target, prox_idx = prox_terms(i, z)
-            try:
-                sols.append(local_solver.solve_local(
-                    residuals[i], models[i], y0=z, rho=config.rho, lin=lin,
-                    prox_target=prox_target, prox_idx=prox_idx,
-                    tol=tol, max_inner=MAX_INNER, relative=k == 1,
-                ))
-            except (InnerDiverged, SingularKkt, ZeroVoltage) as exc:
-                # A ZeroVoltage means the last coordination step left a
-                # voltage <= 0, where the region's measurements are undefined.
-                what = "singular" if isinstance(exc, SingularKkt) else "diverged"
-                return zs, False, history, f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
+        terms = [prox_terms(i, z) for i, z in enumerate(zs)]
+        prox_idx = [blocks.state_ptr[i] + (np.arange(len(z)) if idx is None else idx)
+                    for i, (z, (_, _, idx)) in enumerate(zip(zs, terms))]
+        outcomes = local_solver.solve_batch(
+            residual, model, np.concatenate(zs), blocks, rho=config.rho,
+            lin=np.concatenate([lin for lin, _, _ in terms]),
+            prox_target=np.concatenate([target for _, target, _ in terms]),
+            prox_idx=np.concatenate(prox_idx), tol=tol, max_inner=MAX_INNER, relative=k == 1,
+        )
+        failed = [(i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, GridestError)]
+        if failed:
+            # A ZeroVoltage means the last coordination step left a voltage
+            # <= 0, where the region's measurements are undefined.
+            i, exc = failed[0]
+            what = "singular" if isinstance(exc, SingularKkt) else "diverged"
+            return zs, False, history, f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
+        sols = outcomes
         ys = [sol.y for sol in sols]
         gap = partition_mod.consensus_gap(part, ys)
         state_error = np.nan

@@ -16,9 +16,7 @@ only refills values.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,9 +45,8 @@ def solve_central(
     residual = measurements.RegionResidual(case, mset)
     model = grid.PowerFlowModel(case)
     x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
-    sol = local_solver.solve_local(
-        _sparse(residual), _sparse(model), y0=x0, mu=MU, tol=tol, max_inner=max_iter
-    )
+    sparse = local_solver.sparse_jacobians
+    sol = local_solver.solve_local(sparse(residual), sparse(model), y0=x0, mu=MU, tol=tol, max_inner=max_iter)
     if not sol.converged:
         raise Diverged(
             f"central estimator stalled after {sol.inner_iterations} iterations "
@@ -62,8 +59,3 @@ def solve_central(
         kkt_residual=sol.kkt_residual,
     )
 
-
-def _sparse(model) -> SimpleNamespace:
-    """model's eval and identity columns, with its Jacobian in scipy.sparse form."""
-    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True),
-                           identity_columns=getattr(model, "identity_columns", None))

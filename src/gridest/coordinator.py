@@ -48,9 +48,11 @@ class SensitivityUpload:
     coupling_image: np.ndarray
 
     def float_count(self) -> int:
-        """Floats on the wire: packed symmetric Hessian, dense rest."""
+        """Floats on the wire: packed symmetric Hessian, dense rest, counted
+        by shape whether the arrays are dense or scipy.sparse."""
         n = self.fit_hessian.shape[0]
-        return n * (n + 1) // 2 + self.constraint_jacobian.size + self.fit_gradient.size + self.coupling_image.size
+        c_rows, c_cols = self.constraint_jacobian.shape
+        return n * (n + 1) // 2 + c_rows * c_cols + self.fit_gradient.size + self.coupling_image.size
 
 
 @dataclass

@@ -8,19 +8,24 @@ Which factor serves which caller:
   posterior bound's interior eliminations and its boundary system in
   shared unknowns, which has no rows on a one-region partition (a 0 x 0
   matrix factors and solves to an empty result).
-* CholeskyFactor: solve_reduced_kkt on dense Jacobians, every region and
-  ADMM step.  A Gauss-Newton KKT system whose constraint Jacobian is the
-  identity on some columns, as the power-flow rows are on each node's
-  (p, q), has an explicit null-space basis: solve_reduced_kkt eliminates
-  those columns and factors the reduced Hessian, 2 N rows where the
-  bordered matrix has 6 N.  It also factors C C^T for the multiplier
-  refit of local_solver on dense C.
+* CholeskyFactor: solve_reduced_kkt on dense Jacobians, and C C^T for
+  the multiplier refit of local_solver on dense C, which is one region's
+  C in a region batch.  A Gauss-Newton KKT system whose constraint
+  Jacobian is the identity on some columns, as the power-flow rows are on
+  each node's (p, q), has an explicit null-space basis: solve_reduced_kkt
+  eliminates those columns and factors the reduced Hessian, 2 N rows
+  where the bordered matrix has 6 N (none when every column is an
+  identity column: a 0 x 0 matrix factors and solves to an empty result).
+  In the package the dense step serves only a region batch whose union
+  system stays singular, factored again region by region.
 * SparseFactor, SuperLU with COLAMD column ordering, for scipy.sparse
   input: solve_linear (the Newton power flow), solve_reduced_kkt (the
-  central step, hundreds to thousands of rows under 1 % nonzero), the
-  multiplier refit on sparse C, and solve_kkt.  solve_reduced_kkt keeps
-  a _ReducedPlan per Jacobian pattern, so each step refills the reduced
-  matrix from the Jacobians' data arrays and calls SuperLU once.
+  central step and every region batch of the ALADIN and ADMM loops:
+  hundreds to thousands of rows under 1 % nonzero, block diagonal for a
+  batch), the multiplier refit on sparse C, and solve_kkt.
+  solve_reduced_kkt keeps a _ReducedPlan per Jacobian pattern, so each
+  step refills the reduced matrix from the Jacobians' data arrays and
+  calls SuperLU once.
   solve_kkt factors the whole bordered matrix, symmetric but indefinite,
   with no assumption that the Hessian block alone is invertible; its one
   caller in the package is the consensus QP, which is mostly zeros, so
@@ -182,6 +187,9 @@ class CholeskyFactor(_Factor):
             raise SingularMatrix("matrix is not numerically positive definite in Cholesky factorization")
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
+        if not self._low.size:
+            # dpotrs rejects the empty system, whose solution is empty.
+            return np.zeros(rhs.shape)
         return scipy.linalg.lapack.dpotrs(self._low, rhs, lower=1)[0]
 
 

@@ -23,6 +23,16 @@ when that brings the KKT residual to tol, usually at the first dust step.
 Three dust steps in a row end the solve as converged at the rounding
 floor whatever the residual.
 
+solve_batch runs that SQP on many independent problems at once, one block
+each of a block-diagonal problem (Blocks): the distributed loops pass
+every region of an outer iteration as one batch over the disjoint union
+of the fragments.  Each lock-step evaluates the residual, the physics and
+their Jacobians once for all blocks and takes one reduced step; every
+scalar of the SQP (tolerance, merit penalty, step length, dust-step count,
+convergence) is a vector with one entry per block, and no block's numbers
+reach another's.  A block that converges or fails stops moving, while the
+others go on.  solve_local is the batch of one block.
+
 The same routine serves three callers: the distributed consensus loop
 (prox over all coordinates, lin from the coupling duals), the alternating
 baseline (prox over the coupled copies only) and the monolithic reference
@@ -31,13 +41,17 @@ solver (no prox, small Levenberg ridge mu).
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .errors import InnerDiverged, ZeroVoltage
+from .errors import GridestError, InnerDiverged, SingularKkt, ZeroVoltage
 
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -67,6 +81,94 @@ class LocalSolution:
     converged: bool
 
 
+class Blocks:
+    """How one batched problem splits into independent blocks.
+
+    Block i owns the states state_ptr[i]:state_ptr[i+1], the constraint
+    rows constraint_ptr[i]:constraint_ptr[i+1] and the residual rows
+    labelled i in residual_block.  Each row may depend on its own block's
+    states only, so both Jacobians are block diagonal up to a permutation
+    of the residual rows.  voltage_cols lists the states that the residual
+    divides by (grid.line_flows needs v_k > 0): residual.eval raises
+    ZeroVoltage when one of them is <= 0, and the block owning it is the
+    one whose solve fails.
+    """
+
+    def __init__(self, state_ptr, constraint_ptr, residual_block, voltage_cols=()):
+        self.state_ptr = np.asarray(state_ptr, dtype=np.intp)
+        self.constraint_ptr = np.asarray(constraint_ptr, dtype=np.intp)
+        self.residual_block = np.asarray(residual_block, dtype=np.intp)
+        self.voltage_cols = np.asarray(voltage_cols, dtype=np.intp)
+        self.n = len(self.state_ptr) - 1
+        blocks = np.arange(self.n)
+        self.state_block = np.repeat(blocks, np.diff(self.state_ptr))
+        self.constraint_block = np.repeat(blocks, np.diff(self.constraint_ptr))
+        order = np.argsort(self.residual_block, kind="stable")
+        self.residual_rows = np.split(order, np.cumsum(np.bincount(self.residual_block, minlength=self.n))[:-1])
+
+    @classmethod
+    def single(cls, n_states: int, n_constraints: int, n_rows: int) -> Blocks:
+        return cls([0, n_states], [0, n_constraints], np.zeros(n_rows, dtype=np.intp))
+
+    def states(self, i: int) -> slice:
+        return slice(self.state_ptr[i], self.state_ptr[i + 1])
+
+    def constraints(self, i: int) -> slice:
+        return slice(self.constraint_ptr[i], self.constraint_ptr[i + 1])
+
+    def zero_voltage(self, y: np.ndarray) -> np.ndarray:
+        """Per block, whether one of its voltage_cols is <= 0 in y."""
+        low = self.voltage_cols[y[self.voltage_cols] <= 0.0]
+        return np.bincount(self.state_block[low], minlength=self.n) > 0
+
+    def with_unit_voltages(self, y: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """y with the voltage_cols of the blocks marked in which set to 1."""
+        y = y.copy()
+        y[self.voltage_cols[which[self.state_block[self.voltage_cols]]]] = 1.0
+        return y
+
+
+@contextlib.contextmanager
+def _without_ridge_warnings():
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "KKT factorization failed")
+        yield
+
+
+def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The largest entry of each segment ptr[i]:ptr[i+1] of nonnegative
+    values, 0 for an empty one."""
+    if len(ptr) == 2:
+        return values.max(initial=0.0, keepdims=True)
+    out = np.zeros(len(ptr) - 1)
+    full = np.flatnonzero(ptr[1:] > ptr[:-1])
+    if len(full):
+        out[full] = np.maximum.reduceat(values, ptr[full])
+    return out
+
+
+def _block(m, rows, cols: slice) -> np.ndarray:
+    """The entries of m on rows (a slice or an index array) and cols, as
+    a dense array.  m is dense, or scipy.sparse without duplicate entries
+    whose entries on rows all lie in cols, as a block of a block-diagonal
+    matrix's do."""
+    if not scipy.sparse.issparse(m):
+        return m[rows, cols]
+    m = m.tocsr()
+    rows = np.arange(m.shape[0])[rows]
+    counts = m.indptr[rows + 1] - m.indptr[rows]
+    take = linalg._ranges(m.indptr[rows], counts)
+    out = np.zeros((len(rows), cols.stop - cols.start))
+    out[np.repeat(np.arange(len(rows)), counts), m.indices[take] - cols.start] = m.data[take]
+    return out
+
+
+def sparse_jacobians(model) -> SimpleNamespace:
+    """model's eval and identity columns, with its Jacobian in scipy.sparse form."""
+    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True),
+                           identity_columns=getattr(model, "identity_columns", None))
+
+
 def solve_local(
     residual,
     constraints,
@@ -91,7 +193,41 @@ def solve_local(
     the proximal term acts on (None means all of them); prox_target must
     match its length.  Returns the last iterate with converged=False when
     max_inner runs out; raises InnerDiverged when the line search cannot
-    produce decrease and SingularKkt when a step's system stays singular.
+    produce decrease, SingularKkt when a step's system stays singular and
+    ZeroVoltage when the residual is undefined at y0.  This is solve_batch
+    with one block.
+    """
+    (outcome,) = solve_batch(residual, constraints, y0, rho=rho, lin=lin, prox_target=prox_target,
+                             prox_idx=prox_idx, mu=mu, tol=tol, max_inner=max_inner, relative=relative)
+    if isinstance(outcome, GridestError):
+        raise outcome
+    return outcome
+
+
+def solve_batch(
+    residual,
+    constraints,
+    y0: np.ndarray,
+    blocks: Blocks | None = None,
+    rho: float = 0.0,
+    lin: np.ndarray | None = None,
+    prox_target: np.ndarray | None = None,
+    prox_idx: np.ndarray | None = None,
+    mu: float = 0.0,
+    tol: float = 1e-8,
+    max_inner: int = 50,
+    relative: bool = False,
+) -> list[LocalSolution | GridestError]:
+    """solve_local on every block of a block-diagonal problem at once.
+
+    The arguments are solve_local's for the whole problem, and blocks
+    (one block when None) says which states and rows form each block.
+    Every block stops by solve_local's rules on its own tolerance, relative
+    to its own start residual when relative.  Returns one entry per block:
+    its LocalSolution, whose y, kappa, residual and Jacobians are the
+    block's own (dense arrays, cut from the whole problem's Jacobians, when
+    blocks is given), or the InnerDiverged, SingularKkt or ZeroVoltage that
+    ended its solve.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -104,28 +240,75 @@ def solve_local(
         idx = np.arange(0, dtype=int)
         target = np.zeros(0)
 
-    def objective(yv: np.ndarray, res: np.ndarray) -> float:
-        d = yv[idx] - target
-        return float(res @ res) + float(lin @ yv) + 0.5 * rho * float(d @ d)
+    outcomes: list = [None] * (1 if blocks is None else blocks.n)
+    try:
+        b, h = residual.eval(y), constraints.eval(y)
+    except ZeroVoltage as exc:
+        if blocks is None:
+            return [exc]
+        bad = blocks.zero_voltage(y)
+        outcomes = [ZeroVoltage(str(exc)) if fail else None for fail in bad]
+        y = blocks.with_unit_voltages(y, bad)
+        b, h = residual.eval(y), constraints.eval(y)
+    single = blocks is None
+    blocks = blocks or Blocks.single(n, len(h), len(b))
+    nb, state_block, con_block = blocks.n, blocks.state_block, blocks.constraint_block
+    row_block = blocks.residual_block
+    idx_block = state_block[idx]
+    active = np.array([o is None for o in outcomes])
 
-    b = residual.eval(y)
+    def sums(labels, values):
+        return np.bincount(labels, values, minlength=nb)
+
+    def merit_terms(yv: np.ndarray, res: np.ndarray, hv: np.ndarray) -> np.ndarray:
+        """Rows objective, fit, prox term and |h|_1 at (yv, res, hv), one column per block."""
+        d = yv[idx] - target
+        fit, prox = sums(row_block, res * res), 0.5 * rho * sums(idx_block, d * d)
+        return np.array([fit + sums(state_block, lin * yv) + prox, fit, prox, sums(con_block, np.abs(hv))])
+
+    def keep_active(new: np.ndarray, old: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+        """new in the blocks still active (entries labelled with them), old elsewhere."""
+        return new if active.all() else np.where(active if labels is None else active[labels], new, old)
+
+    def solution(i: int, converged: bool) -> LocalSolution:
+        if single:
+            y_i, kappa_i, b_i, big_b_i, big_c_i = y, kappa, b, big_b, big_c
+        else:
+            s, c, rows = blocks.states(i), blocks.constraints(i), blocks.residual_rows[i]
+            y_i, kappa_i, b_i = y[s].copy(), kappa[c].copy(), b[rows]
+            big_b_i, big_c_i = _block(big_b, rows, s), _block(big_c, c, s)
+        return LocalSolution(
+            y=y_i, kappa=kappa_i, residual=b_i, residual_jacobian=big_b_i, constraint_jacobian=big_c_i,
+            fit=float(b_i @ b_i), inner_iterations=inner, kkt_residual=float(kkt_res[i]), tol=float(tol[i]),
+            converged=converged,
+        )
+
+    def fail(i: int, exc: GridestError) -> None:
+        outcomes[i] = exc
+        active[i] = False
+
     big_b = residual.jacobian(y)
-    h = constraints.eval(y)
     big_c = constraints.jacobian(y)
+    w = constraints.identity_columns
     kappa = np.zeros(big_c.shape[0])
-    nu = 10.0
+    shift = np.full(n, mu)
+    shift[idx] += rho
+    tol = np.full(nb, float(tol))
+    nu = np.full(nb, 10.0)
+    dust_steps = np.zeros(nb, dtype=int)
+    kkt_res = np.full(nb, np.inf)
+    no_block = np.zeros(nb, dtype=bool)
+    terms = merit_terms(y, b, h)
     inner = 0
-    kkt_res = np.inf
-    dust_steps = 0
     for inner in range(max_inner + 1):
         grad = 2.0 * linalg.matvec(big_b, b, trans=True) + lin
         grad[idx] += rho * (y[idx] - target)
-        kkt_res = max(
-            np.abs(grad + linalg.matvec(big_c, kappa, trans=True)).max(initial=0.0),
-            np.abs(h).max(initial=0.0),
+        infeasibility = _segment_max(np.abs(h), blocks.constraint_ptr)
+        kkt_res = np.maximum(
+            _segment_max(np.abs(grad + linalg.matvec(big_c, kappa, trans=True)), blocks.state_ptr), infeasibility
         )
         if relative and inner == 0:
-            tol *= max(1.0, kkt_res)
+            tol *= np.maximum(1.0, kkt_res)
         # The stationarity sum cancels numbers of scale |B^T||b| + |C^T||k|,
         # so it cannot be driven below the rounding of that sum.  Once a
         # step is rounding dust at a feasible iterate, y has stopped moving
@@ -134,65 +317,95 @@ def solve_local(
         # multiplier vectors is kept.  After three dust steps the solution
         # is as stationary as float64 can express; stopping there is
         # convergence, not failure.
-        feasible = np.abs(h).max(initial=0.0) <= tol
-        if dust_steps >= 1 and feasible and kkt_res > tol:
-            kappa, kkt_res = _refit_multipliers(grad, big_c, h, kappa, kkt_res)
-        if kkt_res <= tol or (dust_steps >= 3 and feasible):
-            return LocalSolution(
-                y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
-                constraint_jacobian=big_c, fit=float(b @ b),
-                inner_iterations=inner, kkt_residual=kkt_res, tol=tol, converged=True,
-            )
-        if inner == max_inner:
+        dusty = active & (infeasibility <= tol) & (dust_steps >= 1)
+        for i in np.flatnonzero(dusty & (kkt_res > tol)):
+            s, c = blocks.states(i), blocks.constraints(i)
+            big_c_i = big_c if single else _block(big_c, c, s)
+            kappa[c], kkt_res[i] = _refit_multipliers(grad[s], big_c_i, h[c], kappa[c], kkt_res[i])
+        for i in np.flatnonzero(active & ((kkt_res <= tol) | (dusty & (dust_steps >= 3)))):
+            outcomes[i] = solution(i, converged=True)
+            active[i] = False
+        if inner == max_inner or not active.any():
             break
-        shift = np.full(n, mu)
-        shift[idx] += rho
-        sol = linalg.solve_reduced_kkt(big_b, big_c, constraints.identity_columns, shift, grad, h)
-        step, kappa_new = sol.step, sol.multipliers
-        # The merit penalty must dominate the multipliers and never shrink.
-        nu = max(nu, 2.0 * np.abs(kappa_new).max(initial=0.0) + 1.0)
-        h_l1 = np.abs(h).sum()
-        merit0 = objective(y, b) + nu * h_l1
-        slope = float(grad @ step) - nu * h_l1
-        slope = min(slope, 0.0)
-        alpha = 1.0
-        h_terms = float(np.sum(linalg.matvec(abs(big_c), np.abs(y))))
-        d = y[idx] - target
-        noise = (float(b @ b) + float(np.abs(lin) @ np.abs(y)) + nu * (h_l1 + h_terms) + 1.0
-                 + 0.5 * rho * float(d @ d))
-        slack = MERIT_NOISE * noise
-        for _ in range(MAX_BACKTRACKS + 1):
-            trial = y + alpha * step
-            try:
-                b_trial = residual.eval(trial)
-                h_trial = constraints.eval(trial)
-            except ZeroVoltage:
-                alpha *= BACKTRACK_FACTOR
-                continue
-            merit = objective(trial, b_trial) + nu * np.abs(h_trial).sum()
-            if merit <= merit0 + ARMIJO_C1 * alpha * slope + slack:
+        # The union's factor judges its pivots against the largest entry of
+        # any block, and its ridge would reach every block.  So a batch whose
+        # step needed the ridge, or failed even with it, is solved again
+        # block by block, each with its own pivot threshold and ridge; a
+        # block that needs the ridge warns there.
+        try:
+            with _without_ridge_warnings() if nb > 1 else contextlib.nullcontext():
+                sol = linalg.solve_reduced_kkt(big_b, big_c, w, shift, grad, h)
+            step, kappa_new = sol.step, sol.multipliers
+            by_block = sol.regularized and nb > 1
+        except SingularKkt as exc:
+            if nb == 1:
+                fail(0, exc)
                 break
-            alpha *= BACKTRACK_FACTOR
-        else:
-            raise InnerDiverged(
-                f"line search stalled after {MAX_BACKTRACKS} halvings (merit {merit0:.6e})"
-            )
-        moved = alpha * np.abs(step).max(initial=0.0)
-        if moved <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(y).max(initial=0.0)):
-            dust_steps += 1
-        else:
-            dust_steps = 0
-        y = trial
-        kappa = kappa_new
-        b = b_trial
-        h = h_trial
+            by_block = True
+        if by_block:
+            step, kappa_new = np.zeros(n), np.zeros(len(kappa))
+            for i in np.flatnonzero(active):
+                s, c = blocks.states(i), blocks.constraints(i)
+                try:
+                    sol = linalg.solve_reduced_kkt(
+                        _block(big_b, blocks.residual_rows[i], s), _block(big_c, c, s), w[c] - s.start,
+                        shift[s], grad[s], h[c],
+                    )
+                except SingularKkt as block_exc:
+                    fail(i, block_exc)
+                    continue
+                step[s], kappa_new[c] = sol.step, sol.multipliers
+            if not active.any():
+                break
+        # The merit penalty must dominate the multipliers and never shrink.
+        nu = np.maximum(nu, 2.0 * _segment_max(np.abs(kappa_new), blocks.constraint_ptr) + 1.0)
+        obj, fit, prox, h_l1 = terms
+        merit0 = obj + nu * h_l1
+        slope = np.minimum(sums(state_block, grad * step) - nu * h_l1, 0.0)
+        abs_y = np.abs(y)
+        h_terms = sums(con_block, linalg.matvec(abs(big_c), abs_y))
+        noise = fit + sums(state_block, np.abs(lin) * abs_y) + nu * (h_l1 + h_terms) + 1.0 + prox
+        slack = MERIT_NOISE * noise
+        alpha = np.ones(nb)
+        searching = active.copy()
+        for _ in range(MAX_BACKTRACKS + 1):
+            trial = keep_active(y + alpha[state_block] * step, y, state_block)
+            try:
+                b_trial, h_trial = residual.eval(trial), constraints.eval(trial)
+                bad = no_block
+            except ZeroVoltage:
+                # The blocks with a voltage <= 0 backtrack; the others are
+                # evaluated with those blocks' voltages at 1.
+                bad = blocks.zero_voltage(trial) if nb > 1 else np.ones(1, dtype=bool)
+                if (searching & ~bad).any():
+                    safe = blocks.with_unit_voltages(trial, bad)
+                    b_trial, h_trial = residual.eval(safe), constraints.eval(safe)
+            if (searching & ~bad).any():
+                trial_terms = merit_terms(trial, b_trial, h_trial)
+                merit = trial_terms[0] + nu * trial_terms[3]
+                searching &= bad | (merit > merit0 + ARMIJO_C1 * alpha * slope + slack)
+            if not searching.any():
+                break
+            alpha[searching] *= BACKTRACK_FACTOR
+        for i in np.flatnonzero(searching):
+            fail(i, InnerDiverged(f"line search stalled after {MAX_BACKTRACKS} halvings (merit {merit0[i]:.6e})"))
+        if not active.any():
+            break
+        # Each block that took a step keeps the last evaluation's values:
+        # an evaluation after its acceptance repeats the same numbers.
+        moved = alpha * _segment_max(np.abs(step), blocks.state_ptr)
+        dust = moved <= 8.0 * np.finfo(float).eps * (1.0 + _segment_max(abs_y, blocks.state_ptr))
+        dust_steps = keep_active(np.where(dust, dust_steps + 1, 0), dust_steps)
+        y = keep_active(trial, y, state_block)
+        b = keep_active(b_trial, b, row_block)
+        h = keep_active(h_trial, h, con_block)
+        kappa = keep_active(kappa_new, kappa, con_block)
+        terms = keep_active(trial_terms, terms)
         big_b = residual.jacobian(y)
         big_c = constraints.jacobian(y)
-    return LocalSolution(
-        y=y, kappa=kappa, residual=b, residual_jacobian=big_b,
-        constraint_jacobian=big_c, fit=float(b @ b),
-        inner_iterations=inner, kkt_residual=kkt_res, tol=tol, converged=False,
-    )
+    for i in np.flatnonzero(active):
+        outcomes[i] = solution(i, converged=False)
+    return outcomes
 
 
 def _refit_multipliers(grad, big_c, h, kappa, kkt_res):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiling
-from gridest import admm, aladin, central, coordinator, linalg, local_solver, measurements, partition, powerflow
+from gridest import admm, aladin, central, coordinator, grid, linalg, local_solver, measurements, partition, powerflow
 from gridest.errors import DimensionMismatch, InnerDiverged, SingularKkt, ValidationError
 
 from conftest import DEFAULT_SEED, random_connected_assignment
@@ -152,14 +152,14 @@ def test_first_iteration_solves_stop_relative_to_their_start(monkeypatch, aladin
     keep the absolute schedule, and the run still takes 3 iterations."""
     assert aladin30.iterations == 3
     assert max(aladin30.history[0].inner_iterations) <= 3
-    solve = local_solver.solve_local
+    solve = local_solver.solve_batch
     sols = []
 
     def recording(*args, **kwargs):
-        sols.append(solve(*args, **kwargs))
-        return sols[-1]
+        sols.extend(solve(*args, **kwargs))
+        return sols[-part30.n_regions:]
 
-    monkeypatch.setattr(local_solver, "solve_local", recording)
+    monkeypatch.setattr(local_solver, "solve_batch", recording)
     result = aladin.run_aladin(part30, mset30)
     n = part30.n_regions
     assert [sol.inner_iterations for sol in sols[:n]] == list(aladin30.history[0].inner_iterations)
@@ -216,7 +216,7 @@ def test_states_that_do_not_fit_the_partition_fail_before_any_solve(monkeypatch,
     def no_solve(*args, **kwargs):
         raise AssertionError("a region solve ran before the inputs were checked")
 
-    monkeypatch.setattr(local_solver, "solve_local", no_solve)
+    monkeypatch.setattr(local_solver, "solve_batch", no_solve)
     zs = partition.extend_state(part30, truth30)
     kwargs = {
         "z0-one-state-short": {"z0": zs[:3]},
@@ -229,17 +229,18 @@ def test_states_that_do_not_fit_the_partition_fail_before_any_solve(monkeypatch,
 
 @pytest.mark.parametrize("run", METHODS)
 def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, run):
-    solve = local_solver.solve_local
+    solve = local_solver.solve_batch
     calls = 0
 
     def diverge_in_second_iteration(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls > part30.n_regions:
-            raise InnerDiverged("line search made no progress")
-        return solve(*args, **kwargs)
+        outcomes = solve(*args, **kwargs)
+        if calls > 1:
+            outcomes[0] = InnerDiverged("line search made no progress")
+        return outcomes
 
-    monkeypatch.setattr(local_solver, "solve_local", diverge_in_second_iteration)
+    monkeypatch.setattr(local_solver, "solve_batch", diverge_in_second_iteration)
     result = run(part30, mset30)
     assert not result.converged
     assert result.iterations == 1
@@ -248,21 +249,88 @@ def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, 
 
 @pytest.mark.parametrize("run", METHODS)
 def test_a_singular_region_system_ends_the_run_with_a_note(monkeypatch, part30, mset30, run):
-    solve = local_solver.solve_local
+    solve = local_solver.solve_batch
     calls = 0
 
     def singular_in_second_iteration(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls == part30.n_regions + 2:
-            raise SingularKkt("KKT system singular even after ridge regularization")
-        return solve(*args, **kwargs)
+        outcomes = solve(*args, **kwargs)
+        if calls == 2:
+            outcomes[1] = SingularKkt("KKT system singular even after ridge regularization")
+        return outcomes
 
-    monkeypatch.setattr(local_solver, "solve_local", singular_in_second_iteration)
+    monkeypatch.setattr(local_solver, "solve_batch", singular_in_second_iteration)
     result = run(part30, mset30)
     assert not result.converged
     assert result.iterations == 1
     assert result.note.startswith("inner solve singular at outer iteration 2 in region 1")
+
+
+def _region_batches(monkeypatch, run, part, mset, **kwargs):
+    """(y0, blocks, keyword arguments, outcomes) of every region batch of one run."""
+    solve = local_solver.solve_batch
+    batches = []
+
+    def recording(residual, constraints, y0, blocks, **kw):
+        batches.append((y0, blocks, kw, solve(residual, constraints, y0, blocks, **kw)))
+        return batches[-1][3]
+
+    monkeypatch.setattr(local_solver, "solve_batch", recording)
+    run(part, mset, **kwargs)
+    monkeypatch.setattr(local_solver, "solve_batch", solve)
+    return batches
+
+
+def _bitwise_equal(a, b):
+    arrays = ("y", "kappa", "residual", "residual_jacobian", "constraint_jacobian")
+    scalars = ("fit", "inner_iterations", "kkt_residual", "tol", "converged")
+    return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in arrays)
+            and all(getattr(a, f) == getattr(b, f) for f in scalars))
+
+
+@pytest.mark.parametrize("run", METHODS)
+@pytest.mark.parametrize("grid_name", ["part30", "two_tile30"])
+def test_a_region_batch_keeps_every_other_region_bit_for_bit(monkeypatch, request, part30, mset30, run, grid_name):
+    """Perturbing one region's measurements leaves every other region's
+    first-iteration solution identical to the last bit."""
+    part, mset = (part30, mset30) if grid_name == "part30" else request.getfixturevalue("two_tile30")
+    config = aladin.RunConfig(max_outer=1)
+    base = _region_batches(monkeypatch, run, part, mset, config=config)[0][3]
+    region_of = np.array([part.assignment[node] for node in mset.node_ids])
+    for j in range(part.n_regions):
+        values = mset.node_values * np.where(region_of == j, 1.0 + 1e-3, 1.0)[:, None]
+        perturbed = dataclasses.replace(mset, node_values=values)
+        sols = _region_batches(monkeypatch, run, part, perturbed, config=config)[0][3]
+        for i, (a, b) in enumerate(zip(base, sols)):
+            assert _bitwise_equal(a, b) == (i != j), (j, i)
+
+
+@pytest.mark.parametrize("run", METHODS)
+def test_each_batched_region_solution_is_the_single_region_solution(monkeypatch, part30, mset30, two_tile30, run):
+    """Every region solve of whole runs on part30 and two_tile30, solved
+    again alone with dense Jacobians from the same start and terms."""
+    for part, mset in ((part30, mset30), two_tile30):
+        region_sets = measurements.split_by_region(mset, part)
+        problems = [(measurements.RegionResidual(r.case, s), grid.PowerFlowModel(r.case))
+                    for r, s in zip(part.regions, region_sets)]
+        batches = _region_batches(monkeypatch, run, part, mset)
+        assert len(batches) >= 3
+        for y0, blocks, kw, outcomes in batches:
+            idx = kw["prox_idx"]
+            for i, ((residual, model), batched) in enumerate(zip(problems, outcomes)):
+                s = blocks.states(i)
+                mine = (idx >= s.start) & (idx < s.stop)
+                alone = local_solver.solve_local(
+                    residual, model, y0[s], rho=kw["rho"], lin=kw["lin"][s],
+                    prox_target=kw["prox_target"][mine], prox_idx=idx[mine] - s.start,
+                    tol=kw["tol"], max_inner=kw["max_inner"], relative=kw["relative"],
+                )
+                assert alone.inner_iterations == batched.inner_iterations
+                assert alone.converged == batched.converged
+                assert np.abs(alone.y - batched.y).max() <= 1e-10
+                assert np.abs(alone.kappa - batched.kappa).max() <= 1e-10
+                assert np.array_equal(alone.residual_jacobian != 0.0, batched.residual_jacobian != 0.0)
 
 
 def test_a_singular_consensus_qp_ends_the_run_with_a_note(monkeypatch, part30, mset30):
@@ -278,16 +346,16 @@ def test_a_singular_consensus_qp_ends_the_run_with_a_note(monkeypatch, part30, m
 
 @pytest.mark.parametrize("run", METHODS)
 def test_nonconverged_inner_solves_are_named_in_the_note(monkeypatch, part30, mset30, run):
-    solve = local_solver.solve_local
+    solve = local_solver.solve_batch
     consensus = coordinator.solve_consensus
     converged = []
 
     def recording(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        converged.append(sol.converged)
-        return sol
+        sols = solve(*args, **kwargs)
+        converged.extend(sol.converged for sol in sols)
+        return sols
 
-    monkeypatch.setattr(local_solver, "solve_local", recording)
+    monkeypatch.setattr(local_solver, "solve_batch", recording)
     # Every ALADIN consensus step reports a ridge, so its note comes first.
     monkeypatch.setattr(coordinator, "solve_consensus",
                         lambda *a, **k: dataclasses.replace(consensus(*a, **k), regularized=True))
@@ -340,14 +408,53 @@ def test_the_480_bus_grid_converges_at_rho_1e8():
     assert result.converged, result.note
 
 
-def test_a_consensus_step_to_a_zero_voltage_ends_the_run_with_a_note(part30, mset30):
-    # At rho = 1 the fourth consensus step leaves a voltage <= 0 in region 0.
-    result = aladin.run_aladin(part30, mset30, config=aladin.RunConfig(rho=1.0))
+def test_a_consensus_step_to_a_zero_voltage_ends_the_run_with_a_note(monkeypatch, part30, mset30):
+    consensus = coordinator.solve_consensus
+    calls = 0
+
+    def dropping(*args, **kwargs):
+        # The second consensus step leaves every voltage of region 0 <= 0.
+        nonlocal calls
+        calls += 1
+        sol = consensus(*args, **kwargs)
+        if calls == 2:
+            sol.steps[0][grid.V::4] -= 2.0
+        return sol
+
+    monkeypatch.setattr(coordinator, "solve_consensus", dropping)
+    result = aladin.run_aladin(part30, mset30)
     assert not result.converged
-    assert result.iterations == 4
+    assert result.iterations == 2
     assert result.note == (
-        "inner solve diverged at outer iteration 5 in region 0: line measurement functions need v_k > 0"
+        "inner solve diverged at outer iteration 3 in region 0: line measurement functions need v_k > 0"
     )
+
+
+@pytest.mark.parametrize("run", METHODS)
+def test_the_note_names_the_lowest_failing_region_while_the_others_solve(monkeypatch, part30, mset30, run):
+    """Regions 1 and 3 start outer iteration 2 at voltages <= 0: both fail
+    in the batch, regions 0 and 2 still converge, and the note names 1."""
+    solve = local_solver.solve_batch
+    batches = []
+
+    def dropping(residual, constraints, y0, blocks, **kwargs):
+        if batches:
+            y0 = y0.copy()
+            for i in (1, 3):
+                y0[blocks.states(i)][grid.V::4] -= 2.0
+        batches.append(solve(residual, constraints, y0, blocks, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(local_solver, "solve_batch", dropping)
+    result = run(part30, mset30)
+    assert not result.converged
+    assert result.iterations == 1
+    assert result.note == (
+        "inner solve diverged at outer iteration 2 in region 1: line measurement functions need v_k > 0"
+    )
+    outcomes = batches[1]
+    assert [type(o).__name__ for o in outcomes] == ["LocalSolution", "ZeroVoltage", "LocalSolution", "ZeroVoltage"]
+    assert outcomes[0].converged and outcomes[2].converged
 
 
 @pytest.mark.parametrize(

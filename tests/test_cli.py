@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gridest
-from gridest import admm, aladin, caseio, cli, local_solver
+from gridest import admm, aladin, caseio, cli, coordinator, grid, local_solver
 from gridest.errors import SingularKkt
 
 
@@ -66,17 +66,18 @@ def test_estimate_reports_nonconvergence_with_exit_one(tmp_path, capsys):
 
 
 def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, capsys, monkeypatch):
-    solve = local_solver.solve_local
+    solve = local_solver.solve_batch
     calls = 0
 
     def singular_in_second_iteration(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls > 4:  # default4: outer iteration 1 solves four regions
-            raise SingularKkt("KKT system singular even after ridge regularization")
-        return solve(*args, **kwargs)
+        outcomes = solve(*args, **kwargs)
+        if calls > 1:  # one batch per outer iteration, one entry per region
+            outcomes[0] = SingularKkt("KKT system singular even after ridge regularization")
+        return outcomes
 
-    monkeypatch.setattr(local_solver, "solve_local", singular_in_second_iteration)
+    monkeypatch.setattr(local_solver, "solve_batch", singular_in_second_iteration)
     assert _run("estimate", "--out", tmp_path) == 1
     assert "singular" in capsys.readouterr().err
     history = (tmp_path / "aladin_history.csv").read_text().splitlines()
@@ -85,12 +86,21 @@ def test_a_singular_kkt_system_exits_one_with_the_partial_history(tmp_path, caps
     assert summary["converged"] is False
 
 
-def test_a_consensus_step_to_a_zero_voltage_exits_one_with_the_partial_history(tmp_path, capsys):
-    assert _run("estimate", "--rho", 1, "--out", tmp_path) == 1
+def test_a_consensus_step_to_a_zero_voltage_exits_one_with_the_partial_history(tmp_path, capsys, monkeypatch):
+    consensus = coordinator.solve_consensus
+
+    def to_zero_voltage(*args, **kwargs):
+        # Every voltage of region 0 ends up <= 0.
+        sol = consensus(*args, **kwargs)
+        sol.steps[0][grid.V::4] -= 2.0
+        return sol
+
+    monkeypatch.setattr(coordinator, "solve_consensus", to_zero_voltage)
+    assert _run("estimate", "--out", tmp_path) == 1
     assert "v_k > 0" in capsys.readouterr().err
     history = (tmp_path / "aladin_history.csv").read_text().splitlines()
     assert history[3] == ",".join(caseio.HISTORY_COLUMNS)
-    assert len(history) == 8
+    assert len(history) == 5  # three comment lines, the header and outer iteration 1
 
 
 def test_the_package_runs_as_a_module(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from gridest import aladin, coordinator, linalg
 from gridest.errors import DimensionMismatch
@@ -87,6 +88,16 @@ def test_upload_float_count_is_packed_symmetric_plus_dense_rest():
     n, m, nc = 48, 24, 16
     up = _upload(0, rng, n, m, nc)
     assert up.float_count() == 48 * 49 // 2 + 24 * 48 + 48 + 16
+
+
+def test_upload_float_count_counts_a_sparse_constraint_jacobian_by_shape():
+    rng = np.random.default_rng(3)
+    dense = _upload(0, rng, 4, 2, 3)
+    one_entry = np.zeros((2, 4))
+    one_entry[1, 2] = 1.5
+    counts = [dataclasses.replace(dense, constraint_jacobian=kind(one_entry)).float_count()
+              for kind in (np.asarray, scipy.sparse.csr_array)]
+    assert counts == [4 * 5 // 2 + 2 * 4 + 4 + 3] * 2
 
 
 def test_download_float_count_is_lambda_plus_own_step():

@@ -408,6 +408,24 @@ def test_cholesky_factor_solves_spd_systems_and_rejects_the_rest():
             linalg.CholeskyFactor(bad)
 
 
+@pytest.mark.parametrize("rhs_shape", [(0,), (0, 3)], ids=["vector", "matrix"])
+def test_cholesky_factor_solves_the_empty_system(rhs_shape):
+    assert linalg.CholeskyFactor(np.zeros((0, 0))).solve(np.zeros(rhs_shape)).shape == rhs_shape
+
+
+def test_a_dense_reduced_step_without_free_columns_is_the_sparse_one():
+    """Every column an identity column: Z^T H Z is 0 x 0 and C step = -h."""
+    rng = np.random.default_rng(4)
+    w = np.array([2, 0, 3, 1])
+    c = np.eye(4)[w]
+    b, shift, g, h = rng.standard_normal((5, 4)), rng.uniform(0.1, 1.0, 4), rng.standard_normal(4), rng.standard_normal(4)
+    dense = linalg.solve_reduced_kkt(b, c, w, shift, g, h)
+    sparse = linalg.solve_reduced_kkt(scipy.sparse.csr_array(b), scipy.sparse.csr_array(c), w, shift, g, h)
+    assert np.array_equal(dense.step[w], -h)
+    assert np.array_equal(dense.step, sparse.step)
+    assert np.abs(dense.multipliers - sparse.multipliers).max() <= 1e-12 * np.abs(sparse.multipliers).max()
+
+
 # The sparse reduced Gauss-Newton step and its cached plan.
 
 def _gauss_newton_system(seed: int, r: int = 6, m: int = 14):

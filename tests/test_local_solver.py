@@ -6,7 +6,7 @@ import scipy.sparse
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 from gridest import central, grid, linalg, local_solver, measurements, partition
-from gridest.errors import InnerDiverged, SingularKkt
+from gridest.errors import InnerDiverged, SingularKkt, ZeroVoltage
 
 
 class _Affine:
@@ -173,6 +173,47 @@ def test_lying_jacobian_raises_inner_diverged():
         )
 
 
+class _LogFit:
+    """eval(y) = (y_0 - 3, log y_1 - log 0.01): the second entry is, like a
+    line flow at v_k <= 0, undefined for y_1 <= 0."""
+
+    def eval(self, y):
+        if y[1] <= 0.0:
+            raise ZeroVoltage("needs y_1 > 0")
+        return np.array([y[0] - 3.0, np.log(y[1]) - np.log(0.01)])
+
+    def jacobian(self, y):
+        return np.diag([1.0, 1.0 / y[1]])
+
+
+def test_a_block_whose_trial_leaves_its_domain_backtracks_alone():
+    """Two one-state blocks: block 0 is linear and takes its full step;
+    block 1's full Gauss-Newton step, 1 - log(100), leaves y_1 > 0 and is
+    halved until it returns, without holding block 0 back."""
+    blocks = local_solver.Blocks([0, 1, 2], [0, 0, 0], [0, 1], voltage_cols=[1])
+    sols = local_solver.solve_batch(_LogFit(), _no_constraints(2), np.array([0.0, 1.0]), blocks)
+    assert all(sol.converged for sol in sols)
+    assert sols[0].y == pytest.approx([3.0]) and sols[0].inner_iterations == 1
+    assert sols[1].y == pytest.approx([0.01]) and sols[1].inner_iterations > 1
+    assert sols[0].residual_jacobian.shape == sols[1].residual_jacobian.shape == (1, 1)
+    # Block 1 starts outside its domain: only it fails.
+    sols = local_solver.solve_batch(_LogFit(), _no_constraints(2), np.array([0.0, -1.0]), blocks)
+    assert sols[0].converged and isinstance(sols[1], ZeroVoltage)
+
+
+def test_a_block_left_singular_after_the_ridge_fails_alone(monkeypatch):
+    """Block 0 has a gradient but no curvature.  With a zero ridge the
+    batch's reduced system stays singular; factored block by block, only
+    block 0's does, and block 1 goes on to its solution."""
+    monkeypatch.setattr(linalg, "RIDGE_SCALE", 0.0)
+    blocks = local_solver.Blocks([0, 1, 2], [0, 0, 0], [0, 1])
+    residual = _Affine(np.diag([0.0, 1.0]), np.array([0.0, 2.0]))
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        sols = local_solver.solve_batch(residual, _no_constraints(2), np.zeros(2), blocks, lin=np.array([1.0, 0.0]))
+    assert isinstance(sols[0], SingularKkt)
+    assert sols[1].converged and sols[1].y == pytest.approx([2.0])
+
+
 def test_stall_at_rounding_floor_counts_as_convergence():
     """A tolerance below the float64 floor of the stationarity sum is
     reached by step-size stall detection instead of looping to max_inner."""
@@ -249,7 +290,8 @@ def test_reduced_central_step_matches_the_bordered_solve(case30, mset30, truth30
         model = grid.PowerFlowModel(case)
         flat = grid.flat_state(case.n_bus)
         mid = local_solver.solve_local(
-            central._sparse(residual), central._sparse(model), y0=flat, mu=central.MU, max_inner=2
+            local_solver.sparse_jacobians(residual), local_solver.sparse_jacobians(model), y0=flat, mu=central.MU,
+            max_inner=2,
         ).y
         for y in (flat, mid):
             _assert_steps_agree(residual, model, y, np.full(len(y), central.MU), sparse=True)
@@ -294,8 +336,8 @@ def test_refit_multipliers_are_the_least_squares_multipliers(part30, mset30, cas
         grad = 2.0 * residual.jacobian(y).T @ residual.eval(y) + rho * (y - flat)
         big_c = model.jacobian(y)
     else:
-        residual = central._sparse(measurements.RegionResidual(case30, mset30))
-        model = central._sparse(grid.PowerFlowModel(case30))
+        residual = local_solver.sparse_jacobians(measurements.RegionResidual(case30, mset30))
+        model = local_solver.sparse_jacobians(grid.PowerFlowModel(case30))
         y = central30.x
         grad = 2.0 * linalg.matvec(residual.jacobian(y), residual.eval(y), trans=True)
         big_c = model.jacobian(y)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid, local_solver, measurements
-from .errors import Diverged
+from .errors import DimensionMismatch, Diverged
 
 #: Levenberg ridge mu added to the Gauss-Newton Hessian.
 MU = 1e-8
@@ -42,9 +42,16 @@ def solve_central(
     tol: float = 1e-9,
     max_iter: int = 100,
 ) -> CentralSolution:
+    """Estimate the whole grid's state from x0, flat when None.
+
+    An x0 not shaped (4 n_bus,) raises DimensionMismatch before any
+    evaluation; a solve that stalls raises Diverged.
+    """
+    x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
+    if x0.shape != (4 * case.n_bus,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({4 * case.n_bus},)")
     residual = measurements.RegionResidual(case, mset)
     model = grid.PowerFlowModel(case)
-    x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
     sparse = local_solver.sparse_jacobians
     sol = local_solver.solve_local(sparse(residual), sparse(model), y0=x0, mu=MU, tol=tol, max_inner=max_iter)
     if not sol.converged:

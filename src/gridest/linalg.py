@@ -4,34 +4,31 @@ Every factorization is a _Factor: it factors a square matrix once, then
 solves right-hand sides with one step of iterative refinement each.
 Which factor serves which caller:
 
-* LuFactor, partially pivoted dense LU: solve_linear on dense input, the
-  posterior bound's interior eliminations and its boundary system in
-  shared unknowns, which has no rows on a one-region partition (a 0 x 0
-  matrix factors and solves to an empty result).
-* CholeskyFactor: solve_reduced_kkt on dense Jacobians, and C C^T for
-  the multiplier refit of local_solver on dense C, which is one region's
-  C in a region batch.  A Gauss-Newton KKT system whose constraint
-  Jacobian is the identity on some columns, as the power-flow rows are on
-  each node's (p, q), has an explicit null-space basis: solve_reduced_kkt
-  eliminates those columns and factors the reduced Hessian, 2 N rows
-  where the bordered matrix has 6 N (none when every column is an
-  identity column: a 0 x 0 matrix factors and solves to an empty result).
-  In the package the dense step serves only a region batch whose union
-  system stays singular, factored again region by region.
+* LuFactor, partially pivoted dense LU: solve_linear on dense input (the
+  multiplier refit of local_solver on dense C, which is one region's C in
+  a region batch), the posterior bound's interior eliminations and its
+  boundary system in shared unknowns, which has no rows on a one-region
+  partition (a 0 x 0 matrix factors and solves to an empty result).
 * SparseFactor, SuperLU with COLAMD column ordering, for scipy.sparse
-  input: solve_linear (the Newton power flow), solve_reduced_kkt (the
-  central step and every region batch of the ALADIN and ADMM loops:
-  hundreds to thousands of rows under 1 % nonzero, block diagonal for a
-  batch), the multiplier refit on sparse C, and solve_kkt.
-  solve_reduced_kkt keeps a _ReducedPlan per Jacobian pattern, so each
-  step refills the reduced matrix from the Jacobians' data arrays and
-  calls SuperLU once.
+  input: solve_linear (the Newton power flow, the multiplier refit on
+  sparse C), solve_reduced_kkt and solve_kkt.
+  A Gauss-Newton KKT system whose constraint Jacobian is the identity on
+  some columns, as the power-flow rows are on each node's (p, q), has an
+  explicit null-space basis: solve_reduced_kkt eliminates those columns
+  and factors the reduced Hessian, 2 N rows where the bordered matrix has
+  6 N (none when every column is an identity column).  It takes every
+  Gauss-Newton step of the package: the central step and every region
+  batch of the ALADIN and ADMM loops, hundreds to thousands of rows under
+  1 % nonzero, block diagonal for a batch.  It keeps a _ReducedPlan per
+  Jacobian pattern, so each step refills the reduced matrix from the
+  Jacobians' data arrays and calls SuperLU once.
   solve_kkt factors the whole bordered matrix, symmetric but indefinite,
   with no assumption that the Hessian block alone is invertible; its one
   caller in the package is the consensus QP, which is mostly zeros, so
   KktSystem keeps both blocks as CSR.
 
-The kind of the input picks the factor; there is no size threshold.
+The kind of solve_linear's input picks its factor; there is no size
+threshold.
 
 All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
 gram and matvec below, never on numpy's matmul.  numpy and scipy each
@@ -52,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -171,26 +167,6 @@ class LuFactor(_Factor):
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(self._lu, rhs)
-
-
-class CholeskyFactor(_Factor):
-    """Cholesky factorization L L^T (LAPACK dpotrf, dpotrs) of a symmetric
-    positive definite matrix, of which only the lower triangle is read.
-    Raises SingularMatrix when dpotrf meets a pivot <= 0 or a pivot L_kk^2
-    is at most PIVOT_RTOL times the largest absolute entry of the matrix."""
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(m := np.asarray(matrix, dtype=float))
-        self._low, info = scipy.linalg.lapack.dpotrf(m, lower=1)
-        tol = PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny)
-        if info != 0 or np.any(self._low.diagonal() ** 2 <= tol):
-            raise SingularMatrix("matrix is not numerically positive definite in Cholesky factorization")
-
-    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        if not self._low.size:
-            # dpotrs rejects the empty system, whose solution is empty.
-            return np.zeros(rhs.shape)
-        return scipy.linalg.lapack.dpotrs(self._low, rhs, lower=1)[0]
 
 
 class SparseFactor(_Factor):
@@ -322,12 +298,6 @@ def bordered_matrix(hessian, constraint_jacobian):
     return out
 
 
-def plus_diagonal(m, d):
-    """m + diag(d), d a scalar or a vector, as a new matrix of m's kind."""
-    d = np.broadcast_to(d, m.shape[:1])
-    return m + (scipy.sparse.diags_array(d) if scipy.sparse.issparse(m) else np.diag(d))
-
-
 def _with_ridge(attempt, hessian_diagonal):
     """(attempt(0.0), False), or on SingularMatrix (attempt(delta), True)
     after a warning; attempt(ridge) adds ridge to the diagonal of the
@@ -355,7 +325,7 @@ def solve_kkt(system: KktSystem) -> KktSolution:
     below 1e-8 in the infinity norm.
     """
     def factor(ridge: float):
-        hessian = plus_diagonal(system.hessian, ridge) if ridge else system.hessian
+        hessian = system.hessian + ridge * scipy.sparse.eye_array(system.n_states) if ridge else system.hessian
         return SparseFactor(bordered_matrix(hessian, system.constraint_jacobian))
 
     factored, regularized = _with_ridge(factor, system.hessian.diagonal)
@@ -376,49 +346,30 @@ def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gr
         Z^T H Z = 2 (BZ)^T (BZ) + diag(shift_u) + C_u^T diag(shift_w) C_u,
 
     BZ = B_u - B_w C_u; neither Z nor H is formed.  The multipliers are
-    kappa = -(H d + gradient)_w.  Both Jacobians are dense or both
-    scipy.sparse, and the kind picks the factor of Z^T H Z (positive
-    semidefinite for shift >= 0): CholeskyFactor or SparseFactor.  Sparse
-    Jacobians are read through their pattern's _ReducedPlan, so a step
-    touches only their data arrays.  A singular factor gets solve_kkt's
-    ridge retry, the ridge added to shift.
+    kappa = -(H d + gradient)_w.  Either Jacobian may be dense or
+    scipy.sparse; both are read as canonical CSR through their pattern's
+    _ReducedPlan, so a step touches only their data arrays, and
+    SparseFactor factors Z^T H Z (positive semidefinite for shift >= 0).
+    A singular factor gets solve_kkt's ridge retry, the ridge added to
+    shift.
     """
-    sparse = scipy.sparse.issparse(jacobian)
-    b, c = (_canonical_csr(a) if sparse else np.asarray(a, dtype=float) for a in (jacobian, constraint_jacobian))
+    b, c = _canonical_csr(jacobian), _canonical_csr(constraint_jacobian)
     g, h, shift = (np.asarray(a, dtype=float) for a in (gradient, residual, shift))
     w = np.asarray(identity_columns, dtype=np.intp)
     if not g.shape == shift.shape == (b.shape[1],) or not h.shape == w.shape == (c.shape[0],):
         raise DimensionMismatch("gradient, shift, residual or identity columns do not fit the Jacobians")
-    if not all(np.all(np.isfinite(a.data if scipy.sparse.issparse(a) else a)) for a in (b, c, g, h, shift)):
+    if not all(np.all(np.isfinite(a)) for a in (b.data, c.data, g, h, shift)):
         raise ValueError("non-finite entries in the Gauss-Newton system")
-    if sparse:
-        plan = _reduced_plan(b.shape, c.shape, _pattern_bytes(b), _pattern_bytes(c), w.tobytes())
-        (step, kappa), regularized = _with_ridge(
-            lambda ridge: plan.solve(b.data, c.data, shift + ridge, g, h), lambda: plan.hessian_diagonal(b.data, shift)
-        )
-        return KktSolution(step=step, multipliers=kappa, regularized=regularized)
-    u = np.flatnonzero(np.bincount(w, minlength=len(g)) == 0)
-    b_w, c_u = b[:, w], c[:, u]
-    bz = b[:, u] - matvec(b_w, c_u)
-    fit = gram(bz, 2.0)
-    rhs_fit = 2.0 * matvec(bz, matvec(b_w, h), trans=True) - g[u]
-
-    def attempt(ridge: float):
-        s = shift + ridge
-        reduced = plus_diagonal(fit + matvec(c_u, c_u * s[w][:, None], trans=True), s[u])
-        factor = CholeskyFactor(reduced)
-        step = np.empty(len(g))
-        step[u] = factor.solve(rhs_fit + matvec(c_u, g[w] - s[w] * h, trans=True))
-        step[w] = -h - matvec(c_u, step[u])
-        return step, -(2.0 * matvec(b_w, matvec(b, step), trans=True) + s[w] * step[w] + g[w])
-
-    (step, kappa), regularized = _with_ridge(attempt, lambda: 2.0 * (b * b).sum(axis=0) + shift)
+    plan = _reduced_plan(b.shape, c.shape, _pattern_bytes(b), _pattern_bytes(c), w.tobytes())
+    (step, kappa), regularized = _with_ridge(
+        lambda ridge: plan.solve(b.data, c.data, shift + ridge, g, h), lambda: plan.hessian_diagonal(b.data, shift)
+    )
     return KktSolution(step=step, multipliers=kappa, regularized=regularized)
 
 
 def _canonical_csr(a) -> scipy.sparse.csr_array:
-    """a as a CSR array with sorted indices and no duplicates, a itself
-    left as it is."""
+    """a, dense or scipy.sparse, as a CSR array with sorted indices and no
+    duplicates, a itself left as it is."""
     m = scipy.sparse.csr_array(a, dtype=float)
     if not m.has_canonical_format:
         m = m.copy()
@@ -440,13 +391,13 @@ def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ReducedPlan:
-    """The symbolic half of solve_reduced_kkt on sparse Jacobians: where
-    each entry of BZ and of Z^T H Z comes from, for one pattern of the
-    canonical CSR B (m x n) and C (r x n) and one set of identity
-    columns w.  solve() then needs only the values: each product is a
-    gather and each sum an np.bincount over fixed slots (the symbolic and
-    numeric phases of a sparse direct solver; Davis, Direct Methods for
-    Sparse Linear Systems, SIAM 2006, ch. 4-6).
+    """The symbolic half of solve_reduced_kkt: where each entry of BZ and
+    of Z^T H Z comes from, for one pattern of the canonical CSR B (m x n)
+    and C (r x n) and one set of identity columns w.  solve() then needs
+    only the values: each product is a gather and each sum an np.bincount
+    over fixed slots (the symbolic and numeric phases of a sparse direct
+    solver; Davis, Direct Methods for Sparse Linear Systems, SIAM 2006,
+    ch. 4-6).
 
     BZ = B_u - B_w C_u holds the B_u entries and the product of every B_w
     entry with each C_u entry of the row of C its column selects.  The

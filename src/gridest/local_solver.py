@@ -12,8 +12,8 @@ and steps are globalized with a backtracking Armijo search on the exact
 l1 merit function.  Each step solves one KKT system with
 linalg.solve_reduced_kkt, which eliminates the columns where the
 constraint Jacobian is the identity (identity_columns: the p and q of
-grid.PowerFlowModel) and solves in the remaining (theta, v) space, dense
-or sparse as the Jacobians are.
+grid.PowerFlowModel) and solves in the remaining (theta, v) space on a
+sparse plan, whether the Jacobians are dense or sparse.
 
 Near the solution the stationarity residual stalls at the rounding of
 its own sum, and the multipliers of the last KKT solve belong to the
@@ -414,14 +414,13 @@ def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     The k that minimizes ||grad + C^T k|| solves C C^T k = -C grad.  C is
     [C_u | I] up to a column permutation (the identity columns of
     linalg.solve_reduced_kkt), so C C^T = I + C_u C_u^T is symmetric with
-    every eigenvalue >= 1 and needs no ridge: CholeskyFactor factors it
-    for dense C, SparseFactor for scipy.sparse C.  Returns (kappa,
-    kkt_res) of whichever of the given and the refitted multipliers has
-    the smaller KKT residual.
+    every eigenvalue >= 1 and needs no ridge or pivoting care:
+    linalg.solve_linear factors it by LU, dense or sparse as C is.
+    Returns (kappa, kkt_res) of whichever of the given and the refitted
+    multipliers has the smaller KKT residual.
     """
     fitted = np.zeros(0)
     if big_c.shape[0]:
-        factor = linalg.SparseFactor if scipy.sparse.issparse(big_c) else linalg.CholeskyFactor
-        fitted = factor(linalg.gram(big_c.T)).solve(-linalg.matvec(big_c, grad))
+        fitted = linalg.solve_linear(linalg.gram(big_c.T), -linalg.matvec(big_c, grad))
     res = max(np.abs(grad + linalg.matvec(big_c, fitted, trans=True)).max(initial=0.0), np.abs(h).max(initial=0.0))
     return (fitted, res) if res < kkt_res else (kappa, kkt_res)

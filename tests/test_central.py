@@ -5,7 +5,7 @@ import pytest
 
 import tiling
 from gridest import central, grid, local_solver, measurements, partition, powerflow
-from gridest.errors import Diverged
+from gridest.errors import DimensionMismatch, Diverged
 
 
 def test_zero_noise_recovers_the_truth(case30, truth30):
@@ -13,6 +13,12 @@ def test_zero_noise_recovers_the_truth(case30, truth30):
     sol = central.solve_central(case30, mset)
     assert np.abs(sol.x - truth30).max() <= 1e-8
     assert sol.fit <= 1e-16
+
+
+@pytest.mark.parametrize("length", [3, 4 * 30 + 1])
+def test_a_start_state_of_the_wrong_length_is_rejected(case30, mset30, length):
+    with pytest.raises(DimensionMismatch):
+        central.solve_central(case30, mset30, x0=np.ones(length))
 
 
 def test_noisy_estimate_beats_the_truth_in_objective(case30, truth30, mset30, central30):

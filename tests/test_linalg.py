@@ -394,25 +394,6 @@ def test_sparse_solve_kkt_stationarity_feasibility_and_dense_agreement(n, seed):
     assert np.abs(sol.multipliers - dense.multipliers).max(initial=0.0) <= 1e-10
 
 
-def test_cholesky_factor_solves_spd_systems_and_rejects_the_rest():
-    rng = np.random.default_rng(3)
-    root = rng.standard_normal((12, 9))
-    m = root.T @ root
-    b = rng.standard_normal((9, 4))
-    x = linalg.CholeskyFactor(m).solve(b)
-    assert x.shape == (9, 4)
-    assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
-    # Semidefinite (rank 3 of 9), indefinite, and a pivot below PIVOT_RTOL.
-    for bad in (root[:3].T @ root[:3], m - 10.0 * np.eye(9), np.diag([1.0, 1e-15])):
-        with pytest.raises(SingularMatrix):
-            linalg.CholeskyFactor(bad)
-
-
-@pytest.mark.parametrize("rhs_shape", [(0,), (0, 3)], ids=["vector", "matrix"])
-def test_cholesky_factor_solves_the_empty_system(rhs_shape):
-    assert linalg.CholeskyFactor(np.zeros((0, 0))).solve(np.zeros(rhs_shape)).shape == rhs_shape
-
-
 def test_a_dense_reduced_step_without_free_columns_is_the_sparse_one():
     """Every column an identity column: Z^T H Z is 0 x 0 and C step = -h."""
     rng = np.random.default_rng(4)
@@ -444,16 +425,32 @@ def _gauss_newton_system(seed: int, r: int = 6, m: int = 14):
             rng.standard_normal(n), rng.standard_normal(r))
 
 
+def _null_space_step(b, c, w, shift, g, h):
+    """The null-space step formed densely: H = 2 B^T B + diag(shift) and
+    Z with Z[u] = I, Z[w] = -C_u, solving Z^T H Z du = -Z^T (g + H d0)."""
+    b, c = b.toarray(), c.toarray()
+    n = len(g)
+    u = np.setdiff1d(np.arange(n), w)
+    hess = 2.0 * b.T @ b + np.diag(shift)
+    z = np.zeros((n, len(u)))
+    z[u] = np.eye(len(u))
+    z[w] = -c[:, u]
+    d0 = np.zeros(n)
+    d0[w] = -h
+    step = d0 + z @ np.linalg.solve(z.T @ hess @ z, -z.T @ (g + hess @ d0))
+    return step, -(hess @ step + g)[w]
+
+
 def _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h):
-    dense = linalg.solve_reduced_kkt(b.toarray(), c.toarray(), w, shift, g, h)
+    step, kappa = _null_space_step(b, c, w, shift, g, h)
     hess = linalg.gram(b.toarray(), 2.0) + np.diag(shift)
     bordered = linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=c, gradient=g, residual=h))
     assert not sol.regularized
-    for want in (dense, bordered):
-        assert np.abs(sol.step - want.step).max() <= 1e-10 * np.abs(want.step).max()
+    for want_step, want_kappa in ((step, kappa), (bordered.step, bordered.multipliers)):
+        assert np.abs(sol.step - want_step).max() <= 1e-10 * np.abs(want_step).max()
         # max(initial=0.0): a system without constraint rows has no multipliers.
-        error = np.abs(sol.multipliers - want.multipliers).max(initial=0.0)
-        assert error <= 1e-10 * np.abs(want.multipliers).max(initial=0.0)
+        error = np.abs(sol.multipliers - want_kappa).max(initial=0.0)
+        assert error <= 1e-10 * np.abs(want_kappa).max(initial=0.0)
 
 
 @settings(max_examples=25, deadline=None)

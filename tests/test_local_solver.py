@@ -214,6 +214,21 @@ def test_a_block_left_singular_after_the_ridge_fails_alone(monkeypatch):
     assert sols[1].converged and sols[1].y == pytest.approx([2.0])
 
 
+def test_a_batch_that_needs_the_ridge_recovers_block_by_block():
+    """Block 0's residual y0 + y1 - 2 leaves its reduced system singular,
+    block 1's y2 - 3 does not.  The batch is solved again block by block:
+    only block 0 takes the ridge, and block 1 is its solve alone."""
+    blocks = local_solver.Blocks([0, 2, 3], [0, 0, 0], [0, 1])
+    residual = _Affine(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([2.0, 3.0]))
+    with pytest.warns(UserWarning) as record:
+        sols = local_solver.solve_batch(residual, _no_constraints(3), np.zeros(3), blocks)
+    messages = [str(r.message) for r in record]
+    assert len(messages) == 1 and messages[0].startswith("KKT factorization failed")
+    assert sols[0].converged and sols[0].y.sum() == pytest.approx(2.0)
+    alone = local_solver.solve_local(_Affine(np.array([[1.0]]), np.array([3.0])), _no_constraints(1), y0=np.zeros(1))
+    assert np.array_equal(sols[1].y, alone.y)
+
+
 def test_stall_at_rounding_floor_counts_as_convergence():
     """A tolerance below the float64 floor of the stationarity sum is
     reached by step-size stall detection instead of looping to max_inner."""

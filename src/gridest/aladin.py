@@ -181,7 +181,7 @@ def _region_batch(part, mset):
     states and physics rows are the regions', region after region.  The
     union residual measures each region's own nodes and lines; it lists
     every region's node rows first and then every region's line rows, so
-    Blocks labels each row with its region.  Both Jacobians come sparse.
+    Blocks labels each row with its region.
     """
     region_sets = measurements.split_by_region(mset, part)
     ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
@@ -213,8 +213,7 @@ def _region_batch(part, mset):
         np.concatenate([np.repeat(bus_block[residual.node_pos], 4), np.repeat(bus_block[residual.line_k], 3)]),
         voltage_cols=4 * residual.line_k + grid.V,
     )
-    sparse = local_solver.sparse_jacobians
-    return sparse(residual), sparse(grid.PowerFlowModel(case)), blocks
+    return residual, grid.PowerFlowModel(case), blocks
 
 
 def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
@@ -224,7 +223,7 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     z_i as one batch (local_solver.solve_batch over _region_batch), with
     prox_terms(i, z_i) giving region i's (lin, prox_target, prox_idx).
     It logs the iteration and hands the solutions (one LocalSolution per
-    region, with dense Jacobians), the consensus gap sum_i A_i y_i and the
+    region, with CSR Jacobians), the consensus gap sum_i A_i y_i and the
     record to coordinate(sols, gap, record), which fills in the record's
     communication fields and returns the next iterates and whether the
     method has terminated.  config is the run's RunConfig; each region
@@ -324,15 +323,17 @@ def run_aladin(
 
     def coordinate(sols, gap, record):
         nonlocal lam
+        # The paper's upload is dense: B_i^T B_i, C_i and B_i^T b_i.
+        fits = [sol.residual_jacobian.toarray() for sol in sols]
         uploads = [
             coordinator.SensitivityUpload(
                 region=i,
-                fit_hessian=linalg.gram(sol.residual_jacobian),
-                fit_gradient=linalg.matvec(sol.residual_jacobian, sol.residual, trans=True),
-                constraint_jacobian=sol.constraint_jacobian,
+                fit_hessian=linalg.gram(fit),
+                fit_gradient=linalg.matvec(fit, sol.residual, trans=True),
+                constraint_jacobian=sol.constraint_jacobian.toarray(),
                 coupling_image=linalg.matvec(part.coupling[i], sol.y),
             )
-            for i, sol in enumerate(sols)
+            for i, (sol, fit) in enumerate(zip(sols, fits))
         ]
         record.upload_floats = sum(up.float_count() for up in uploads)
         ys = [sol.y for sol in sols]

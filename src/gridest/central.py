@@ -5,10 +5,10 @@ machinery as the regional subproblems, with no proximal term and a tiny
 Levenberg ridge so the normal matrix stays comfortably definite on the
 full-size problem.
 
-Unlike a region, the whole grid is large and its Jacobians are well under
-1 % nonzero, so the residual and power-flow Jacobians are requested in
-scipy.sparse form, and every step's reduced (theta, v) system, 2 N rows
-instead of the bordered 6 N, is formed sparse and factored with sparse LU.
+The whole grid is large and its Jacobians, CSR like every Jacobian of the
+package, are well under 1 % nonzero; every step's reduced (theta, v)
+system, 2 N rows instead of the bordered 6 N, is formed sparse and
+factored with sparse LU.
 The Jacobians' patterns do not change between steps, so linalg computes
 where each entry of that system comes from once per solve and each step
 only refills values.
@@ -50,10 +50,8 @@ def solve_central(
     x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
     if x0.shape != (4 * case.n_bus,):
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({4 * case.n_bus},)")
-    residual = measurements.RegionResidual(case, mset)
-    model = grid.PowerFlowModel(case)
-    sparse = local_solver.sparse_jacobians
-    sol = local_solver.solve_local(sparse(residual), sparse(model), y0=x0, mu=MU, tol=tol, max_inner=max_iter)
+    sol = local_solver.solve_local(measurements.RegionResidual(case, mset), grid.PowerFlowModel(case), y0=x0,
+                                   mu=MU, tol=tol, max_inner=max_iter)
     if not sol.converged:
         raise Diverged(
             f"central estimator stalled after {sol.inner_iterations} iterations "

@@ -192,7 +192,7 @@ def cmd_check(args) -> int:
         x[0::4] = rng.uniform(-0.3, 0.3, case.n_bus)
         x[1::4] = rng.uniform(0.9, 1.1, case.n_bus)
         for fun, jac in ((model.eval, model.jacobian), (residual.eval, residual.jacobian)):
-            an = jac(x)
+            an = jac(x).toarray()
             fd = _fd_jacobian(fun, x)
             worst = max(worst, np.abs(an - fd).max() / (1.0 + np.abs(an).max()))
     report("analytic jacobians vs finite differences", worst <= 1e-6,

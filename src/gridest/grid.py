@@ -35,8 +35,8 @@ entry by entry on it in O(nnz); no dense N x N matrix is formed anywhere.
 Line quantities are evaluated for all lines at once, by line_flows and
 line_flow_derivatives on the arrays that line_arrays builds from endpoint
 pairs; _line_terms is the one place the formulas above are written out.
-A SparsityPattern puts Jacobian values into a dense array or a CSR array,
-so callers choose the container and get identical numbers.
+A SparsityPattern puts Jacobian values into a CSR array, the one form
+every Jacobian of the package takes.
 """
 
 from __future__ import annotations
@@ -205,26 +205,21 @@ class SparsityPattern:
     """Fixed positions of a Jacobian's entries; values in, matrix out.
 
     rows and cols are set once, without repeated positions.  assemble()
-    takes the values in the same order and puts them into a dense array,
-    or into a scipy.sparse CSR array when sparse is set; both hold the same
-    numbers.
+    takes the values in the same order and puts them into a scipy.sparse
+    CSR array with sorted indices; every position is stored, zeros
+    included, so the pattern does not depend on the values.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         self.shape = shape
-        self._flat = rows * shape[1] + cols
         self._order = np.lexsort((cols, rows))
         self._indices = cols[self._order]
         self._indptr = np.searchsorted(rows[self._order], np.arange(shape[0] + 1))
 
-    def assemble(self, values: np.ndarray, sparse: bool = False):
-        if sparse:
-            return scipy.sparse.csr_array(
-                (values[self._order], self._indices.copy(), self._indptr.copy()), shape=self.shape
-            )
-        out = np.zeros(self.shape)
-        out.flat[self._flat] = values
-        return out
+    def assemble(self, values: np.ndarray) -> scipy.sparse.csr_array:
+        return scipy.sparse.csr_array(
+            (values[self._order], self._indices.copy(), self._indptr.copy()), shape=self.shape
+        )
 
 
 def _admittance_pattern(case: GridCase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,11 +335,11 @@ class PowerFlowModel:
         out[1::2] = x[Q::4] - s.imag
         return out
 
-    def jacobian(self, x: np.ndarray, sparse: bool = False):
-        """Jacobian of eval at x: dense, or scipy.sparse CSR when sparse is set."""
+    def jacobian(self, x: np.ndarray):
+        """Jacobian of eval at x, as scipy.sparse CSR."""
         ds_dva, ds_dvm = _injection_voltage_jacobians(self._rows, self._cols, self._y, x)
         values = np.concatenate([-ds_dva.real, -ds_dvm.real, -ds_dva.imag, -ds_dvm.imag, np.ones(len(x) // 2)])
-        return self._pattern.assemble(values, sparse)
+        return self._pattern.assemble(values)
 
 
 # ---------------------------------------------------------------------------

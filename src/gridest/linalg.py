@@ -4,14 +4,14 @@ Every factorization is a _Factor: it factors a square matrix once, then
 solves right-hand sides with one step of iterative refinement each.
 Which factor serves which caller:
 
-* LuFactor, partially pivoted dense LU: solve_linear on dense input (the
-  multiplier refit of local_solver on dense C, which is one region's C in
-  a region batch), the posterior bound's interior eliminations and its
-  boundary system in shared unknowns, which has no rows on a one-region
-  partition (a 0 x 0 matrix factors and solves to an empty result).
+* LuFactor, partially pivoted dense LU: solve_linear on dense input, whose
+  one caller in the package is the posterior bound, for its interior
+  eliminations and its boundary system in shared unknowns, which has no
+  rows on a one-region partition (a 0 x 0 matrix factors and solves to an
+  empty result).
 * SparseFactor, SuperLU with COLAMD column ordering, for scipy.sparse
-  input: solve_linear (the Newton power flow, the multiplier refit on
-  sparse C), solve_reduced_kkt and solve_kkt.
+  input: solve_linear (the Newton power flow, the multiplier refit of
+  local_solver), solve_reduced_kkt and solve_kkt.
   A Gauss-Newton KKT system whose constraint Jacobian is the identity on
   some columns, as the power-flow rows are on each node's (p, q), has an
   explicit null-space basis: solve_reduced_kkt eliminates those columns

@@ -9,11 +9,12 @@ where F is a weighted measurement residual and H the power flow physics of
 one region.  The quadratic model uses the Gauss-Newton Hessian
 2 B^T B + rho P^T P + mu I (B the residual Jacobian, P the prox selector),
 and steps are globalized with a backtracking Armijo search on the exact
-l1 merit function.  Each step solves one KKT system with
+l1 merit function.  Both Jacobians are scipy.sparse, as grid and
+measurements assemble them (CSR).  Each step solves one KKT system with
 linalg.solve_reduced_kkt, which eliminates the columns where the
 constraint Jacobian is the identity (identity_columns: the p and q of
 grid.PowerFlowModel) and solves in the remaining (theta, v) space on a
-sparse plan, whether the Jacobians are dense or sparse.
+sparse plan.
 
 Near the solution the stationarity residual stalls at the rounding of
 its own sum, and the multipliers of the last KKT solve belong to the
@@ -42,16 +43,14 @@ solver (no prox, small Levenberg ridge mu).
 from __future__ import annotations
 
 import contextlib
-import functools
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .errors import GridestError, InnerDiverged, SingularKkt, ZeroVoltage
+from .errors import DimensionMismatch, GridestError, InnerDiverged, SingularKkt, ZeroVoltage
 
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -71,8 +70,8 @@ class LocalSolution:
     y: np.ndarray
     kappa: np.ndarray
     residual: np.ndarray
-    residual_jacobian: np.ndarray | scipy.sparse.sparray
-    constraint_jacobian: np.ndarray | scipy.sparse.sparray
+    residual_jacobian: scipy.sparse.csr_array
+    constraint_jacobian: scipy.sparse.csr_array
     fit: float
     inner_iterations: int
     kkt_residual: float
@@ -147,26 +146,18 @@ def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block(m, rows, cols: slice) -> np.ndarray:
-    """The entries of m on rows (a slice or an index array) and cols, as
-    a dense array.  m is dense, or scipy.sparse without duplicate entries
-    whose entries on rows all lie in cols, as a block of a block-diagonal
-    matrix's do."""
-    if not scipy.sparse.issparse(m):
-        return m[rows, cols]
+def _block(m, rows, cols: slice) -> scipy.sparse.csr_array:
+    """The entries of the scipy.sparse m on rows (a slice or an index
+    array) and cols, as CSR that stores each of them, explicit zeros
+    included, in m's order.  m's entries on rows must all lie in cols, as
+    a block of a block-diagonal matrix's do."""
     m = m.tocsr()
     rows = np.arange(m.shape[0])[rows]
     counts = m.indptr[rows + 1] - m.indptr[rows]
     take = linalg._ranges(m.indptr[rows], counts)
-    out = np.zeros((len(rows), cols.stop - cols.start))
-    out[np.repeat(np.arange(len(rows)), counts), m.indices[take] - cols.start] = m.data[take]
-    return out
-
-
-def sparse_jacobians(model) -> SimpleNamespace:
-    """model's eval and identity columns, with its Jacobian in scipy.sparse form."""
-    return SimpleNamespace(eval=model.eval, jacobian=functools.partial(model.jacobian, sparse=True),
-                           identity_columns=getattr(model, "identity_columns", None))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return scipy.sparse.csr_array((m.data[take], m.indices[take] - cols.start, indptr),
+                                  shape=(len(rows), cols.stop - cols.start))
 
 
 def solve_local(
@@ -186,13 +177,16 @@ def solve_local(
     tol * max(1, r0) when relative, r0 the KKT residual at y0 with zero
     multipliers.  The solution's tol is the absolute tolerance used.
 
-    residual and constraints expose eval(y) and jacobian(y), both dense or
-    both scipy.sparse; constraints must also name identity_columns, one
+    residual and constraints expose eval(y) and jacobian(y), the Jacobian
+    scipy.sparse; constraints must also name identity_columns, one
     column per constraint row where its Jacobian is that row's unit
     vector (linalg.solve_reduced_kkt).  prox_idx selects the coordinates
     the proximal term acts on (None means all of them); prox_target must
-    match its length.  Returns the last iterate with converged=False when
-    max_inner runs out; raises InnerDiverged when the line search cannot
+    match its length, and is needed when rho != 0.  Returns the last
+    iterate with converged=False when max_inner runs out; raises
+    DimensionMismatch before any evaluation when lin, prox_idx or
+    prox_target does not fit y0, TypeError when the Jacobians at y0 are
+    not scipy.sparse, InnerDiverged when the line search cannot
     produce decrease, SingularKkt when a step's system stays singular and
     ZeroVoltage when the residual is undefined at y0.  This is solve_batch
     with one block.
@@ -225,20 +219,24 @@ def solve_batch(
     Every block stops by solve_local's rules on its own tolerance, relative
     to its own start residual when relative.  Returns one entry per block:
     its LocalSolution, whose y, kappa, residual and Jacobians are the
-    block's own (dense arrays, cut from the whole problem's Jacobians, when
-    blocks is given), or the InnerDiverged, SingularKkt or ZeroVoltage that
-    ended its solve.
+    block's own (CSR cut from the whole problem's Jacobians), or the
+    InnerDiverged, SingularKkt or ZeroVoltage that ended its solve.
+    Arguments that do not fit y0 raise DimensionMismatch, as in solve_local.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
     lin = np.zeros(n) if lin is None else np.asarray(lin, dtype=float)
-    if rho != 0.0:
-        idx = np.arange(n) if prox_idx is None else np.asarray(prox_idx, dtype=int)
-        target = np.asarray(prox_target, dtype=float)
-    else:
+    idx = np.arange(n) if prox_idx is None else np.asarray(prox_idx, dtype=int)
+    target = None if prox_target is None else np.asarray(prox_target, dtype=float)
+    if lin.shape != (n,):
+        raise DimensionMismatch(f"lin has shape {lin.shape}, expected ({n},)")
+    if idx.ndim != 1 or np.any((idx < 0) | (idx >= n)):
+        raise DimensionMismatch(f"prox_idx must list states in 0..{n - 1}")
+    if (rho != 0.0 or target is not None) and (target is None or target.shape != idx.shape):
+        raise DimensionMismatch(f"prox_target {'missing' if target is None else target.shape}, expected {idx.shape}")
+    if rho == 0.0:
         # Every prox term below then sums over no entries and adds 0.0.
-        idx = np.arange(0, dtype=int)
-        target = np.zeros(0)
+        idx, target = np.arange(0, dtype=int), np.zeros(0)
 
     outcomes: list = [None] * (1 if blocks is None else blocks.n)
     try:
@@ -250,7 +248,6 @@ def solve_batch(
         outcomes = [ZeroVoltage(str(exc)) if fail else None for fail in bad]
         y = blocks.with_unit_voltages(y, bad)
         b, h = residual.eval(y), constraints.eval(y)
-    single = blocks is None
     blocks = blocks or Blocks.single(n, len(h), len(b))
     nb, state_block, con_block = blocks.n, blocks.state_block, blocks.constraint_block
     row_block = blocks.residual_block
@@ -271,16 +268,12 @@ def solve_batch(
         return new if active.all() else np.where(active if labels is None else active[labels], new, old)
 
     def solution(i: int, converged: bool) -> LocalSolution:
-        if single:
-            y_i, kappa_i, b_i, big_b_i, big_c_i = y, kappa, b, big_b, big_c
-        else:
-            s, c, rows = blocks.states(i), blocks.constraints(i), blocks.residual_rows[i]
-            y_i, kappa_i, b_i = y[s].copy(), kappa[c].copy(), b[rows]
-            big_b_i, big_c_i = _block(big_b, rows, s), _block(big_c, c, s)
+        s, c, rows = blocks.states(i), blocks.constraints(i), blocks.residual_rows[i]
+        b_i = b[rows]
         return LocalSolution(
-            y=y_i, kappa=kappa_i, residual=b_i, residual_jacobian=big_b_i, constraint_jacobian=big_c_i,
-            fit=float(b_i @ b_i), inner_iterations=inner, kkt_residual=float(kkt_res[i]), tol=float(tol[i]),
-            converged=converged,
+            y=y[s].copy(), kappa=kappa[c].copy(), residual=b_i, residual_jacobian=_block(big_b, rows, s),
+            constraint_jacobian=_block(big_c, c, s), fit=float(b_i @ b_i), inner_iterations=inner,
+            kkt_residual=float(kkt_res[i]), tol=float(tol[i]), converged=converged,
         )
 
     def fail(i: int, exc: GridestError) -> None:
@@ -289,6 +282,8 @@ def solve_batch(
 
     big_b = residual.jacobian(y)
     big_c = constraints.jacobian(y)
+    if not (scipy.sparse.issparse(big_b) and scipy.sparse.issparse(big_c)):
+        raise TypeError("the residual and constraint Jacobians must be scipy.sparse")
     w = constraints.identity_columns
     kappa = np.zeros(big_c.shape[0])
     shift = np.full(n, mu)
@@ -320,8 +315,7 @@ def solve_batch(
         dusty = active & (infeasibility <= tol) & (dust_steps >= 1)
         for i in np.flatnonzero(dusty & (kkt_res > tol)):
             s, c = blocks.states(i), blocks.constraints(i)
-            big_c_i = big_c if single else _block(big_c, c, s)
-            kappa[c], kkt_res[i] = _refit_multipliers(grad[s], big_c_i, h[c], kappa[c], kkt_res[i])
+            kappa[c], kkt_res[i] = _refit_multipliers(grad[s], _block(big_c, c, s), h[c], kappa[c], kkt_res[i])
         for i in np.flatnonzero(active & ((kkt_res <= tol) | (dusty & (dust_steps >= 3)))):
             outcomes[i] = solution(i, converged=True)
             active[i] = False
@@ -415,7 +409,7 @@ def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     [C_u | I] up to a column permutation (the identity columns of
     linalg.solve_reduced_kkt), so C C^T = I + C_u C_u^T is symmetric with
     every eigenvalue >= 1 and needs no ridge or pivoting care:
-    linalg.solve_linear factors it by LU, dense or sparse as C is.
+    linalg.solve_linear factors it by sparse LU.
     Returns (kappa, kkt_res) of whichever of the given and the refitted
     multipliers has the smaller KKT residual.
     """

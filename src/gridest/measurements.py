@@ -17,9 +17,9 @@ A Generator fills an array in C order, so the realization is the one a
 loop drawing 4 values per node and then 3 per line would produce.
 RegionResidual evaluates every measured line at once (grid.line_flows and
 grid.line_flow_derivatives); the positions of its Jacobian entries are
-fixed when it is built, and jacobian() returns them dense or, with
-sparse=True, as CSR.  Both name lines by endpoint pairs and get their
-index and admittance arrays from grid.line_arrays.
+fixed when it is built, and jacobian() returns them as CSR.  Both name
+lines by endpoint pairs and get their index and admittance arrays from
+grid.line_arrays.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ class RegionResidual:
         flows = grid.line_flows(z, self.line_k, self.line_l, self.line_g, self.line_b)
         return np.concatenate([node.ravel(), (self.line_sqrt_w * (flows - self.line_values)).ravel()])
 
-    def jacobian(self, z: np.ndarray, sparse: bool = False):
-        """Jacobian of eval at z: dense, or scipy.sparse CSR when sparse is set."""
+    def jacobian(self, z: np.ndarray):
+        """Jacobian of eval at z, as scipy.sparse CSR."""
         lines = grid.line_flow_derivatives(z, self.line_k, self.line_l, self.line_g, self.line_b)
         values = np.concatenate([self.node_sqrt_w.ravel(), (self.line_sqrt_w[:, :, None] * lines).ravel()])
-        return self._pattern.assemble(values, sparse)
+        return self._pattern.assemble(values)

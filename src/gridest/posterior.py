@@ -219,8 +219,8 @@ def analyze(
     fit_jacobians = []
     constraint_jacobians = []
     for region, region_set, z in zip(part.regions, region_sets, zs):
-        fit_jacobians.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
-        constraint_jacobians.append(grid.PowerFlowModel(region.case).jacobian(z))
+        fit_jacobians.append(measurements.RegionResidual(region.case, region_set).jacobian(z).toarray())
+        constraint_jacobians.append(grid.PowerFlowModel(region.case).jacobian(z).toarray())
     covariance = covariance_bound(fit_jacobians, constraint_jacobians, list(part.coupling))
     diag = np.diag(covariance)
     if diag.min(initial=0.0) < -1e-10 * max(1.0, diag.max(initial=1.0)):

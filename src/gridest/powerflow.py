@@ -9,8 +9,8 @@ mismatch tolerance.
 
 One grid.PowerFlowModel evaluates the mismatch (eval) and the injections
 in O(nnz) on the sparse pattern of Y.  Each Newton matrix is the reduced
-block of its sparse Jacobian (jacobian with sparse=True), factored with
-sparse LU: like the network it has a few nonzeros per row.
+block of its CSR Jacobian, factored with sparse LU: like the network it
+has a few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def solve_power_flow(case: grid.GridCase) -> PowerFlowSolution:
 
     mis = model.eval(x)[rows]
     for it in range(1, MAX_ITER + 1):
-        jac = model.jacobian(x, sparse=True)[rows][:, cols]
+        jac = model.jacobian(x)[rows][:, cols]
         try:
             step = linalg.solve_linear(jac, -mis)
         except SingularMatrix as exc:

@@ -182,7 +182,9 @@ def test_isolated_bus_keeps_a_zero_diagonal_and_finite_physics():
         jac = model.jacobian(x)
         fd = fd_jacobian(model.eval, x)
         assert np.abs(jac - fd).max() / (1.0 + np.abs(jac).max()) <= 1e-6
-        assert np.array_equal(model.jacobian(x, sparse=True).toarray(), jac)
+        # Four blocks on the 5 entries of Y's pattern, zero diagonal
+        # included, and one unit entry per p and q.
+        assert jac.format == "csr" and jac.nnz == 4 * 5 + 2 * 3
 
 
 def test_power_flow_jacobian_matches_finite_differences(case30):
@@ -241,13 +243,13 @@ def _dense_injection_jacobians(g, b, x):
 @pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
 def test_model_jacobian_matches_the_dense_matrix_formulas(request, name):
     """The pattern-wise Jacobian equals the dense matrix-product formulas to
-    rounding, and its sparse form exactly."""
+    rounding."""
     case = request.getfixturevalue("case30") if name == "ieee30" else request.getfixturevalue(name)[0].case
     model = grid.PowerFlowModel(case)
     g, b = dense_admittance(case)
     n = case.n_bus
     for x in list(random_states(n, 2, seed=3)) + [grid.flat_state(n)]:
-        jac = model.jacobian(x)
+        jac = model.jacobian(x).toarray()
         ds_dva, ds_dvm = _dense_injection_jacobians(g, b, x)
         ref = np.zeros((2 * n, 4 * n))
         ref[0::2, 0::4], ref[0::2, 1::4] = -ds_dva.real, -ds_dvm.real
@@ -255,7 +257,6 @@ def test_model_jacobian_matches_the_dense_matrix_formulas(request, name):
         ref[2 * np.arange(n), 4 * np.arange(n) + grid.P] = 1.0
         ref[2 * np.arange(n) + 1, 4 * np.arange(n) + grid.Q] = 1.0
         assert np.abs(jac - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.array_equal(model.jacobian(x, sparse=True).toarray(), jac)
 
 
 # ---------------------------------------------------------------------------

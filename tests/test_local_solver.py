@@ -6,12 +6,12 @@ import scipy.sparse
 
 from conftest import DEFAULT_SEED, random_connected_assignment
 from gridest import central, grid, linalg, local_solver, measurements, partition
-from gridest.errors import InnerDiverged, SingularKkt, ZeroVoltage
+from gridest.errors import DimensionMismatch, InnerDiverged, SingularKkt, ZeroVoltage
 
 
 class _Affine:
-    """eval(y) = A y - b with the exact Jacobian A.  As constraints, A's
-    column identity_columns[r] must be unit vector r."""
+    """eval(y) = A y - b with the exact Jacobian A, as CSR.  As constraints,
+    A's column identity_columns[r] must be unit vector r."""
 
     def __init__(self, a, b, identity_columns=()):
         self.a = np.asarray(a, dtype=float)
@@ -22,7 +22,7 @@ class _Affine:
         return self.a @ y - self.b
 
     def jacobian(self, y):
-        return self.a
+        return scipy.sparse.csr_array(self.a)
 
 
 def _no_constraints(n):
@@ -113,7 +113,7 @@ def test_nonlinear_problem_converges_quadratically():
             return np.array([y[2] - y[0] ** 2 - y[1] ** 2])
 
         def jacobian(self, y):
-            return np.array([[-2.0 * y[0], -2.0 * y[1], 1.0]])
+            return scipy.sparse.csr_array(np.array([[-2.0 * y[0], -2.0 * y[1], 1.0]]))
 
     paraboloid = Paraboloid()
     target = np.array([1.0, 0.0, 0.5])
@@ -135,6 +135,38 @@ def test_max_inner_exhaustion_reports_not_converged():
     )
     assert not sol.converged
     assert sol.inner_iterations == 0
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(dict(lin=np.ones(1)), id="lin-of-length-1"),
+    pytest.param(dict(rho=1.0, prox_target=np.ones(1)), id="prox_target-of-length-1"),
+    pytest.param(dict(rho=1.0, prox_target=np.zeros(2), prox_idx=[0, 120]), id="prox_idx-past-the-end"),
+    pytest.param(dict(rho=1.0, prox_target=np.zeros(2), prox_idx=[0, -1]), id="prox_idx-negative"),
+    pytest.param(dict(rho=1.0), id="no-prox_target"),
+])
+def test_arguments_that_do_not_fit_the_state_fail_before_any_evaluation(case30, mset30, monkeypatch, bad):
+    """On the ieee30 central problem (120 states), a length-1 lin or
+    prox_target would broadcast into a different problem, an index outside
+    0..119 would wrap or fail mid-solve, and rho without a target has
+    nothing to pull toward: each raises DimensionMismatch first."""
+    calls = []
+    for cls in (measurements.RegionResidual, grid.PowerFlowModel):
+        for name in ("eval", "jacobian"):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, y, f=original: calls.append(f) or f(self, y))
+    residual, model = measurements.RegionResidual(case30, mset30), grid.PowerFlowModel(case30)
+    with pytest.raises(DimensionMismatch):
+        local_solver.solve_local(residual, model, y0=grid.flat_state(case30.n_bus), mu=central.MU, **bad)
+    assert calls == []
+
+
+def test_dense_jacobians_are_rejected_before_the_first_step():
+    class Dense(_Affine):
+        def jacobian(self, y):
+            return self.a
+
+    with pytest.raises(TypeError, match="scipy.sparse"):
+        local_solver.solve_local(Dense(np.eye(3), np.ones(3)), _no_constraints(3), y0=np.zeros(3))
 
 
 def test_a_relative_solve_stops_against_its_start_residual():
@@ -165,7 +197,7 @@ def test_lying_jacobian_raises_inner_diverged():
             return y.copy()
 
         def jacobian(self, y):
-            return -np.eye(len(y))
+            return -scipy.sparse.eye_array(len(y), format="csr")
 
     with pytest.raises(InnerDiverged):
         local_solver.solve_local(
@@ -183,7 +215,7 @@ class _LogFit:
         return np.array([y[0] - 3.0, np.log(y[1]) - np.log(0.01)])
 
     def jacobian(self, y):
-        return np.diag([1.0, 1.0 / y[1]])
+        return scipy.sparse.diags_array([1.0, 1.0 / y[1]], format="csr")
 
 
 def test_a_block_whose_trial_leaves_its_domain_backtracks_alone():
@@ -214,17 +246,42 @@ def test_a_block_left_singular_after_the_ridge_fails_alone(monkeypatch):
     assert sols[1].converged and sols[1].y == pytest.approx([2.0])
 
 
-def test_a_batch_that_needs_the_ridge_recovers_block_by_block():
+def test_a_batch_that_needs_the_ridge_recovers_block_by_block(monkeypatch):
     """Block 0's residual y0 + y1 - 2 leaves its reduced system singular,
     block 1's y2 - 3 does not.  The batch is solved again block by block:
-    only block 0 takes the ridge, and block 1 is its solve alone."""
+    only block 0 takes the ridge, and block 1 is its solve alone.  Each
+    block solve gets CSR Jacobians cut from the union's, with the same
+    pattern at every step that falls back (two steps at tol 0)."""
     blocks = local_solver.Blocks([0, 2, 3], [0, 0, 0], [0, 1])
     residual = _Affine(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([2.0, 3.0]))
+    solve, calls = linalg.solve_reduced_kkt, []
+    monkeypatch.setattr(linalg, "solve_reduced_kkt", lambda *args: calls.append(args[:2]) or solve(*args))
+
+    def block_patterns():
+        """Per block, the pattern of each block solve since the last call."""
+        patterns = {0: [], 1: []}
+        for big_b, big_c in calls:
+            assert scipy.sparse.issparse(big_b) and scipy.sparse.issparse(big_c)
+            if big_b.shape[1] < 3:
+                i = 0 if big_b.shape[1] == 2 else 1
+                s = blocks.states(i)
+                assert np.array_equal(big_b.toarray(), residual.a[blocks.residual_rows[i], s])
+                assert big_c.shape == (0, s.stop - s.start)
+                patterns[i].append((big_b.indptr.tobytes(), big_b.indices.tobytes(), big_c.indptr.tobytes()))
+        calls.clear()
+        return patterns
+
     with pytest.warns(UserWarning) as record:
         sols = local_solver.solve_batch(residual, _no_constraints(3), np.zeros(3), blocks)
     messages = [str(r.message) for r in record]
     assert len(messages) == 1 and messages[0].startswith("KKT factorization failed")
     assert sols[0].converged and sols[0].y.sum() == pytest.approx(2.0)
+    patterns = block_patterns()
+    assert len(patterns[0]) == len(patterns[1]) == 1
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        local_solver.solve_batch(residual, _no_constraints(3), np.zeros(3), blocks, tol=0.0)
+    patterns = block_patterns()[0]
+    assert len(patterns) >= 2 and len(set(patterns)) == 1
     alone = local_solver.solve_local(_Affine(np.array([[1.0]]), np.array([3.0])), _no_constraints(1), y0=np.zeros(1))
     assert np.array_equal(sols[1].y, alone.y)
 
@@ -247,17 +304,13 @@ def test_stall_at_rounding_floor_counts_as_convergence():
 # The reduced (theta, v) step against the bordered solve of the full system.
 
 def _bordered(big_b, big_c, shift, grad, h):
-    hess = linalg.gram(big_b, 2.0)
-    if scipy.sparse.issparse(hess):
-        hess = hess + scipy.sparse.diags_array(shift)
-    else:
-        hess[np.diag_indices(len(shift))] += shift
+    hess = linalg.gram(big_b, 2.0) + scipy.sparse.diags_array(shift)
     return linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=big_c, gradient=grad, residual=h))
 
 
-def _assert_steps_agree(residual, model, y, shift, sparse=False):
+def _assert_steps_agree(residual, model, y, shift):
     rng = np.random.default_rng(len(y))
-    big_b, big_c = residual.jacobian(y, sparse=sparse), model.jacobian(y, sparse=sparse)
+    big_b, big_c = residual.jacobian(y), model.jacobian(y)
     h = model.eval(y)
     grad = 2.0 * linalg.matvec(big_b, residual.eval(y), trans=True) + rng.standard_normal(len(y))
     got = linalg.solve_reduced_kkt(big_b, big_c, model.identity_columns, shift, grad, h)
@@ -298,31 +351,31 @@ def test_reduced_region_step_matches_the_bordered_solve(case30, part30, mset30, 
 
 
 def test_reduced_central_step_matches_the_bordered_solve(case30, mset30, truth30, two_tile30):
-    """The sparse form, with the central solve's Levenberg ridge as the only shift."""
+    """The whole grid, with the central solve's Levenberg ridge as the only shift."""
     tile_part, tile_set = two_tile30
     for case, mset in ((case30, mset30), (tile_part.case, tile_set)):
         residual = measurements.RegionResidual(case, mset)
         model = grid.PowerFlowModel(case)
         flat = grid.flat_state(case.n_bus)
-        mid = local_solver.solve_local(
-            local_solver.sparse_jacobians(residual), local_solver.sparse_jacobians(model), y0=flat, mu=central.MU,
-            max_inner=2,
-        ).y
+        mid = local_solver.solve_local(residual, model, y0=flat, mu=central.MU, max_inner=2).y
         for y in (flat, mid):
-            _assert_steps_agree(residual, model, y, np.full(len(y), central.MU), sparse=True)
+            _assert_steps_agree(residual, model, y, np.full(len(y), central.MU))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_a_reduced_hessian_left_singular_after_the_ridge_raises_singular_kkt(case30, truth30, monkeypatch, sparse):
     """Zero weights with rho = mu = 0 leave Z^T H Z = 0.  The ridge makes it
-    definite; a ridge of zero leaves it singular, which must be loud."""
+    definite; a ridge of zero leaves it singular, which must be loud.
+    solve_reduced_kkt gets the CSR Jacobians, or their dense copies."""
     mset = measurements.simulate_measurements(
         case30, truth30, noise=None, node_weights=np.zeros(4), line_weights=np.zeros(3)
     )
     residual, model = measurements.RegionResidual(case30, mset), grid.PowerFlowModel(case30)
     y = truth30.copy()
     y[grid.P::4] += 0.01  # off the physics, so the step has work to do
-    big_b, big_c = residual.jacobian(y, sparse=sparse), model.jacobian(y, sparse=sparse)
+    big_b, big_c = residual.jacobian(y), model.jacobian(y)
+    if not sparse:
+        big_b, big_c = big_b.toarray(), big_c.toarray()
     zero = np.zeros(len(y))
     with pytest.warns(UserWarning, match="KKT factorization failed"):
         sol = linalg.solve_reduced_kkt(big_b, big_c, model.identity_columns, zero, zero, model.eval(y))
@@ -339,8 +392,8 @@ def test_a_reduced_hessian_left_singular_after_the_ridge_raises_singular_kkt(cas
 
 @pytest.mark.parametrize("form", ["region", "central"])
 def test_refit_multipliers_are_the_least_squares_multipliers(part30, mset30, case30, central30, form):
-    """The refit at a converged iterate: a dense paper30 region with its
-    consensus prox, and the central solve in its sparse form."""
+    """The refit at a converged iterate: a paper30 region with its
+    consensus prox, and the central solve."""
     if form == "region":
         region, rset = part30.regions[0], measurements.split_by_region(mset30, part30)[0]
         residual = measurements.RegionResidual(region.case, rset)
@@ -351,15 +404,14 @@ def test_refit_multipliers_are_the_least_squares_multipliers(part30, mset30, cas
         grad = 2.0 * residual.jacobian(y).T @ residual.eval(y) + rho * (y - flat)
         big_c = model.jacobian(y)
     else:
-        residual = local_solver.sparse_jacobians(measurements.RegionResidual(case30, mset30))
-        model = local_solver.sparse_jacobians(grid.PowerFlowModel(case30))
+        residual = measurements.RegionResidual(case30, mset30)
+        model = grid.PowerFlowModel(case30)
         y = central30.x
         grad = 2.0 * linalg.matvec(residual.jacobian(y), residual.eval(y), trans=True)
         big_c = model.jacobian(y)
         assert scipy.sparse.issparse(big_c)
     kappa, kkt_res = local_solver._refit_multipliers(grad, big_c, model.eval(y), None, np.inf)
-    dense_c = big_c.toarray() if scipy.sparse.issparse(big_c) else big_c
-    want = np.linalg.lstsq(dense_c.T, -grad, rcond=None)[0]
+    want = np.linalg.lstsq(big_c.toarray().T, -grad, rcond=None)[0]
     assert np.abs(kappa - want).max() <= 1e-10 * np.abs(want).max()
     # The refit leaves stationarity at the rounding of the gradient.
     assert kkt_res <= 1e-11 * np.abs(grad).max()

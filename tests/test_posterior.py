@@ -176,8 +176,8 @@ def _region_jacobians(part, mset, zs):
     """covariance_bound arguments for a partition at the region states zs."""
     fit, cons = [], []
     for region, region_set, z in zip(part.regions, measurements.split_by_region(mset, part), zs):
-        fit.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
-        cons.append(grid.PowerFlowModel(region.case).jacobian(z))
+        fit.append(measurements.RegionResidual(region.case, region_set).jacobian(z).toarray())
+        cons.append(grid.PowerFlowModel(region.case).jacobian(z).toarray())
     return fit, cons, list(part.coupling)
 
 
@@ -187,8 +187,8 @@ def _covariance_inputs(request, name):
         case30, mset30 = request.getfixturevalue("case30"), request.getfixturevalue("mset30")
         x = request.getfixturevalue("central30").x
         # One block with no coupling: the zero-row coupling of a one-region partition.
-        return ([measurements.RegionResidual(case30, mset30).jacobian(x)], [grid.PowerFlowModel(case30).jacobian(x)],
-                [scipy.sparse.csr_array((0, x.size))])
+        return ([measurements.RegionResidual(case30, mset30).jacobian(x).toarray()],
+                [grid.PowerFlowModel(case30).jacobian(x).toarray()], [scipy.sparse.csr_array((0, x.size))])
     if name == "ieee30":
         part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
         return _region_jacobians(part, mset, request.getfixturevalue("aladin30").zs)

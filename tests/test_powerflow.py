@@ -126,7 +126,7 @@ def _dense_newton(case, tol=1e-10, max_iter=30):
         if np.abs(mis).max() <= tol:
             x[grid.P :: 4], x[grid.Q :: 4] = s.real, s.imag
             return x
-        x[cols] -= np.linalg.solve(model.jacobian(x)[np.ix_(rows, cols)], mis)
+        x[cols] -= np.linalg.solve(model.jacobian(x).toarray()[np.ix_(rows, cols)], mis)
     raise AssertionError("dense reference did not converge")
 
 

@@ -52,11 +52,14 @@ Communication accounting follows two books kept side by side: the closed
 formulas (per iteration: upload sum_i 6|N_i| + 16|N_i|^2 + n_c, download
 n_c + 4|N_i| per region, |N_i| counting original plus auxiliary nodes and
 n_c = n_coupling_rows = 4 per auxiliary pair, i.e. 2 per auxiliary bus)
-and the measured number of floats actually crossing the region to
-coordinator boundary (B_i^T B_i packed symmetric, C_i dense, B_i^T b_i,
-A_i y_i up; lam and dy_i down).  The two agree exactly with this payload
-set; both are reported so the agreement stays an observable fact rather
-than an assumption.
+and the measured number of floats crossing the region to coordinator
+boundary (B_i^T B_i packed symmetric, C_i in full, B_i^T b_i, A_i y_i up;
+lam and dy_i down).  B_i^T B_i and C_i travel as CSR and go into the
+consensus system without a dense copy, but every upload is counted by its
+shape, as the paper's dense payload, so the count does not depend on the
+sparsity.  The two books agree exactly with this payload set; both are
+reported so the agreement stays an observable fact rather than an
+assumption.
 """
 
 from __future__ import annotations
@@ -323,17 +326,17 @@ def run_aladin(
 
     def coordinate(sols, gap, record):
         nonlocal lam
-        # The paper's upload is dense: B_i^T B_i, C_i and B_i^T b_i.
-        fits = [sol.residual_jacobian.toarray() for sol in sols]
+        # The paper's upload.  B_i^T B_i and C_i stay CSR, so the
+        # coordinator stacks them as they are; float_count goes by shape.
         uploads = [
             coordinator.SensitivityUpload(
                 region=i,
-                fit_hessian=linalg.gram(fit),
-                fit_gradient=linalg.matvec(fit, sol.residual, trans=True),
-                constraint_jacobian=sol.constraint_jacobian.toarray(),
+                fit_hessian=linalg.gram(sol.residual_jacobian),
+                fit_gradient=linalg.matvec(sol.residual_jacobian, sol.residual, trans=True),
+                constraint_jacobian=sol.constraint_jacobian,
                 coupling_image=linalg.matvec(part.coupling[i], sol.y),
             )
-            for i, (sol, fit) in enumerate(zip(sols, fits))
+            for i, sol in enumerate(sols)
         ]
         record.upload_floats = sum(up.float_count() for up in uploads)
         ys = [sol.y for sol in sols]

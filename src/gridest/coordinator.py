@@ -16,9 +16,12 @@ algebra kernel engages and the solution is flagged as regularized.
 The bordered matrix spans every region: block diagonal in the region
 Hessians and physics Jacobians, plus the thin coupling border [A_1 ... A_N].
 On a 16-region 480-bus grid it has 3600 rows and about 0.2 % nonzeros, so
-it is assembled block by block in scipy.sparse form, never as a dense
-zero-filled matrix, and the kernel factors it with sparse LU.  Exact zeros
-of the dense region blocks are not stored, and each A_i is read as CSR.
+it is never a dense zero-filled matrix: the block diagonals are the
+uploads' CSR arrays concatenated (linalg.stack_csr), with their column
+indices and indptr shifted, the border is the A_i stacked side by side as
+CSR, and the kernel factors the whole with sparse LU.  The ALADIN loop
+uploads CSR blocks, whose stored entries are kept, explicit zeros
+included; a dense upload works too and is read without its exact zeros.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ class SensitivityUpload:
 
     fit_hessian is B_i^T B_i (transmitted packed, it is symmetric),
     fit_gradient is B_i^T b_i, constraint_jacobian is C_i evaluated at the
-    region solution, coupling_image is A_i y_i.
+    region solution, coupling_image is A_i y_i.  The two matrices may be
+    dense or scipy.sparse; aladin.run_aladin sends them as CSR.
     """
 
     region: int
-    fit_hessian: np.ndarray
+    fit_hessian: np.ndarray | scipy.sparse.sparray
     fit_gradient: np.ndarray
-    constraint_jacobian: np.ndarray
+    constraint_jacobian: np.ndarray | scipy.sparse.sparray
     coupling_image: np.ndarray
 
     def float_count(self) -> int:
@@ -69,11 +73,20 @@ class ConsensusSolution:
 def solve_consensus(
     uploads: list[SensitivityUpload], couplings: list[scipy.sparse.sparray | np.ndarray]
 ) -> ConsensusSolution:
-    """Solve the coupled QP and split the solution back per region."""
+    """Solve the coupled QP and split the solution back per region.
+
+    Raises DimensionMismatch before any assembly when an upload's matrices
+    or a coupling matrix are not 2-D or their shapes do not fit together.
+    """
     if len(uploads) != len(couplings):
         raise DimensionMismatch(f"{len(uploads)} uploads for {len(couplings)} coupling matrices")
     if not uploads:
         raise DimensionMismatch("no regions")
+    for up, a in zip(uploads, couplings):
+        for name, block in (("fit Hessian", up.fit_hessian), ("constraint Jacobian", up.constraint_jacobian),
+                            ("coupling matrix", a)):
+            if np.ndim(block) != 2:
+                raise DimensionMismatch(f"region {up.region}: {name} has shape {np.shape(block)}, expected 2-D")
     n_coupling = couplings[0].shape[0]
     sizes = []
     for up, a in zip(uploads, couplings):
@@ -90,14 +103,10 @@ def solve_consensus(
             raise DimensionMismatch(f"region {up.region}: coupling image length mismatch")
         sizes.append(n_i)
 
-    hessian = scipy.sparse.block_diag(
-        [scipy.sparse.coo_array(2.0 * up.fit_hessian) for up in uploads], format="csr"
-    )
-    physics = scipy.sparse.block_diag(
-        [scipy.sparse.coo_array(up.constraint_jacobian, dtype=float) for up in uploads]
-    )
-    border = scipy.sparse.hstack([scipy.sparse.csr_array(a, dtype=float) for a in couplings])
-    jac = scipy.sparse.vstack([physics, border], format="csr")
+    hessian = 2.0 * linalg.stack_csr([up.fit_hessian for up in uploads], diagonal=True)
+    physics = linalg.stack_csr([up.constraint_jacobian for up in uploads], diagonal=True)
+    border = scipy.sparse.hstack([scipy.sparse.csr_array(a, dtype=float) for a in couplings], format="csr")
+    jac = linalg.stack_csr([physics, border])
     gradient = 2.0 * np.concatenate([up.fit_gradient for up in uploads])
     m_total = physics.shape[0]
     gap = np.sum([up.coupling_image for up in uploads], axis=0)

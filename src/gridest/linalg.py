@@ -74,16 +74,20 @@ def _blas_operand(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def gram(a, alpha: float = 1.0):
-    """alpha A^T A: scipy's dgemm for dense input, @ for scipy.sparse.
+    """alpha A^T A: scipy's dgemm for dense input, a CSR product for
+    scipy.sparse input.
 
     dgemm, not the dsyrk that numpy's a.T @ a calls: between LAPACK
     factorizations it measured faster than dsyrk plus the triangle copy
     that fills its result.  On the package's sparse Jacobians each entry
     sums the same few nonzero products either way, so the bits are
     numpy's; on dense input the result can miss symmetry in the last bit.
+    The sparse product takes A^T as CSR, so the result is CSR too, and
+    the coordinator stacks it without a conversion.
     """
     if scipy.sparse.issparse(a):
-        return alpha * (a.T @ a)
+        product = a.T.tocsr() @ a
+        return product if alpha == 1.0 else alpha * product
     f, trans = _blas_operand(np.asarray(a, dtype=float))
     return dgemm(alpha, f, f, trans_a=1 - trans, trans_b=trans)
 
@@ -114,6 +118,38 @@ def matvec(a, x, trans: bool = False):
         return dgemv(1.0, f, x, trans=f_trans)
     g, g_trans = _blas_operand(x)
     return dgemm(1.0, f, g, trans_a=f_trans, trans_b=g_trans)
+
+
+def _csr(a) -> scipy.sparse.csr_array:
+    """a itself when it is a float CSR array, else a as one (a dense a
+    without its exact zeros)."""
+    if scipy.sparse.issparse(a) and a.format == "csr" and a.dtype == float:
+        return a
+    return scipy.sparse.csr_array(a, dtype=float)
+
+
+def stack_csr(blocks, diagonal: bool = False) -> scipy.sparse.csr_array:
+    """Dense or scipy.sparse blocks on top of each other, left aligned, or
+    along the diagonal when diagonal, as one CSR array.
+
+    The result concatenates the blocks' CSR data, their column indices,
+    shifted past the blocks to the left when diagonal, and their indptr,
+    shifted by the entries above (Davis, Direct Methods for Sparse Linear
+    Systems, SIAM 2006, ch. 2): nothing goes through COO, and a CSR block
+    is not copied before the concatenation.  A dense block stores its
+    nonzeros, a sparse one every stored entry, explicit zeros included.
+    Stacked blocks make the result as wide as the widest of them.
+    """
+    csr = [_csr(b) for b in blocks]
+    widths = [b.shape[1] for b in csr]
+    cols = np.cumsum([0] + widths) if diagonal else np.zeros(len(csr) + 1, dtype=np.intp)
+    above = np.cumsum([0] + [b.nnz for b in csr])
+    return scipy.sparse.csr_array(
+        (np.concatenate([b.data for b in csr]),
+         np.concatenate([b.indices + c for b, c in zip(csr, cols)]),
+         np.concatenate([[0]] + [b.indptr[1:] + n for b, n in zip(csr, above)])),
+        shape=(sum(b.shape[0] for b in csr), cols[-1] if diagonal else max(widths)),
+    )
 
 
 def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
@@ -245,7 +281,7 @@ class KktSystem:
     residual: np.ndarray
 
     def __post_init__(self):
-        h, j = (scipy.sparse.csr_array(a, dtype=float) for a in (self.hessian, self.constraint_jacobian))
+        h, j = _csr(self.hessian), _csr(self.constraint_jacobian)
         g = np.asarray(self.gradient, dtype=float)
         r = np.asarray(self.residual, dtype=float)
         object.__setattr__(self, "hessian", h)
@@ -284,11 +320,11 @@ class KktSolution:
 
 
 def bordered_matrix(hessian, constraint_jacobian):
-    """[[H, J^T], [J, 0]]: dense, or CSC when either block is scipy.sparse."""
+    """[[H, J^T], [J, 0]]: dense, or CSR when either block is scipy.sparse,
+    stacked from the CSR blocks without a COO round trip (stack_csr)."""
     if scipy.sparse.issparse(hessian) or scipy.sparse.issparse(constraint_jacobian):
-        return scipy.sparse.block_array(
-            [[hessian, constraint_jacobian.T], [constraint_jacobian, None]], format="csc"
-        )
+        j = _csr(constraint_jacobian)
+        return stack_csr([scipy.sparse.hstack([_csr(hessian), j.T.tocsr()], format="csr"), j])
     n = hessian.shape[0]
     m = constraint_jacobian.shape[0]
     out = np.zeros((n + m, n + m))
@@ -315,8 +351,8 @@ def _with_ridge(attempt, hessian_diagonal):
 
 
 def solve_kkt(system: KktSystem) -> KktSolution:
-    """Solve one KKT system by factoring the full bordered matrix, CSC
-    from the CSR blocks, with SparseFactor.
+    """Solve one KKT system by factoring the full bordered matrix, stacked
+    as CSR from the CSR blocks (bordered_matrix), with SparseFactor.
 
     A singular factor gets one retry with a ridge on the Hessian block and
     a warning (_with_ridge); a system that stays singular raises
@@ -370,7 +406,7 @@ def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gr
 def _canonical_csr(a) -> scipy.sparse.csr_array:
     """a, dense or scipy.sparse, as a CSR array with sorted indices and no
     duplicates, a itself left as it is."""
-    m = scipy.sparse.csr_array(a, dtype=float)
+    m = _csr(a)
     if not m.has_canonical_format:
         m = m.copy()
         m.sum_duplicates()

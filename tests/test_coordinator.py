@@ -153,12 +153,17 @@ def _scenario(request, name):
     return request.getfixturevalue("two_tile30")
 
 
+def _dense(a):
+    return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+
+
 def _dense_consensus(uploads, couplings):
-    """Reference: dense bordered matrix factored with LU (solve_linear)."""
-    hessian = scipy.linalg.block_diag(*[2.0 * up.fit_hessian for up in uploads])
+    """Reference: dense bordered matrix factored with LU (solve_linear),
+    from the uploads and couplings densified."""
+    hessian = scipy.linalg.block_diag(*[2.0 * _dense(up.fit_hessian) for up in uploads])
     jac = np.vstack(
-        [scipy.linalg.block_diag(*[up.constraint_jacobian for up in uploads]),
-         np.hstack([a.toarray() for a in couplings])]
+        [scipy.linalg.block_diag(*[_dense(up.constraint_jacobian) for up in uploads]),
+         np.hstack([_dense(a) for a in couplings])]
     )
     n, m = hessian.shape[0], jac.shape[0] - couplings[0].shape[0]
     rhs = np.concatenate(
@@ -185,7 +190,8 @@ def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name
     # Region 0 without a fit term leaves its states free along the null
     # space of its physics and coupling rows: the bordered matrix is singular.
     uploads, couplings = _consensus_calls(monkeypatch, *_scenario(request, name))[0]
-    uploads = [dataclasses.replace(uploads[0], fit_hessian=np.zeros_like(uploads[0].fit_hessian))] + uploads[1:]
+    zero = scipy.sparse.csr_array(uploads[0].fit_hessian.shape)
+    uploads = [dataclasses.replace(uploads[0], fit_hessian=zero)] + uploads[1:]
     with pytest.warns(UserWarning, match="ridge"):
         sol = coordinator.solve_consensus(uploads, couplings)
     assert sol.regularized
@@ -193,3 +199,54 @@ def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name
     gap = np.sum([up.coupling_image for up in uploads], axis=0)
     closed = gap + sum(a @ step for a, step in zip(couplings, sol.steps))
     assert np.abs(closed).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
+def test_csr_uploads_and_their_dense_copies_give_the_same_step(request, monkeypatch, name):
+    """The run uploads CSR blocks; their .toarray() copies, which store no
+    exact zeros, give the same steps and lam, and both count their floats
+    by shape."""
+    for uploads, couplings in _consensus_calls(monkeypatch, *_scenario(request, name)):
+        dense = [dataclasses.replace(up, fit_hessian=up.fit_hessian.toarray(),
+                                     constraint_jacobian=up.constraint_jacobian.toarray()) for up in uploads]
+        sparse_sol = coordinator.solve_consensus(uploads, couplings)
+        dense_sol = coordinator.solve_consensus(dense, couplings)
+        steps = np.concatenate(dense_sol.steps)
+        assert np.abs(np.concatenate(sparse_sol.steps) - steps).max() <= 1e-12 * np.abs(steps).max()
+        assert np.abs(sparse_sol.lam - dense_sol.lam).max() <= 1e-12 * np.abs(dense_sol.lam).max()
+        for up, copy in zip(uploads, dense):
+            assert up.fit_hessian.format == up.constraint_jacobian.format == "csr"
+            (m, n), n_c = up.constraint_jacobian.shape, up.coupling_image.size
+            assert up.float_count() == copy.float_count() == n * (n + 1) // 2 + m * n + n + n_c
+
+
+def _non_2d_blocks():
+    """(field, value) parameters: upload blocks, or the coupling matrix,
+    that are not 2-D, dense and CSR."""
+    rng = np.random.default_rng(5)
+    return [
+        pytest.param("fit_hessian", np.zeros(()), id="0-d-hessian"),
+        pytest.param("fit_hessian", rng.standard_normal(4), id="1-d-hessian"),
+        pytest.param("fit_hessian", scipy.sparse.csr_array(rng.standard_normal(4)), id="1-d-csr-hessian"),
+        pytest.param("constraint_jacobian", rng.standard_normal(4), id="1-d-jacobian"),
+        pytest.param("constraint_jacobian", scipy.sparse.csr_array(rng.standard_normal(4)), id="1-d-csr-jacobian"),
+        pytest.param("coupling", rng.standard_normal(4), id="1-d-coupling"),
+        pytest.param("coupling", scipy.sparse.csr_array(rng.standard_normal(4)), id="1-d-csr-coupling"),
+    ]
+
+
+@pytest.mark.parametrize("field, value", _non_2d_blocks())
+def test_non_2d_blocks_are_rejected_before_assembly(monkeypatch, field, value):
+    rng = np.random.default_rng(3)
+    up, coupling = _upload(0, rng, 4, 2, 2), rng.standard_normal((2, 4))
+    if field == "coupling":
+        coupling = value
+    else:
+        up = dataclasses.replace(up, **{field: value})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("assembly reached")
+
+    monkeypatch.setattr(linalg, "stack_csr", unreachable)
+    with pytest.raises(DimensionMismatch, match="expected 2-D"):
+        coordinator.solve_consensus([up], [coupling])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import given, settings
@@ -61,6 +62,62 @@ def test_matvec_and_gram_take_sparse_input(trans, ndim):
     g = linalg.gram(a, 2.0)
     assert scipy.sparse.issparse(g)
     _assert_product_close(g.toarray(), 2.0 * (dense.T @ dense), dense.T, dense)
+    # CSR, so the coordinator stacks an uploaded B^T B as it is, and with
+    # alpha 1 the product's own bits.
+    assert linalg.gram(a).format == "csr"
+    assert np.array_equal(linalg.gram(a).toarray(), (a.T @ a).toarray())
+
+
+def _stack_blocks():
+    """Blocks of each kind stack_csr takes: a dense one with exact zeros,
+    a CSR one that stores an explicit zero, a CSC one and a block with no
+    rows."""
+    rng = np.random.default_rng(8)
+    dense = rng.standard_normal((3, 4))
+    dense[dense < 0.0] = 0.0
+    stored_zero = scipy.sparse.csr_array((np.array([0.0, 2.5, -1.0]), np.array([1, 0, 2]), np.array([0, 1, 3])),
+                                         shape=(2, 3))
+    csc = scipy.sparse.csc_array(rng.standard_normal((2, 2)))
+    return [dense, stored_zero, np.zeros((0, 4)), csc]
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_stack_csr_matches_the_dense_stack_and_stores_what_the_blocks_store(diagonal):
+    blocks = _stack_blocks()
+    dense = [b.toarray() if scipy.sparse.issparse(b) else b for b in blocks]
+    got = linalg.stack_csr(blocks, diagonal=diagonal)
+    if diagonal:
+        expected = scipy.linalg.block_diag(*dense)
+    else:
+        width = max(b.shape[1] for b in dense)
+        expected = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b in dense])
+    assert got.format == "csr"
+    assert got.shape == expected.shape
+    assert np.array_equal(got.toarray(), expected)
+    # The dense block's exact zeros are dropped, the sparse blocks' stored
+    # entries kept, the explicit zero included.
+    assert got.nnz == np.count_nonzero(dense[0]) + blocks[1].nnz + blocks[3].nnz
+
+
+def test_stack_csr_does_not_write_into_its_blocks():
+    blocks = _stack_blocks()
+    before = [b.copy() for b in blocks]
+    got = linalg.stack_csr(blocks, diagonal=True)
+    got.data[:] = 7.0
+    for b, copy in zip(blocks, before):
+        assert np.array_equal(b.toarray() if scipy.sparse.issparse(b) else b,
+                              copy.toarray() if scipy.sparse.issparse(copy) else copy)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_sparse_bordered_matrix_is_the_dense_one(rows):
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((4, 4))
+    h[h < 0.0] = 0.0
+    j = rng.standard_normal((rows, 4))
+    got = linalg.bordered_matrix(scipy.sparse.csr_array(h), scipy.sparse.csr_array(j))
+    assert scipy.sparse.issparse(got)
+    assert np.array_equal(got.toarray(), linalg.bordered_matrix(h, j))
 
 
 def test_zero_row_operands_give_zero_products():

@@ -93,9 +93,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value in (("rho", self.rho), ("eps", self.eps)):
-            if not 0.0 < value < math.inf:
+            if isinstance(value, bool) or not 0.0 < value < math.inf:
                 raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
-        if not isinstance(self.max_outer, int) or self.max_outer < 1:
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, int) or self.max_outer < 1:
             raise ValidationError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
@@ -165,14 +165,20 @@ class AladinResult(RunResult):
 
 def _initial_states(part, z0, truth) -> list[np.ndarray]:
     """The starting region states, flat when z0 is None, after checking z0
-    against the partition and truth against the case."""
+    against the partition and truth against the case: a shape that does
+    not fit raises DimensionMismatch, a non-finite entry ValidationError."""
     n_global = 4 * part.case.n_bus
     if truth is not None and np.shape(truth) != (n_global,):
         raise DimensionMismatch(f"truth has shape {np.shape(truth)}, expected ({n_global},)")
+    if truth is not None and not np.all(np.isfinite(truth)):
+        raise ValidationError("truth has non-finite entries")
     if z0 is None:
         return [grid.flat_state(r.case.n_bus) for r in part.regions]
     partition_mod.check_region_states(part, z0)
-    return [np.array(z) for z in z0]
+    zs = [np.array(z) for z in z0]
+    if not all(np.all(np.isfinite(z)) for z in zs):
+        raise ValidationError("z0 has non-finite entries")
+    return zs
 
 
 def _region_batch(part, mset):
@@ -312,7 +318,8 @@ def run_aladin(
     truth, when given, is the true global state used only to log the
     estimation error of the original nodes; it never influences the
     iteration.  A z0 or truth that does not fit the partition raises
-    DimensionMismatch before the first region solve.
+    DimensionMismatch, and one with a non-finite entry ValidationError,
+    before the first region solve.
     """
     config = config or RunConfig()
     zs = _initial_states(part, z0, truth)

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid, local_solver, measurements
-from .errors import DimensionMismatch, Diverged
+from .errors import DimensionMismatch, Diverged, ValidationError
 
 #: Levenberg ridge mu added to the Gauss-Newton Hessian.
 MU = 1e-8
+#: Absolute KKT tolerance and Gauss-Newton iteration budget of the solve.
+TOL = 1e-9
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,21 @@ def solve_central(
     case: grid.GridCase,
     mset: measurements.MeasurementSet,
     x0: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 100,
 ) -> CentralSolution:
-    """Estimate the whole grid's state from x0, flat when None.
+    """Estimate the whole grid's state from x0, flat when None, to the
+    KKT tolerance TOL within MAX_ITER steps.
 
-    An x0 not shaped (4 n_bus,) raises DimensionMismatch before any
-    evaluation; a solve that stalls raises Diverged.
+    An x0 not shaped (4 n_bus,) raises DimensionMismatch and one with a
+    non-finite entry ValidationError, both before any evaluation; a solve
+    that stalls raises Diverged.
     """
     x0 = grid.flat_state(case.n_bus) if x0 is None else np.array(x0, dtype=float)
     if x0.shape != (4 * case.n_bus,):
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({4 * case.n_bus},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("x0 has non-finite entries")
     sol = local_solver.solve_local(measurements.RegionResidual(case, mset), grid.PowerFlowModel(case), y0=x0,
-                                   mu=MU, tol=tol, max_inner=max_iter)
+                                   mu=MU, tol=TOL, max_inner=MAX_ITER)
     if not sol.converged:
         raise Diverged(
             f"central estimator stalled after {sol.inner_iterations} iterations "

@@ -25,20 +25,21 @@ Which factor serves which caller:
   solve_kkt factors the whole bordered matrix, symmetric but indefinite,
   with no assumption that the Hessian block alone is invertible; its one
   caller in the package is the consensus QP, which is mostly zeros, so
-  KktSystem keeps both blocks as CSR.
+  KktSystem keeps both blocks as CSR and bordered_matrix stacks them as
+  CSR, from dense or scipy.sparse blocks alike.
 
 The kind of solve_linear's input picks its factor; there is no size
 threshold.
 
 All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
-gram and matvec below, never on numpy's matmul.  numpy and scipy each
-bundle a threaded OpenBLAS whose workers keep spinning for a while after
-a call, so alternating the two stalls both: on 2 vCPUs a 243x132 numpy
-b.T @ b took 0.05 ms alone and 3.9 ms alternated with a scipy
-lu_factor.  gram and matvec read a C-ordered operand through its
-Fortran-ordered transpose, so f2py copies none, and a matrix-vector
-product calls the kernel numpy's matmul calls on the same memory, so it
-keeps numpy's bits.
+gram (A^T A, dense or CSR as A is) and matvec below, never on numpy's
+matmul.  numpy and scipy each bundle a threaded OpenBLAS whose workers
+keep spinning for a while after a call, so alternating the two stalls
+both: on 2 vCPUs a 243x132 numpy b.T @ b took 0.05 ms alone and 3.9 ms
+alternated with a scipy lu_factor.  gram and matvec read a C-ordered
+operand through its Fortran-ordered transpose, so f2py copies none, and
+a matrix-vector product calls the kernel numpy's matmul calls on the
+same memory, so it keeps numpy's bits.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _blas_operand(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.asfortranarray(a), 0
 
 
-def gram(a, alpha: float = 1.0):
-    """alpha A^T A: scipy's dgemm for dense input, a CSR product for
+def gram(a):
+    """A^T A: scipy's dgemm for dense input, a CSR product for
     scipy.sparse input.
 
     dgemm, not the dsyrk that numpy's a.T @ a calls: between LAPACK
@@ -86,10 +87,9 @@ def gram(a, alpha: float = 1.0):
     the coordinator stacks it without a conversion.
     """
     if scipy.sparse.issparse(a):
-        product = a.T.tocsr() @ a
-        return product if alpha == 1.0 else alpha * product
+        return a.T.tocsr() @ a
     f, trans = _blas_operand(np.asarray(a, dtype=float))
-    return dgemm(alpha, f, f, trans_a=1 - trans, trans_b=trans)
+    return dgemm(1.0, f, f, trans_a=1 - trans, trans_b=trans)
 
 
 def matvec(a, x, trans: bool = False):
@@ -319,19 +319,11 @@ class KktSolution:
     regularized: bool = field(default=False)
 
 
-def bordered_matrix(hessian, constraint_jacobian):
-    """[[H, J^T], [J, 0]]: dense, or CSR when either block is scipy.sparse,
+def bordered_matrix(hessian, constraint_jacobian) -> scipy.sparse.csr_array:
+    """[[H, J^T], [J, 0]] as CSR, either block dense or scipy.sparse,
     stacked from the CSR blocks without a COO round trip (stack_csr)."""
-    if scipy.sparse.issparse(hessian) or scipy.sparse.issparse(constraint_jacobian):
-        j = _csr(constraint_jacobian)
-        return stack_csr([scipy.sparse.hstack([_csr(hessian), j.T.tocsr()], format="csr"), j])
-    n = hessian.shape[0]
-    m = constraint_jacobian.shape[0]
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = hessian
-    out[:n, n:] = constraint_jacobian.T
-    out[n:, :n] = constraint_jacobian
-    return out
+    j = _csr(constraint_jacobian)
+    return stack_csr([scipy.sparse.hstack([_csr(hessian), j.T.tocsr()], format="csr"), j])
 
 
 def _with_ridge(attempt, hessian_diagonal):

@@ -42,7 +42,6 @@ solver (no prox, small Levenberg ridge mu).
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -125,13 +124,6 @@ class Blocks:
         y = y.copy()
         y[self.voltage_cols[which[self.state_block[self.voltage_cols]]]] = 1.0
         return y
-
-
-@contextlib.contextmanager
-def _without_ridge_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "KKT factorization failed")
-        yield
 
 
 def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -322,19 +314,17 @@ def solve_batch(
         if inner == max_inner or not active.any():
             break
         # The union's factor judges its pivots against the largest entry of
-        # any block, and its ridge would reach every block.  So a batch whose
-        # step needed the ridge, or failed even with it, is solved again
-        # block by block, each with its own pivot threshold and ridge; a
-        # block that needs the ridge warns there.
+        # any block, and its ridge would reach every block.  So a step that
+        # needed the ridge, or failed even with it, is solved again block by
+        # block, each with its own pivot threshold and ridge, for one block
+        # as for many.  The union's ridge warning is dropped; a block that
+        # needs the ridge warns in its own solve, so one block warns once.
         try:
-            with _without_ridge_warnings() if nb > 1 else contextlib.nullcontext():
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "KKT factorization failed")
                 sol = linalg.solve_reduced_kkt(big_b, big_c, w, shift, grad, h)
-            step, kappa_new = sol.step, sol.multipliers
-            by_block = sol.regularized and nb > 1
-        except SingularKkt as exc:
-            if nb == 1:
-                fail(0, exc)
-                break
+            step, kappa_new, by_block = sol.step, sol.multipliers, sol.regularized
+        except SingularKkt:
             by_block = True
         if by_block:
             step, kappa_new = np.zeros(n), np.zeros(len(kappa))
@@ -408,7 +398,8 @@ def _refit_multipliers(grad, big_c, h, kappa, kkt_res):
     The k that minimizes ||grad + C^T k|| solves C C^T k = -C grad.  C is
     [C_u | I] up to a column permutation (the identity columns of
     linalg.solve_reduced_kkt), so C C^T = I + C_u C_u^T is symmetric with
-    every eigenvalue >= 1 and needs no ridge or pivoting care:
+    every eigenvalue >= 1 and needs no ridge or pivoting care.  C is CSR,
+    cut from the batch's Jacobian, so gram gives C C^T as CSR and
     linalg.solve_linear factors it by sparse LU.
     Returns (kappa, kkt_res) of whichever of the given and the refitted
     multipliers has the smaller KKT residual.

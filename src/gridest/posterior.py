@@ -130,7 +130,7 @@ def covariance_bound(
                 f"over {n} states, got a {cons.shape} constraint jacobian and a {np.shape(coupling)} coupling"
             )
         coupling = scipy.sparse.csc_array(coupling, dtype=float)
-        kkt = linalg.bordered_matrix(linalg.gram(fit), cons)
+        kkt = np.block([[linalg.gram(fit), cons.T], [cons, np.zeros((n // 2, n // 2))]])
         counts = np.diff(coupling.indptr)
         inner, outer = _split_region(counts)
         states_i, states_b = inner[inner < n], outer[outer < n]

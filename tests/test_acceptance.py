@@ -242,7 +242,7 @@ def test_criterion_07_partition_fidelity(case30, part30, part6, part12):
     assert worst_kernel == 0.0
 
 
-def test_criterion_08_posterior_bands_and_monte_carlo(part30, mset30, aladin30, case6, truth6):
+def test_criterion_08_posterior_bands_and_monte_carlo(monkeypatch, part30, mset30, aladin30, case6, truth6):
     """The distributed posterior report lands in the plausible accuracy
     bands (average relative std: theta in [0.05%, 5%], v in [0.02%, 1.7%]),
     its covariance is symmetric PSD, and on the small case the bound matches
@@ -266,6 +266,7 @@ def test_criterion_08_posterior_bands_and_monte_carlo(part30, mset30, aladin30, 
         case6, truth6, noise=None, rng=0, node_weights=node_w, line_weights=line_w
     )
     bound = posterior.analyze_central(case6, exact, truth6).state_std
+    monkeypatch.setattr(central, "TOL", 1e-8)
     rng = np.random.default_rng(99)
     reps = 500
     estimates = np.empty((reps, truth6.size))
@@ -273,7 +274,7 @@ def test_criterion_08_posterior_bands_and_monte_carlo(part30, mset30, aladin30, 
         mset = measurements.simulate_measurements(
             case6, truth6, noise=noise, rng=rng, node_weights=node_w, line_weights=line_w
         )
-        estimates[r] = central.solve_central(case6, mset, x0=truth6, tol=1e-8).x
+        estimates[r] = central.solve_central(case6, mset, x0=truth6).x
     mc_std = estimates.std(axis=0, ddof=1)
     meaningful = bound > 1e-6
     deviation = np.abs(mc_std[meaningful] / bound[meaningful] - 1.0).max()

@@ -250,6 +250,22 @@ def test_states_that_do_not_fit_the_partition_fail_before_any_solve(monkeypatch,
 
 
 @pytest.mark.parametrize("run", METHODS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["z0", "truth"])
+def test_non_finite_states_fail_before_any_solve(monkeypatch, part30, mset30, truth30, run, value, field):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a region solve ran before the inputs were checked")
+
+    monkeypatch.setattr(local_solver, "solve_batch", no_solve)
+    zs = partition.extend_state(part30, truth30)
+    zs[2][5] = value
+    truth = truth30.copy()
+    truth[7] = value
+    with pytest.raises(ValidationError, match=field):
+        run(part30, mset30, **{field: {"z0": zs, "truth": truth}[field]})
+
+
+@pytest.mark.parametrize("run", METHODS)
 def test_inner_divergence_ends_the_run_with_a_note(monkeypatch, part30, mset30, run):
     solve = local_solver.solve_batch
     calls = 0
@@ -487,7 +503,8 @@ def test_the_note_names_the_lowest_failing_region_while_the_others_solve(monkeyp
 @pytest.mark.parametrize(
     "field, value",
     [(f, v) for f in ("rho", "eps") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)]
-    + [("max_outer", 0), ("max_outer", -1), ("max_outer", 2.0)],
+    + [("max_outer", 0), ("max_outer", -1), ("max_outer", 2.0)]
+    + [(f, True) for f in ("rho", "eps", "max_outer")],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValidationError, match=field):

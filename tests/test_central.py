@@ -6,7 +6,7 @@ import scipy.sparse
 
 import tiling
 from gridest import central, grid, local_solver, measurements, partition, powerflow
-from gridest.errors import DimensionMismatch, Diverged
+from gridest.errors import DimensionMismatch, Diverged, ValidationError
 
 
 def test_zero_noise_recovers_the_truth(case30, truth30):
@@ -20,6 +20,18 @@ def test_zero_noise_recovers_the_truth(case30, truth30):
 def test_a_start_state_of_the_wrong_length_is_rejected(case30, mset30, length):
     with pytest.raises(DimensionMismatch):
         central.solve_central(case30, mset30, x0=np.ones(length))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_start_state_is_rejected_before_any_solve(monkeypatch, case30, mset30, truth30, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before x0 was checked")
+
+    monkeypatch.setattr(local_solver, "solve_batch", no_solve)
+    x0 = truth30.copy()
+    x0[9] = value
+    with pytest.raises(ValidationError, match="x0"):
+        central.solve_central(case30, mset30, x0=x0)
 
 
 def test_noisy_estimate_beats_the_truth_in_objective(case30, truth30, mset30, central30):
@@ -48,9 +60,10 @@ def test_custom_start_point(case30, truth30, mset30, central30):
     assert np.abs(sol.x - central30.x).max() <= 1e-7
 
 
-def test_exhausted_budget_raises(case30, mset30):
+def test_exhausted_budget_raises(monkeypatch, case30, mset30):
+    monkeypatch.setattr(central, "MAX_ITER", 1)
     with pytest.raises(Diverged):
-        central.solve_central(case30, mset30, max_iter=1)
+        central.solve_central(case30, mset30)
 
 
 def test_kkt_quality_holds_across_measurement_seeds(case30, part30, truth30):
@@ -119,7 +132,6 @@ def test_the_multiplier_refit_at_the_first_dust_step_ends_the_solve(case30, part
     mset = measurements.simulate_measurements(
         case, truth, rng=seed, measured_lines=partition.internal_line_keys(part)
     )
-    tol = 1e-9
-    sol = central.solve_central(case, mset, tol=tol)
+    sol = central.solve_central(case, mset)
     assert sol.inner_iterations <= bound
-    assert sol.kkt_residual <= tol
+    assert sol.kkt_residual <= central.TOL

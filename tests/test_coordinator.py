@@ -170,7 +170,7 @@ def _dense_consensus(uploads, couplings):
         [-2.0 * np.concatenate([up.fit_gradient for up in uploads]), np.zeros(m),
          -np.sum([up.coupling_image for up in uploads], axis=0)]
     )
-    sol = linalg.solve_linear(linalg.bordered_matrix(hessian, jac), rhs)
+    sol = linalg.solve_linear(np.block([[hessian, jac.T], [jac, np.zeros((len(jac), len(jac)))]]), rhs)
     return sol[:n], sol[n + m :]
 
 

@@ -33,7 +33,7 @@ def _assert_product_close(got, ref, a, x):
 @pytest.mark.parametrize("shape", [(7, 5), (40, 13), (13, 40), (1, 9)])
 def test_gram_matches_numpy(layout, shape):
     a = _layouts(*shape, seed=2)[layout]
-    _assert_product_close(linalg.gram(a, 2.0), 2.0 * (a.T @ a), a.T, a)
+    _assert_product_close(2.0 * linalg.gram(a), 2.0 * (a.T @ a), a.T, a)
 
 
 @pytest.mark.parametrize("trans", [False, True])
@@ -59,11 +59,11 @@ def test_matvec_and_gram_take_sparse_input(trans, ndim):
     x = np.random.default_rng(6).standard_normal((op.shape[1], 4)[:ndim])
     got = linalg.matvec(a, x, trans=trans)
     _assert_product_close(np.asarray(got), op @ x, op, x)
-    g = linalg.gram(a, 2.0)
+    g = 2.0 * linalg.gram(a)
     assert scipy.sparse.issparse(g)
     _assert_product_close(g.toarray(), 2.0 * (dense.T @ dense), dense.T, dense)
-    # CSR, so the coordinator stacks an uploaded B^T B as it is, and with
-    # alpha 1 the product's own bits.
+    # CSR, so the coordinator stacks an uploaded B^T B as it is, with the
+    # product's own bits.
     assert linalg.gram(a).format == "csr"
     assert np.array_equal(linalg.gram(a).toarray(), (a.T @ a).toarray())
 
@@ -111,13 +111,17 @@ def test_stack_csr_does_not_write_into_its_blocks():
 
 @pytest.mark.parametrize("rows", [0, 2])
 def test_sparse_bordered_matrix_is_the_dense_one(rows):
+    """CSR whether the blocks are dense, CSR or one of each."""
     rng = np.random.default_rng(9)
     h = rng.standard_normal((4, 4))
     h[h < 0.0] = 0.0
     j = rng.standard_normal((rows, 4))
-    got = linalg.bordered_matrix(scipy.sparse.csr_array(h), scipy.sparse.csr_array(j))
-    assert scipy.sparse.issparse(got)
-    assert np.array_equal(got.toarray(), linalg.bordered_matrix(h, j))
+    want = np.block([[h, j.T], [j, np.zeros((rows, rows))]])
+    for h_in in (h, scipy.sparse.csr_array(h)):
+        for j_in in (j, scipy.sparse.csr_array(j)):
+            got = linalg.bordered_matrix(h_in, j_in)
+            assert scipy.sparse.issparse(got) and got.format == "csr"
+            assert np.array_equal(got.toarray(), want)
 
 
 def test_zero_row_operands_give_zero_products():
@@ -500,7 +504,7 @@ def _null_space_step(b, c, w, shift, g, h):
 
 def _assert_matches_the_dense_and_bordered_steps(sol, b, c, w, shift, g, h):
     step, kappa = _null_space_step(b, c, w, shift, g, h)
-    hess = linalg.gram(b.toarray(), 2.0) + np.diag(shift)
+    hess = 2.0 * linalg.gram(b.toarray()) + np.diag(shift)
     bordered = linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=c, gradient=g, residual=h))
     assert not sol.regularized
     for want_step, want_kappa in ((step, kappa), (bordered.step, bordered.multipliers)):

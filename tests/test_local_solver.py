@@ -286,6 +286,26 @@ def test_a_batch_that_needs_the_ridge_recovers_block_by_block(monkeypatch):
     assert np.array_equal(sols[1].y, alone.y)
 
 
+def test_a_single_block_that_needs_the_ridge_takes_the_union_step(monkeypatch):
+    """The residual y0 + y1 - 2 leaves the reduced system singular, and
+    the ridge makes it definite.  solve_local solves its one block again
+    after the union's ridge, warns once and takes the same step: from
+    y = 0 that step is the iterate, bit for bit."""
+    residual = _Affine(np.array([[1.0, 1.0]]), np.array([2.0]))
+    b, c = residual.jacobian(None), _no_constraints(2).jacobian(None)
+    grad = 2.0 * linalg.matvec(b, residual.eval(np.zeros(2)), trans=True) + np.zeros(2)
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        want = linalg.solve_reduced_kkt(b, c, np.zeros(0, dtype=int), np.zeros(2), grad, np.zeros(0))
+    assert want.regularized
+    solve, calls = linalg.solve_reduced_kkt, []
+    monkeypatch.setattr(linalg, "solve_reduced_kkt", lambda *args: calls.append(args) or solve(*args))
+    with pytest.warns(UserWarning) as record:
+        sol = local_solver.solve_local(residual, _no_constraints(2), y0=np.zeros(2), max_inner=1)
+    assert [str(r.message).startswith("KKT factorization failed") for r in record] == [True]
+    assert len(calls) == 2
+    assert np.array_equal(sol.y, want.step)
+
+
 def test_stall_at_rounding_floor_counts_as_convergence():
     """A tolerance below the float64 floor of the stationarity sum is
     reached by step-size stall detection instead of looping to max_inner."""
@@ -304,7 +324,7 @@ def test_stall_at_rounding_floor_counts_as_convergence():
 # The reduced (theta, v) step against the bordered solve of the full system.
 
 def _bordered(big_b, big_c, shift, grad, h):
-    hess = linalg.gram(big_b, 2.0) + scipy.sparse.diags_array(shift)
+    hess = 2.0 * linalg.gram(big_b) + scipy.sparse.diags_array(shift)
     return linalg.solve_kkt(linalg.KktSystem(hessian=hess, constraint_jacobian=big_c, gradient=grad, residual=h))
 
 

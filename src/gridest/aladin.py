@@ -65,9 +65,11 @@ assumption.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import coordinator, grid, linalg, local_solver, measurements, partition as partition_mod
 from .errors import DimensionMismatch, GridestError, SingularKkt, ValidationError
@@ -92,10 +94,11 @@ class RunConfig:
     max_outer: int = 50
 
     def __post_init__(self):
+        # numpy scalars pass as numbers; Python's and numpy's booleans do not.
         for name, value in (("rho", self.rho), ("eps", self.eps)):
-            if isinstance(value, bool) or not 0.0 < value < math.inf:
+            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
                 raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
-        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, int) or self.max_outer < 1:
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
             raise ValidationError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
@@ -229,14 +232,17 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     """The outer loop shared by ALADIN and the ADMM baseline.
 
     Each outer iteration solves the regions' subproblems from the current
-    z_i as one batch (local_solver.solve_batch over _region_batch), with
-    prox_terms(i, z_i) giving region i's (lin, prox_target, prox_idx).
-    It logs the iteration and hands the solutions (one LocalSolution per
-    region, with CSR Jacobians), the consensus gap sum_i A_i y_i and the
-    record to coordinate(sols, gap, record), which fills in the record's
-    communication fields and returns the next iterates and whether the
-    method has terminated.  config is the run's RunConfig; each region
-    solve uses config.rho, MAX_INNER and the tolerance
+    z_i as one batch (local_solver.solve_batch over _region_batch).
+    prox_terms(z), z the concatenated z_i, gives the batch's (lin,
+    prox_target, prox_idx) on the regions' union, which go to solve_batch
+    as they are: both methods couple the regions through the stacked
+    border [A_1 ... A_N], and prox_idx (None for every state) indexes the
+    union.  It logs the iteration and hands the solutions (one
+    LocalSolution per region, with CSR Jacobians), the consensus gap
+    sum_i A_i y_i and the record to coordinate(sols, gap, record), which
+    fills in the record's communication fields and returns the next
+    iterates and whether the method has terminated.  config is the run's
+    RunConfig; each region solve uses config.rho, MAX_INNER and the tolerance
     min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
     iteration's consensus violation, with the module constants read at
     call time.  In the first iteration, which has no v, that tolerance is
@@ -255,14 +261,11 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     violation = math.inf
     for k in range(1, config.max_outer + 1):
         tol = min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * violation))
-        terms = [prox_terms(i, z) for i, z in enumerate(zs)]
-        prox_idx = [blocks.state_ptr[i] + (np.arange(len(z)) if idx is None else idx)
-                    for i, (z, (_, _, idx)) in enumerate(zip(zs, terms))]
+        z = np.concatenate(zs)
+        lin, target, idx = prox_terms(z)
         outcomes = local_solver.solve_batch(
-            residual, model, np.concatenate(zs), blocks, rho=config.rho,
-            lin=np.concatenate([lin for lin, _, _ in terms]),
-            prox_target=np.concatenate([target for _, target, _ in terms]),
-            prox_idx=np.concatenate(prox_idx), tol=tol, max_inner=MAX_INNER, relative=k == 1,
+            residual, model, z, blocks, rho=config.rho, lin=lin, prox_target=target, prox_idx=idx,
+            tol=tol, max_inner=MAX_INNER, relative=k == 1,
         )
         failed = [(i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, GridestError)]
         if failed:
@@ -324,12 +327,13 @@ def run_aladin(
     config = config or RunConfig()
     zs = _initial_states(part, z0, truth)
     lam = np.zeros(part.n_coupling_rows)
-    # A_i^T as CSR once per run; a transposed view costs more per product
-    # than the product itself.
-    coupling_t = [a.T.tocsr() for a in part.coupling]
+    # [A_1 ... A_N]^T as CSR once per run; a transposed view costs more per
+    # product than the product itself.  Each state of the union has at most
+    # one coupling entry, so each entry of the product is a single term.
+    border_t = scipy.sparse.hstack(part.coupling).T.tocsr()
 
-    def prox_terms(i: int, z_i: np.ndarray):
-        return linalg.matvec(coupling_t[i], lam), z_i, None
+    def prox_terms(z: np.ndarray):
+        return linalg.matvec(border_t, lam), z, None
 
     def coordinate(sols, gap, record):
         nonlocal lam

@@ -173,10 +173,10 @@ def solve_local(
     scipy.sparse; constraints must also name identity_columns, one
     column per constraint row where its Jacobian is that row's unit
     vector (linalg.solve_reduced_kkt).  prox_idx selects the coordinates
-    the proximal term acts on (None means all of them); prox_target must
-    match its length, and is needed when rho != 0.  Returns the last
-    iterate with converged=False when max_inner runs out; raises
-    DimensionMismatch before any evaluation when lin, prox_idx or
+    the proximal term acts on (None means all of them), each at most
+    once; prox_target must match its length, and is needed when rho != 0.
+    Returns the last iterate with converged=False when max_inner runs out;
+    raises DimensionMismatch before any evaluation when lin, prox_idx or
     prox_target does not fit y0, TypeError when the Jacobians at y0 are
     not scipy.sparse, InnerDiverged when the line search cannot
     produce decrease, SingularKkt when a step's system stays singular and
@@ -224,6 +224,9 @@ def solve_batch(
         raise DimensionMismatch(f"lin has shape {lin.shape}, expected ({n},)")
     if idx.ndim != 1 or np.any((idx < 0) | (idx >= n)):
         raise DimensionMismatch(f"prox_idx must list states in 0..{n - 1}")
+    if np.bincount(idx, minlength=n).max(initial=0) > 1:
+        # The step would apply a repeated state's prox term once, the merit twice.
+        raise DimensionMismatch("prox_idx lists a state more than once")
     if (rho != 0.0 or target is not None) and (target is None or target.shape != idx.shape):
         raise DimensionMismatch(f"prox_target {'missing' if target is None else target.shape}, expected {idx.shape}")
     if rho == 0.0:

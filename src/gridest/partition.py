@@ -27,9 +27,10 @@ per-bus remap reads it rather than re-deriving it.  Each fragment lists its
 original buses first, in id order, then its auxiliary buses in pair order:
 auxiliary ids exceed every case id and grow with the pair index, and
 GridCase sorts its buses by id.  A RegionGrid records the global positions
-of its original buses (bus_pos) and the nonzeros of its coupling matrix as
-row, column and sign arrays, rows ascending; Partition.coupling holds each
-A_i as a scipy.sparse CSR array of exactly those entries.
+of its original buses (bus_pos).  Partition.coupling is the one record of
+each A_i, a scipy.sparse CSR array with one entry per auxiliary state:
+its COO form lists them rows ascending, and the stacked border
+[A_1 ... A_N] holds at most one entry per state of the regions' union.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ class RegionGrid:
 
     The fragment's buses are original_bus_ids, then aux_bus_ids, so
     fragment position k < len(bus_pos) is the original bus at global
-    position bus_pos[k].  Copy t of the region is state coordinate
-    coupling_cols[t], entered with sign coupling_signs[t] into consensus
-    row coupling_rows[t]; the rows ascend.
+    position bus_pos[k].
     """
 
     index: int
@@ -84,9 +83,6 @@ class RegionGrid:
     aux_bus_ids: tuple[int, ...]
     internal_lines: tuple[grid.Line, ...]
     bus_pos: np.ndarray = field(compare=False)
-    coupling_rows: np.ndarray = field(compare=False)
-    coupling_cols: np.ndarray = field(compare=False)
-    coupling_signs: np.ndarray = field(compare=False)
 
     @property
     def n_states(self) -> int:
@@ -185,21 +181,18 @@ def partition_grid(case: grid.GridCase, assignment: dict[int, object]) -> Partit
         # (theta, v, p, q) enter the four rows of its pair.
         t = np.array([pair.index for pair, *_ in side], dtype=int)
         rows = (ROWS_PER_PAIR * t[:, None] + np.arange(ROWS_PER_PAIR)).ravel()
-        region = RegionGrid(
+        cols = 4 * bus_pos.size + np.arange(rows.size)
+        signs = np.array([(sign, sign, 1.0, 1.0) for *_, sign in side]).ravel()
+        regions.append(RegionGrid(
             index=i,
             case=fragment,
             original_bus_ids=tuple(bus.id for bus in buses),
             aux_bus_ids=tuple(aux for _, _, aux, _ in side),
             internal_lines=tuple(internal[i]),
             bus_pos=bus_pos,
-            coupling_rows=rows,
-            coupling_cols=4 * bus_pos.size + np.arange(rows.size),
-            coupling_signs=np.array([(sign, sign, 1.0, 1.0) for *_, sign in side]).ravel(),
-        )
-        regions.append(region)
+        ))
         couplings.append(scipy.sparse.csr_array(
-            (region.coupling_signs, (rows, region.coupling_cols)),
-            shape=(ROWS_PER_PAIR * len(pairs), region.n_states),
+            (signs, (rows, cols)), shape=(ROWS_PER_PAIR * len(pairs), 4 * fragment.n_bus),
         ))
 
     return Partition(
@@ -269,7 +262,7 @@ def extend_state(partition: Partition, x: np.ndarray) -> list[np.ndarray]:
     vc = grid.complex_voltage(x)
     mid = np.array([0.5 * (vc[partition.case.index[p.low_bus]] + vc[partition.case.index[p.high_bus]]) for p in pairs])
     # The pair of each region's auxiliary buses, in fragment order.
-    aux_pair = [region.coupling_rows[::ROWS_PER_PAIR] // ROWS_PER_PAIR for region in regions]
+    aux_pair = [a.tocoo().row[::ROWS_PER_PAIR] // ROWS_PER_PAIR for a in partition.coupling]
     out = [np.zeros((region.case.n_bus, 4)) for region in regions]
     for region, t, z in zip(regions, aux_pair, out):
         n = region.bus_pos.size

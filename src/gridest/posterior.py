@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse
 
 from . import grid, linalg, measurements, partition as partition_mod
-from .errors import DimensionMismatch, SingularBordered, SingularMatrix
+from .errors import DimensionMismatch, SingularBordered, SingularMatrix, ValidationError
 
 REL_EXCLUDE_BELOW = 1e-3
 CHANNELS = ("theta", "v", "p", "q")
@@ -212,9 +212,13 @@ def analyze(
     mset: measurements.MeasurementSet,
     zs: Sequence[np.ndarray],
 ) -> PosteriorReport:
-    """Distributed bound at the estimate zs, reported for original nodes."""
+    """Distributed bound at the estimate zs, reported for original nodes.
+    zs that do not fit the partition raise DimensionMismatch, and a
+    non-finite entry ValidationError, before any model is evaluated."""
     partition_mod.check_region_states(part, zs)
     zs = [np.asarray(z, dtype=float) for z in zs]
+    if not all(np.all(np.isfinite(z)) for z in zs):
+        raise ValidationError("zs has non-finite entries")
     region_sets = measurements.split_by_region(mset, part)
     fit_jacobians = []
     constraint_jacobians = []

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from gridest import admm, aladin, partition
+from gridest import admm, aladin, local_solver, partition
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,24 @@ def test_iteration_budget_is_respected(part30, mset30):
     assert not result.converged
     assert result.iterations == 3
     assert result.note != ""
+
+
+def test_the_projection_closes_every_consensus_row(monkeypatch, part30, mset30):
+    """Every batch after the first pulls the copies toward targets that
+    satisfy sum_i A_i zeta_i = 0, and names each coupled state once."""
+    solve = local_solver.solve_batch
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append((kwargs["prox_idx"], kwargs["prox_target"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(local_solver, "solve_batch", recording)
+    admm.run_admm(part30, mset30, config=aladin.RunConfig(max_outer=5))
+    border = scipy.sparse.hstack(part30.coupling).tocsc()
+    coupled = np.flatnonzero(np.diff(border.indptr))
+    assert len(batches) == 5
+    for idx, target in batches[1:]:
+        assert np.array_equal(np.sort(idx), coupled)
+        closing = border[:, idx] @ target
+        assert np.abs(closing).max() <= 1e-12 * np.abs(target).max()

@@ -358,7 +358,8 @@ def test_each_batched_region_solution_is_the_single_region_solution(monkeypatch,
         batches = _region_batches(monkeypatch, run, part, mset)
         assert len(batches) >= 3
         for y0, blocks, kw, outcomes in batches:
-            idx = kw["prox_idx"]
+            # ALADIN's prox acts on every state of the union.
+            idx = np.arange(len(y0)) if kw["prox_idx"] is None else kw["prox_idx"]
             for i, ((residual, model), batched) in enumerate(zip(problems, outcomes)):
                 s = blocks.states(i)
                 mine = (idx >= s.start) & (idx < s.stop)
@@ -504,11 +505,19 @@ def test_the_note_names_the_lowest_failing_region_while_the_others_solve(monkeyp
     "field, value",
     [(f, v) for f in ("rho", "eps") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)]
     + [("max_outer", 0), ("max_outer", -1), ("max_outer", 2.0)]
-    + [(f, True) for f in ("rho", "eps", "max_outer")],
+    + [(f, True) for f in ("rho", "eps", "max_outer")]
+    + [(f, np.True_) for f in ("rho", "eps", "max_outer")],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValidationError, match=field):
         aladin.RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho", np.float64(1e3)), ("eps", np.float32(1e-3)), ("max_outer", np.int64(3)), ("max_outer", np.uint8(3)),
+])
+def test_run_config_accepts_numpy_scalars(field, value):
+    assert getattr(aladin.RunConfig(**{field: value}), field) == value
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

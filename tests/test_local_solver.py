@@ -143,12 +143,14 @@ def test_max_inner_exhaustion_reports_not_converged():
     pytest.param(dict(rho=1.0, prox_target=np.zeros(2), prox_idx=[0, 120]), id="prox_idx-past-the-end"),
     pytest.param(dict(rho=1.0, prox_target=np.zeros(2), prox_idx=[0, -1]), id="prox_idx-negative"),
     pytest.param(dict(rho=1.0), id="no-prox_target"),
+    pytest.param(dict(rho=1.0, prox_target=np.zeros(2), prox_idx=[0, 0]), id="prox_idx-repeated"),
 ])
 def test_arguments_that_do_not_fit_the_state_fail_before_any_evaluation(case30, mset30, monkeypatch, bad):
     """On the ieee30 central problem (120 states), a length-1 lin or
     prox_target would broadcast into a different problem, an index outside
-    0..119 would wrap or fail mid-solve, and rho without a target has
-    nothing to pull toward: each raises DimensionMismatch first."""
+    0..119 would wrap or fail mid-solve, rho without a target has nothing
+    to pull toward, and a repeated index would enter the step once and the
+    merit twice: each raises DimensionMismatch first."""
     calls = []
     for cls in (measurements.RegionResidual, grid.PowerFlowModel):
         for name in ("eval", "jacobian"):
@@ -355,11 +357,11 @@ def test_reduced_region_step_matches_the_bordered_solve(case30, part30, mset30, 
     loop (all coordinates) or of the alternating baseline (coupled copies)."""
     rho = 1e4
     for part, mset in _region_partitions(case30, part30, mset30, truth30, two_tile30):
-        for region, rset in zip(part.regions, measurements.split_by_region(mset, part)):
+        for region, rset, a in zip(part.regions, measurements.split_by_region(mset, part), part.coupling):
             residual = measurements.RegionResidual(region.case, rset)
             model = grid.PowerFlowModel(region.case)
             flat = grid.flat_state(region.case.n_bus)
-            idx = None if prox == "all" else region.coupling_cols
+            idx = None if prox == "all" else a.tocoo().col
             shift = np.zeros(len(flat))
             shift[slice(None) if idx is None else idx] = rho
             target = flat if idx is None else flat[idx]

@@ -158,7 +158,7 @@ def test_coupling_rows_have_one_plus_one_minus_entry(part30):
 
 def _assert_region_layout(part):
     """Each fragment lists its original buses in id order, then its auxiliary
-    buses in pair order; the recorded coupling entries are exactly A_i."""
+    buses in pair order; A_i stores exactly the coupling entries of its copies."""
     for i, (region, a) in enumerate(zip(part.regions, part.coupling)):
         own = tuple(b for b in part.case.bus_ids if part.assignment[b] == i)
         assert region.original_bus_ids == own
@@ -167,7 +167,9 @@ def _assert_region_layout(part):
         assert region.aux_bus_ids == tuple(aux for _, aux in copies)
         assert region.case.bus_ids == own + region.aux_bus_ids
         assert np.array_equal(region.bus_pos, [part.case.index[b] for b in own])
-        rows, cols, signs = region.coupling_rows, region.coupling_cols, region.coupling_signs
+        assert scipy.sparse.issparse(a) and a.shape == (4 * part.n_pairs, region.n_states)
+        stored = a.tocoo()
+        rows, cols, signs = stored.row, stored.col, stored.data
         assert len(rows) == len(cols) == len(signs) == 4 * len(copies)
         assert np.all(np.diff(rows) > 0)
         assert np.array_equal(rows // 4, np.repeat([t for t, _ in copies], 4))
@@ -180,8 +182,6 @@ def _assert_region_layout(part):
             sign = 1.0 if i < other else -1.0
             expected += [sign, sign, 1.0, 1.0]
         assert np.array_equal(signs, expected)
-        assert scipy.sparse.issparse(a) and a.shape == (4 * part.n_pairs, region.n_states)
-        stored = a.tocoo()
         assert stored.nnz == len(rows)
         assert np.array_equal(stored.row, rows)
         assert np.array_equal(stored.col, cols)

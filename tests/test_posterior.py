@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import aladin, central, grid, linalg, measurements, partition, posterior, powerflow
-from gridest.errors import DimensionMismatch, SingularBordered
+from gridest.errors import DimensionMismatch, SingularBordered, ValidationError
 
 from conftest import DEFAULT_SEED, coupling_form_params, random_connected_assignment
 import tiling
@@ -333,6 +333,26 @@ def test_a_coupling_row_must_join_exactly_two_copies(request):
 def test_analyze_rejects_states_that_do_not_fit_the_partition(part30, mset30, aladin30, cut):
     with pytest.raises(DimensionMismatch):
         posterior.analyze(part30, mset30, cut(aladin30.zs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("central_bound", [False, True], ids=["analyze", "analyze_central"])
+def test_non_finite_states_fail_before_any_evaluation(monkeypatch, case30, part30, mset30, aladin30, central30,
+                                                       bad, central_bound):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached an evaluation with a non-finite state")
+
+    monkeypatch.setattr(posterior, "covariance_bound", unreachable)
+    monkeypatch.setattr(measurements.RegionResidual, "jacobian", unreachable)
+    with pytest.raises(ValidationError, match="non-finite"):
+        if central_bound:
+            x = central30.x.copy()
+            x[5] = bad
+            posterior.analyze_central(case30, mset30, x)
+        else:
+            zs = [z.copy() for z in aladin30.zs]
+            zs[2][7] = bad
+            posterior.analyze(part30, mset30, zs)
 
 
 def test_analyze_calls_covariance_bound_through_the_module(monkeypatch, case30, part30, mset30, aladin30, central30):

@@ -1,0 +1,119 @@
+"""Check that two checkouts of gridest write byte-identical outputs.
+
+    python3 tools/same_outputs.py OTHER_CHECKOUT
+
+compares OTHER_CHECKOUT with the checkout that holds this script.  Each
+checkout runs in its own Python subprocess, with its own src and perfbench
+first on sys.path, and writes into a fresh directory:
+
+- every file that `gridest estimate`, `admm`, `compare` and `posterior`
+  write on ieee30/default4 at seeds 1, 2 and 7, beside each command's
+  stdout, stderr and exit code;
+- the same record of `gridest check --partition default4`;
+- the ALADIN and ADMM (max_outer=30) history rows, the outcome and a
+  SHA-256 of the final region states, on 8 and 16 ieee30 tiles
+  (perfbench/tiling.py) at seed 1.
+
+It prints every output that differs or exists on one side only, and
+exits 1 if there is any, 0 when every output is the same.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("estimate", "admm", "compare", "posterior")
+SEEDS = (1, 2, 7)
+TILES = (8, 16)
+TILE_SEED = 1
+TILE_MAX_OUTER = 30
+
+
+def _cli(main, argv: list[str], record: Path) -> None:
+    """Run gridest's CLI main on argv and write its stdout, stderr and
+    exit code to record."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    record.parent.mkdir(parents=True, exist_ok=True)
+    record.write_text(f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n")
+
+
+def produce(checkout: Path, out: Path) -> None:
+    """Write every compared output of checkout into out."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    from gridest import admm, aladin, caseio, cli, measurements, partition, powerflow
+    import tiling
+
+    # Relative --out paths keep the directory out of the recorded stdout.
+    os.chdir(out)
+    for seed in SEEDS:
+        for command in COMMANDS:
+            name = f"{command}-seed{seed}"
+            _cli(cli.main, [command, "--seed", str(seed), "--out", name], Path(name, "stdout.txt"))
+    _cli(cli.main, ["check", "--partition", "default4"], Path("check.txt"))
+    config = aladin.RunConfig(max_outer=TILE_MAX_OUTER)
+    for n_tiles in TILES:
+        case = tiling.tiled_case(n_tiles)
+        part = partition.partition_grid(case, tiling.tile_assignment(case))
+        truth = powerflow.solve_power_flow(case).state
+        mset = measurements.simulate_measurements(
+            case, truth, rng=TILE_SEED, measured_lines=partition.internal_line_keys(part)
+        )
+        for method, run in (("aladin", aladin.run_aladin), ("admm", admm.run_admm)):
+            result = run(part, mset, config=config, truth=truth)
+            digest = hashlib.sha256(b"".join(z.tobytes() for z in result.zs)).hexdigest()
+            lines = [caseio.history_row(rec) for rec in result.history]
+            lines += [f"converged={result.converged} note={result.note}", f"states sha256 {digest}"]
+            Path(f"tiles{n_tiles}-{method}.txt").write_text("\n".join(lines) + "\n")
+
+
+def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:
+    """(number of files compared, one line per file that differs or that
+    only one of the directory trees a and b holds)."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = []
+    for rel in sorted(files_a | files_b):
+        if rel not in files_b:
+            diffs.append(f"only in {a}: {rel}")
+        elif rel not in files_a:
+            diffs.append(f"only in {b}: {rel}")
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            diffs.append(f"differs: {rel}")
+    return len(files_a | files_b), diffs
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--produce"] and len(argv) == 3:
+        produce(Path(argv[1]), Path(argv[2]))
+        return 0
+    if len(argv) != 1:
+        print("usage: python3 tools/same_outputs.py OTHER_CHECKOUT", file=sys.stderr)
+        return 2
+    checkouts = [Path(argv[0]).resolve(), ROOT]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for k, checkout in enumerate(checkouts):
+            out = Path(tmp, str(k))
+            out.mkdir()
+            subprocess.run([sys.executable, str(Path(__file__).resolve()), "--produce", str(checkout), str(out)],
+                           check=True)
+            outs.append(out)
+        n_files, diffs = compare_dirs(*outs)
+    for line in diffs:
+        print(line)
+    print(f"{checkouts[0]} vs {checkouts[1]}: {len(diffs)} of {n_files} outputs differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

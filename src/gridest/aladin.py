@@ -69,7 +69,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import coordinator, grid, linalg, local_solver, measurements, partition as partition_mod
 from .errors import DimensionMismatch, GridestError, SingularKkt, ValidationError
@@ -166,22 +165,23 @@ class AladinResult(RunResult):
     formula: CommFormula
 
 
-def _initial_states(part, z0, truth) -> list[np.ndarray]:
-    """The starting region states, flat when z0 is None, after checking z0
-    against the partition and truth against the case: a shape that does
-    not fit raises DimensionMismatch, a non-finite entry ValidationError."""
+def _initial_states(part, z0, truth) -> np.ndarray:
+    """The starting region states concatenated on the regions' union, flat
+    when z0 is None, after checking z0 against the partition and truth
+    against the case: a shape that does not fit raises DimensionMismatch, a
+    non-finite entry ValidationError."""
     n_global = 4 * part.case.n_bus
     if truth is not None and np.shape(truth) != (n_global,):
         raise DimensionMismatch(f"truth has shape {np.shape(truth)}, expected ({n_global},)")
     if truth is not None and not np.all(np.isfinite(truth)):
         raise ValidationError("truth has non-finite entries")
     if z0 is None:
-        return [grid.flat_state(r.case.n_bus) for r in part.regions]
+        return np.concatenate([grid.flat_state(r.case.n_bus) for r in part.regions])
     partition_mod.check_region_states(part, z0)
-    zs = [np.array(z) for z in z0]
-    if not all(np.all(np.isfinite(z)) for z in zs):
+    z = np.concatenate(z0)
+    if not np.all(np.isfinite(z)):
         raise ValidationError("z0 has non-finite entries")
-    return zs
+    return z
 
 
 def _region_batch(part, mset):
@@ -228,20 +228,23 @@ def _region_batch(part, mset):
     return residual, grid.PowerFlowModel(case), blocks
 
 
-def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
+def _outer_loop(part, mset, config, z, truth, prox_terms, coordinate):
     """The outer loop shared by ALADIN and the ADMM baseline.
 
-    Each outer iteration solves the regions' subproblems from the current
-    z_i as one batch (local_solver.solve_batch over _region_batch).
-    prox_terms(z), z the concatenated z_i, gives the batch's (lin,
-    prox_target, prox_idx) on the regions' union, which go to solve_batch
-    as they are: both methods couple the regions through the stacked
-    border [A_1 ... A_N], and prox_idx (None for every state) indexes the
-    union.  It logs the iteration and hands the solutions (one
-    LocalSolution per region, with CSR Jacobians), the consensus gap
-    sum_i A_i y_i and the record to coordinate(sols, gap, record), which
-    fills in the record's communication fields and returns the next
-    iterates and whether the method has terminated.  config is the run's
+    The iterate z is one vector on the regions' union, the region states
+    z_i concatenated in region order; both methods couple the regions
+    through the stacked border Partition.border = [A_1 ... A_N] on that
+    union.  Each outer iteration solves the regions' subproblems from z as
+    one batch (local_solver.solve_batch over _region_batch).
+    prox_terms(z) gives the batch's (lin, prox_target, prox_idx) on the
+    union, which go to solve_batch as they are; prox_idx (None for every
+    state) indexes the union.  The iteration record reads the union
+    solution y, the solutions' y_i concatenated: the consensus gap is
+    border @ y and the step norm ||y - z||_inf.  The loop hands the
+    solutions (one LocalSolution per region, with CSR Jacobians), y, the
+    gap and the record to coordinate(sols, y, gap, record), which fills in
+    the record's communication fields and returns the next union iterate
+    and whether the method has terminated.  config is the run's
     RunConfig; each region solve uses config.rho, MAX_INNER and the tolerance
     min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
     iteration's consensus violation, with the module constants read at
@@ -253,15 +256,15 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
     SingularKkt or ZeroVoltage that ends a region's solve, or a SingularKkt
     from coordinate, ends the run unconverged with a note naming the
     lowest-index failing region or the consensus QP; the history then
-    holds the iterations completed before it.  Returns
-    (zs, converged, history, note).
+    holds the iterations completed before it.  Returns (zs, converged,
+    history, note), zs the last iterate split by region.
     """
     residual, model, blocks = _region_batch(part, mset)
+    bounds = blocks.state_ptr[1:-1]
     history: list[IterationRecord] = []
     violation = math.inf
     for k in range(1, config.max_outer + 1):
         tol = min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * violation))
-        z = np.concatenate(zs)
         lin, target, idx = prox_terms(z)
         outcomes = local_solver.solve_batch(
             residual, model, z, blocks, rho=config.rho, lin=lin, prox_target=target, prox_idx=idx,
@@ -273,18 +276,19 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
             # <= 0, where the region's measurements are undefined.
             i, exc = failed[0]
             what = "singular" if isinstance(exc, SingularKkt) else "diverged"
-            return zs, False, history, f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
+            note = f"inner solve {what} at outer iteration {k} in region {i}: {exc}"
+            return np.split(z, bounds), False, history, note
         sols = outcomes
-        ys = [sol.y for sol in sols]
-        gap = partition_mod.consensus_gap(part, ys)
+        y = np.concatenate([sol.y for sol in sols])
+        gap = linalg.matvec(part.border, y)
         state_error = np.nan
         if truth is not None:
-            estimate = partition_mod.restrict_state(part, ys)
+            estimate = partition_mod.restrict_state(part, np.split(y, bounds))
             state_error = np.abs(estimate - truth).max(initial=0.0)
         record = IterationRecord(
             iteration=k,
             consensus_violation=np.abs(gap).max(initial=0.0),
-            step_norm=max(np.abs(y - z).max(initial=0.0) for y, z in zip(ys, zs)),
+            step_norm=np.abs(y - z).max(initial=0.0),
             objective=sum(sol.fit for sol in sols),
             inner_iterations=tuple(sol.inner_iterations for sol in sols),
             state_error=state_error,
@@ -295,17 +299,17 @@ def _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate):
         )
         violation = record.consensus_violation
         try:
-            zs, done = coordinate(sols, gap, record)
+            z, done = coordinate(sols, y, gap, record)
         except SingularKkt as exc:
-            return zs, False, history, f"consensus QP singular at outer iteration {k}: {exc}"
+            return np.split(z, bounds), False, history, f"consensus QP singular at outer iteration {k}: {exc}"
         stalled = [str(i) for i, sol in enumerate(sols) if not sol.converged]
         if stalled:
             note = "inner solve not converged in regions " + "|".join(stalled)
             record.note = f"{record.note}; {note}" if record.note else note
         history.append(record)
         if done:
-            return zs, True, history, ""
-    return zs, False, history, f"consensus not reached within {config.max_outer} outer iterations"
+            return np.split(z, bounds), True, history, ""
+    return np.split(z, bounds), False, history, f"consensus not reached within {config.max_outer} outer iterations"
 
 
 def run_aladin(
@@ -325,17 +329,17 @@ def run_aladin(
     before the first region solve.
     """
     config = config or RunConfig()
-    zs = _initial_states(part, z0, truth)
+    z = _initial_states(part, z0, truth)
     lam = np.zeros(part.n_coupling_rows)
     # [A_1 ... A_N]^T as CSR once per run; a transposed view costs more per
     # product than the product itself.  Each state of the union has at most
     # one coupling entry, so each entry of the product is a single term.
-    border_t = scipy.sparse.hstack(part.coupling).T.tocsr()
+    border_t = part.border.T.tocsr()
 
     def prox_terms(z: np.ndarray):
         return linalg.matvec(border_t, lam), z, None
 
-    def coordinate(sols, gap, record):
+    def coordinate(sols, y, gap, record):
         nonlocal lam
         # The paper's upload.  B_i^T B_i and C_i stay CSR, so the
         # coordinator stacks them as they are; float_count goes by shape.
@@ -350,18 +354,17 @@ def run_aladin(
             for i, sol in enumerate(sols)
         ]
         record.upload_floats = sum(up.float_count() for up in uploads)
-        ys = [sol.y for sol in sols]
         if record.consensus_violation <= config.eps and record.step_norm <= config.eps:
-            return ys, True
+            return y, True
         consensus = coordinator.solve_consensus(uploads, list(part.coupling))
         record.download_floats = sum(consensus.float_count(i) for i in range(part.n_regions))
         record.regularized = consensus.regularized
         if consensus.regularized:
             record.note = "ridge-regularized consensus step"
         lam = consensus.lam
-        return [y + dy for y, dy in zip(ys, consensus.steps)], False
+        return y + np.concatenate(consensus.steps), False
 
-    zs, converged, history, note = _outer_loop(part, mset, config, zs, truth, prox_terms, coordinate)
+    zs, converged, history, note = _outer_loop(part, mset, config, z, truth, prox_terms, coordinate)
     return AladinResult(
         zs=zs,
         lam=lam,

@@ -114,6 +114,8 @@ def simulate_measurements(
     measured line is seen from the from_bus end of the case's line.
     noise=None turns the perturbation off entirely, giving exact values.
     rng accepts a seed or a Generator; None draws an unseeded Generator.
+    truth is read as a float array; a wrong length raises DimensionMismatch
+    and a non-finite entry ValidationError.
     """
     if noise is None:
         noise = NoiseConfig(rel_var_theta=0.0, rel_var_v=0.0, rel_var_p=0.0,
@@ -122,8 +124,11 @@ def simulate_measurements(
         rng = np.random.default_rng(rng)
     lines = case.lines if measured_lines is None else [case.line(a, b) for a, b in measured_lines]
     line_ends = tuple((line.from_bus, line.to_bus) for line in lines)
+    truth = np.asarray(truth, dtype=float)
     if truth.shape != (4 * case.n_bus,):
         raise DimensionMismatch(f"truth length {truth.shape} does not match case size {4 * case.n_bus}")
+    if not np.all(np.isfinite(truth)):
+        raise ValidationError("truth has non-finite entries")
     nw = default_node_weights() if node_weights is None else np.asarray(node_weights, dtype=float)
     lw = default_line_weights() if line_weights is None else np.asarray(line_weights, dtype=float)
 

@@ -29,8 +29,12 @@ auxiliary ids exceed every case id and grow with the pair index, and
 GridCase sorts its buses by id.  A RegionGrid records the global positions
 of its original buses (bus_pos).  Partition.coupling is the one record of
 each A_i, a scipy.sparse CSR array with one entry per auxiliary state:
-its COO form lists them rows ascending, and the stacked border
-[A_1 ... A_N] holds at most one entry per state of the regions' union.
+its COO form lists them rows ascending.  Partition.border is the stacked
+border [A_1 ... A_N], built once from the same arrays, on the regions'
+union: the region states concatenated in region order.  It holds at most
+one entry per union state, and each consensus row has exactly two, the
+copy of the lower region index first, so border @ z adds them in the
+order a region-by-region sum_i A_i z_i does.
 """
 
 from __future__ import annotations
@@ -91,12 +95,16 @@ class RegionGrid:
 
 @dataclass(frozen=True)
 class Partition:
+    """A decomposed case.  coupling[i] is A_i; border is [A_1 ... A_N] as
+    one CSR array over the regions' union, the concatenated region states."""
+
     case: grid.GridCase
     assignment: dict[int, int]
     region_labels: tuple[object, ...]
     regions: tuple[RegionGrid, ...]
     aux_pairs: tuple[AuxPair, ...]
     coupling: tuple[scipy.sparse.csr_array, ...] = field(compare=False)
+    border: scipy.sparse.csr_array = field(compare=False)
 
     @property
     def n_regions(self) -> int:
@@ -115,7 +123,9 @@ def partition_grid(case: grid.GridCase, assignment: dict[int, object]) -> Partit
     """Decompose a case along a bus-to-region assignment.
 
     assignment maps every bus id of the case to an arbitrary hashable
-    region label; labels are normalized to indices 0..R-1 in sorted order.
+    region label; labels are normalized to indices 0..R-1 in the order of
+    their repr, so integer labels 0..11 become regions in the order 0, 1,
+    10, 11, 2, ..., 9 (region_labels).
     Raises UnassignedBus or UnknownBusReference when the assignment does
     not cover the case exactly.
     """
@@ -202,6 +212,7 @@ def partition_grid(case: grid.GridCase, assignment: dict[int, object]) -> Partit
         regions=tuple(regions),
         aux_pairs=tuple(pairs),
         coupling=tuple(couplings),
+        border=scipy.sparse.hstack(couplings, format="csr"),
     )
 
 
@@ -252,12 +263,16 @@ def extend_state(partition: Partition, x: np.ndarray) -> list[np.ndarray]:
     back-computed once, from the power flow equations of the low copy's
     fragment, and the high copy takes their negation, so a globally
     physical x extends to fragment states that are physical as well and
-    that close every consensus row exactly.
+    that close every consensus row exactly.  An x of the wrong length, or
+    with a non-finite entry, raises ValidationError.
     """
+    x = np.asarray(x, dtype=float)
     if x.shape != (4 * partition.case.n_bus,):
         raise ValidationError(
             f"state length {x.shape} does not match case size {4 * partition.case.n_bus}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("state has non-finite entries")
     regions, pairs = partition.regions, partition.aux_pairs
     vc = grid.complex_voltage(x)
     mid = np.array([0.5 * (vc[partition.case.index[p.low_bus]] + vc[partition.case.index[p.high_bus]]) for p in pairs])
@@ -301,7 +316,4 @@ def restrict_state(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
 def consensus_gap(partition: Partition, zs: list[np.ndarray]) -> np.ndarray:
     """Stacked pair mismatch sum_i A_i z_i, length 4 |pairs|."""
     check_region_states(partition, zs)
-    gap = np.zeros(partition.n_coupling_rows)
-    for a, z in zip(partition.coupling, zs):
-        gap += linalg.matvec(a, z)
-    return gap
+    return linalg.matvec(partition.border, np.concatenate(zs))

@@ -377,6 +377,49 @@ def test_each_batched_region_solution_is_the_single_region_solution(monkeypatch,
                                       batched.residual_jacobian.toarray() != 0.0)
 
 
+@pytest.mark.parametrize("run", METHODS)
+@pytest.mark.parametrize("grid_name", ["part30", "grid240"])
+def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, request, part30, mset30, truth30,
+                                                               run, grid_name):
+    """The outer loop carries one iterate on the regions' union.  Every
+    history row still reads the per-region definitions of its batch, each
+    next iterate is the batch's solutions plus the consensus steps (ALADIN)
+    or the solutions (ADMM), region by region, and RunResult.zs is the last
+    iterate split by region."""
+    if grid_name == "part30":
+        part, mset, truth = part30, mset30, truth30
+    else:
+        _, part, truth, mset = request.getfixturevalue("grid240")
+    consensus, steps = coordinator.solve_consensus, []
+
+    def recording(*args, **kwargs):
+        sol = consensus(*args, **kwargs)
+        steps.append(sol.steps)
+        return sol
+
+    monkeypatch.setattr(coordinator, "solve_consensus", recording)
+    results = []
+    batches = _region_batches(monkeypatch, lambda *a, **kw: results.append(run(*a, **kw)), part, mset,
+                              config=aladin.RunConfig(max_outer=30), truth=truth)
+    (result,) = results
+    assert len(batches) == len(result.history) >= 3
+    steps += [None] * (len(batches) - len(steps))
+    next_iterates = [y0 for y0, *_ in batches[1:]] + [np.concatenate(result.zs)]
+    for (y0, blocks, _, sols), record, step, z_next in zip(batches, result.history, steps, next_iterates):
+        zs = [y0[blocks.states(i)] for i in range(part.n_regions)]
+        ys = [sol.y for sol in sols]
+        gap = np.zeros(part.n_coupling_rows)
+        for a, y in zip(part.coupling, ys):
+            gap += a @ y
+        assert record.consensus_violation == np.abs(gap).max()
+        assert record.step_norm == max(np.abs(y - z).max() for y, z in zip(ys, zs))
+        assert record.state_error == np.abs(partition.restrict_state(part, ys) - truth).max()
+        expected = ys if step is None else [y + dy for y, dy in zip(ys, step)]
+        for i, z in enumerate(expected):
+            assert np.array_equal(z_next[blocks.states(i)], z), (record.iteration, i)
+    assert [z.shape for z in result.zs] == [(region.n_states,) for region in part.regions]
+
+
 def test_a_singular_consensus_qp_ends_the_run_with_a_note(monkeypatch, part30, mset30):
     def singular(*args, **kwargs):
         raise SingularKkt("KKT system singular even after ridge regularization")

@@ -93,6 +93,26 @@ def test_truth_length_is_checked(case30):
         measurements.simulate_measurements(case30, np.zeros(7), rng=0)
 
 
+def test_truth_may_be_a_list(case30, truth30):
+    listed = measurements.simulate_measurements(case30, list(truth30), rng=3)
+    array = measurements.simulate_measurements(case30, truth30, rng=3)
+    for field in ("node_values", "node_weights", "line_values", "line_weights"):
+        assert getattr(listed, field).tobytes() == getattr(array, field).tobytes()
+    assert (listed.node_ids, listed.line_ends) == (array.node_ids, array.line_ends)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_truth_fails_before_any_evaluation(monkeypatch, case30, truth30, bad):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached an evaluation with a non-finite truth")
+
+    monkeypatch.setattr(grid, "line_flows", unreachable)
+    truth = truth30.copy()
+    truth[9] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        measurements.simulate_measurements(case30, truth, rng=0)
+
+
 def test_measurement_set_validation(case6, truth6):
     mset = measurements.simulate_measurements(case6, truth6, rng=0)
     assert mset.n_channels == 4 * case6.n_bus + 3 * len(case6.lines)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import grid, measurements, partition
-from gridest.errors import DimensionMismatch, EmptyRegion, UnassignedBus, UnknownBusReference
+from gridest.errors import DimensionMismatch, EmptyRegion, UnassignedBus, UnknownBusReference, ValidationError
 
 from conftest import random_connected_assignment, random_states
 import tiling
@@ -146,6 +146,27 @@ def test_consensus_gap_reads_pair_disagreements(part30, truth30):
     assert np.abs(partition.consensus_gap(part30, bumped)).max() == 0.0
 
 
+@pytest.mark.parametrize("n_tiles", [pytest.param(None, id="part30"), pytest.param(16, id="tiles16")])
+def test_consensus_gap_is_the_region_by_region_sum(part30, n_tiles):
+    """The gap is one product with the stacked border; each consensus row
+    has one entry per side, so it equals the region-by-region sum to the
+    bit, at states far from any consensus."""
+    if n_tiles is None:
+        part = part30
+    else:
+        case = tiling.tiled_case(n_tiles)
+        part = partition.partition_grid(case, tiling.tile_assignment(case))
+    assert part.border.format == "csr"
+    assert (part.border != scipy.sparse.hstack(part.coupling)).nnz == 0
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        zs = [rng.standard_normal(r.n_states) * 10.0 ** rng.uniform(-6, 6, r.n_states) for r in part.regions]
+        expected = np.zeros(part.n_coupling_rows)
+        for a, z in zip(part.coupling, zs):
+            expected += a @ z
+        assert np.array_equal(partition.consensus_gap(part, zs), expected)
+
+
 def test_coupling_rows_have_one_plus_one_minus_entry(part30):
     stacked = np.hstack([a.toarray() for a in part30.coupling])
     for r, row in enumerate(stacked):
@@ -262,6 +283,35 @@ def test_single_region_partition_is_trivial(case6, truth6):
     zs = partition.extend_state(part, truth6)
     assert np.array_equal(zs[0], truth6)
     assert np.array_equal(partition.restrict_state(part, zs), truth6)
+
+
+def test_integer_labels_are_ordered_by_their_repr(case12):
+    """Regions follow the labels' repr, not their sorted order, so label 10
+    comes before label 2 (perfbench's integer tile labels rely on it)."""
+    part = partition.partition_grid(case12, {bus: k for k, bus in enumerate(case12.bus_ids)})
+    order = (0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert part.region_labels == order
+    assert [region.original_bus_ids for region in part.regions] == [(case12.bus_ids[k],) for k in order]
+    assert [region.case.name for region in part.regions] == [f"{case12.name}/region{i}" for i in range(12)]
+
+
+def test_extend_state_reads_a_list_as_the_array(part6, truth6):
+    listed = partition.extend_state(part6, list(truth6))
+    for a, b in zip(listed, partition.extend_state(part6, truth6), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "short"])
+def test_extend_state_rejects_bad_states_before_any_evaluation(monkeypatch, part6, truth6, bad):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached an evaluation with a bad state")
+
+    monkeypatch.setattr(grid.PowerFlowModel, "injections", unreachable)
+    x = truth6[:-1] if bad == "short" else truth6.copy()
+    if bad != "short":
+        x[5] = bad
+    with pytest.raises(ValidationError, match="does not match" if bad == "short" else "non-finite"):
+        partition.extend_state(part6, x)
 
 
 def test_assignment_errors(case6):

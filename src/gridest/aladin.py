@@ -93,9 +93,10 @@ class RunConfig:
     max_outer: int = 50
 
     def __post_init__(self):
-        # numpy scalars pass as numbers; Python's and numpy's booleans do not.
+        # numpy scalars pass as numbers; Python's and numpy's booleans, and
+        # anything that is not a real number, do not.
         for name, value in (("rho", self.rho), ("eps", self.eps)):
-            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
                 raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
         if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
             raise ValidationError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")

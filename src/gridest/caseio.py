@@ -35,18 +35,65 @@ _LINE_FIELDS = ("from", "to", "r", "x")
 _SHUNT_FIELDS = ("g_shunt", "b_shunt", "gs", "bs", "shunt", "charging", "b_total")
 
 
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file; ParseError naming the file when
+    its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+class _UniqueKeys:
+    """Loader mixin: a mapping that repeats a key raises ConstructorError
+    at the repeat, where PyYAML would keep the last value.  A merge key
+    (<<) splices other mappings' pairs in front of a mapping's own pairs,
+    which may still override them, so only the own pairs are compared:
+    those that the mapping held before its first flattening."""
+
+    def flatten_mapping(self, node):
+        own = self.__dict__.setdefault("_own", {})
+        if node not in own:
+            own[node] = [key_node for key_node, _ in node.value if key_node.tag != "tag:yaml.org,2002:merge"]
+        super().flatten_mapping(node)
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        own = self._own[node]
+        # Without merged pairs, a repeat shows as a mapping shorter than its pairs.
+        if len(own) < len(node.value) or len(mapping) < len(own):
+            keys = set()
+            for key_node in own:
+                key = self.construct_object(key_node)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found a repeated key {key!r}", key_node.start_mark)
+                keys.add(key)
+        return mapping
+
+
+class _SafeLoader(_UniqueKeys, yaml.SafeLoader):
+    pass
+
+
+if yaml.__with_libyaml__:
+    class _CSafeLoader(_UniqueKeys, yaml.CSafeLoader):
+        pass
+
+
 def _load_yaml(path: str | Path):
-    text = Path(path).read_text()
+    text = read_text(path)
     if yaml.__with_libyaml__:
         # libyaml parses the same data several times faster but words its
         # errors differently, so a document it rejects is parsed again by
         # the pure-Python loader, whose error is the one reported.
         try:
-            return yaml.load(text, Loader=yaml.CSafeLoader)
+            return yaml.load(text, Loader=_CSafeLoader)
         except yaml.YAMLError:
             pass
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_SafeLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         message = exc.problem or str(exc)

@@ -211,7 +211,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    text = Path(args.tables).read_text()
+    text = caseio.read_text(args.tables)
     case = caseio.convert_tables(text, name=Path(args.output).stem)
     caseio.dump_case(case, args.output)
     print(f"wrote {args.output} ({case.n_bus} buses, {len(case.lines)} lines)")

@@ -1,16 +1,16 @@
 """Direct solvers used everywhere else in the package.
 
-Every factorization is a _Factor: it factors a square matrix once, then
-solves right-hand sides with one step of iterative refinement each.
-Which factor serves which caller:
+Every square system is solved by _direct_solve: one LU factorization,
+used once, then one step of iterative refinement.  The kind of the input
+picks the factorization; there is no size threshold:
 
-* LuFactor, partially pivoted dense LU: solve_linear on dense input, whose
-  one caller in the package is the posterior bound, for its interior
-  eliminations and its boundary system in shared unknowns, which has no
-  rows on a one-region partition (a 0 x 0 matrix factors and solves to an
-  empty result).
-* SparseFactor, SuperLU with COLAMD column ordering, for scipy.sparse
-  input: solve_linear (the Newton power flow, the multiplier refit of
+* partially pivoted dense LU (LAPACK) for a dense matrix: solve_linear on
+  dense input, whose one caller in the package is the posterior bound,
+  for its interior eliminations and its boundary system in shared
+  unknowns, which has no rows on a one-region partition (a 0 x 0 matrix
+  factors and solves to an empty result);
+* SuperLU with COLAMD column ordering for a scipy.sparse matrix:
+  solve_linear (the Newton power flow, the multiplier refit of
   local_solver), solve_reduced_kkt and solve_kkt.
   A Gauss-Newton KKT system whose constraint Jacobian is the identity on
   some columns, as the power-flow rows are on each node's (p, q), has an
@@ -27,9 +27,6 @@ Which factor serves which caller:
   caller in the package is the consensus QP, which is mostly zeros, so
   KktSystem keeps both blocks as CSR and bordered_matrix stacks them as
   CSR, from dense or scipy.sparse blocks alike.
-
-The kind of solve_linear's input picks its factor; there is no size
-threshold.
 
 All dense level-2 and level-3 BLAS runs on scipy's OpenBLAS, through
 gram (A^T A, dense or CSR as A is) and matvec below, never on numpy's
@@ -153,94 +150,74 @@ def stack_csr(blocks, diagonal: bool = False) -> scipy.sparse.csr_array:
 
 
 def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a square system: LuFactor for dense input, SparseFactor for
-    scipy.sparse input.
+    """Solve a square system, dense or scipy.sparse, with _direct_solve.
 
-    The factor's refinement step keeps the backward error at
+    The refinement step keeps the backward error at
     norm(A x - rhs, inf) <= 1e-9 (1 + norm(rhs, inf)) for anything this
     package produces.  Raises ValueError on non-finite entries,
     DimensionMismatch on a non-square matrix or an rhs of the wrong
-    length, and SingularMatrix as the factor describes.
+    length, and SingularMatrix as _direct_solve describes.
     """
     sparse = scipy.sparse.issparse(matrix)
     a = scipy.sparse.csc_array(matrix, dtype=float) if sparse else np.asarray(matrix, dtype=float)
     if not (np.all(np.isfinite(a.data if sparse else a)) and np.all(np.isfinite(rhs))):
         raise ValueError("non-finite entries in linear system")
-    return (SparseFactor if sparse else LuFactor)(a).solve(rhs)
+    return _direct_solve(a, rhs)
 
 
-class _Factor:
-    """Factor a square matrix once, then solve right-hand sides (a vector or
-    a 2-D array's columns) with one step of iterative refinement each."""
+def _direct_solve(matrix, rhs: np.ndarray) -> np.ndarray:
+    """x with matrix x = rhs, for rhs a vector or a 2-D array's columns:
+    one LU factorization, then one step of iterative refinement.
 
-    def __init__(self, matrix):
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-        self.matrix = matrix
+    A dense matrix gets partially pivoted LU (LAPACK dgetrf, dgetrs), held
+    in Fortran order so that neither LAPACK nor the refinement product
+    copies it.  A scipy.sparse matrix of any format, as CSC with its
+    duplicates summed in place, gets SuperLU with COLAMD column ordering.
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float)
-        if b.shape[0] != self.matrix.shape[0]:
-            raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {self.matrix.shape[0]}")
-        x = self._solve_factored(b)
-        x += self._solve_factored(b - matvec(self.matrix, x))
-        return x
-
-
-class LuFactor(_Factor):
-    """Partially pivoted LU factorization (LAPACK dgetrf, dgetrs) of a dense
-    matrix, held in Fortran order so that neither LAPACK nor the refinement
-    product copies it.  Raises SingularMatrix when a pivot falls below
-    PIVOT_RTOL times the largest absolute entry of the matrix."""
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(m := np.asfortranarray(matrix, dtype=float))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu = scipy.linalg.lu_factor(m)
-        if np.abs(np.diag(self._lu[0])).min(initial=np.inf) <= PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny):
-            raise SingularMatrix("pivot below singularity threshold in LU factorization")
-
-    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs)
-
-
-class SparseFactor(_Factor):
-    """Sparse LU factorization (SuperLU, COLAMD column ordering) of a
-    scipy.sparse matrix of any format, converted to CSC.
-
-    Raises SingularMatrix when the matrix is structurally singular (its
-    stored pattern admits no nonzero diagonal under any row permutation),
-    when SuperLU meets an exactly zero pivot, or when a diagonal entry of U
-    falls below PIVOT_RTOL times the largest absolute entry of the matrix.
-    The structural verdict is cached per exact pattern, keyed on the bytes
-    of indptr and indices (_full_structural_rank).
+    Raises DimensionMismatch on a non-square matrix or an rhs of the wrong
+    length, and SingularMatrix when a pivot falls below PIVOT_RTOL times
+    the largest absolute entry of the matrix; a sparse matrix also when
+    it is structurally singular (its stored pattern admits no nonzero
+    diagonal under any row permutation, a verdict cached per exact
+    pattern: _full_structural_rank) or when SuperLU meets an exactly zero
+    pivot.
     """
-
-    def __init__(self, matrix):
-        super().__init__(m := scipy.sparse.csc_array(matrix, dtype=float))
+    sparse = scipy.sparse.issparse(matrix)
+    m = scipy.sparse.csc_array(matrix, dtype=float) if sparse else np.asfortranarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if b.shape[0] != m.shape[0]:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix size {m.shape[0]}")
+    if sparse:
         m.sum_duplicates()
-        scale = max(_max_abs(m), np.finfo(float).tiny)
         # SuperLU is not memory safe on a structurally singular matrix: a
         # column with no candidate pivot row can abort the factorization
         # mid-way or crash the process.  Such a matrix is singular for any
         # values, so it never reaches SuperLU.
-        if not _full_structural_rank(m.shape, m.indices.dtype.str, m.indptr.tobytes(), m.indices.tobytes()):
+        if not _full_structural_rank(m.shape, _pattern_bytes(m)):
             raise SingularMatrix("structurally singular matrix")
         try:
-            self._lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD")
+            lu = scipy.sparse.linalg.splu(m, permc_spec="COLAMD")
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(f"sparse LU factorization failed: {exc}") from exc
-        if np.abs(self._lu.U.diagonal()).min(initial=np.inf) <= PIVOT_RTOL * scale:
-            raise SingularMatrix("pivot below singularity threshold in sparse LU factorization")
-
-    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        pivots, solve = lu.U.diagonal(), lu.solve
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(m)
+        pivots, solve = np.diag(lu[0]), functools.partial(scipy.linalg.lu_solve, lu)
+    if np.abs(pivots).min(initial=np.inf) <= PIVOT_RTOL * max(_max_abs(m), np.finfo(float).tiny):
+        raise SingularMatrix("pivot below singularity threshold in LU factorization")
+    x = solve(b)
+    x += solve(b - matvec(m, x))
+    return x
 
 
 @functools.lru_cache(maxsize=8)
-def _full_structural_rank(shape: tuple[int, int], index_dtype: str, indptr: bytes, indices: bytes) -> bool:
-    """Whether a square CSC pattern's structural rank is its size.
+def _full_structural_rank(shape: tuple[int, int], pattern: tuple[str, bytes, bytes]) -> bool:
+    """Whether a square CSC pattern (_pattern_bytes) has structural rank
+    equal to its size.
 
     A run factors the same few patterns over and over (the Newton matrix,
     the consensus KKT, the central step), and the bipartite matching costs
@@ -252,7 +229,7 @@ def _full_structural_rank(shape: tuple[int, int], index_dtype: str, indptr: byte
     included, and a pattern's transpose has the same rank, so the CSC
     arrays are read as CSR with no conversion.
     """
-    indptr, indices = (np.frombuffer(a, dtype=index_dtype) for a in (indptr, indices))
+    indptr, indices = _pattern_arrays(pattern)
     transposed = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=shape[::-1])
     return scipy.sparse.csgraph.structural_rank(transposed) == shape[0]
 
@@ -344,20 +321,21 @@ def _with_ridge(attempt, hessian_diagonal):
 
 def solve_kkt(system: KktSystem) -> KktSolution:
     """Solve one KKT system by factoring the full bordered matrix, stacked
-    as CSR from the CSR blocks (bordered_matrix), with SparseFactor.
+    as CSR from the CSR blocks (bordered_matrix), with _direct_solve.
 
-    A singular factor gets one retry with a ridge on the Hessian block and
+    A singular matrix gets one retry with a ridge on the Hessian block and
     a warning (_with_ridge); a system that stays singular raises
     SingularKkt.  Post-conditions (for the unridged solve): the
     stationarity and feasibility residuals of the returned solution are
     below 1e-8 in the infinity norm.
     """
-    def factor(ridge: float):
-        hessian = system.hessian + ridge * scipy.sparse.eye_array(system.n_states) if ridge else system.hessian
-        return SparseFactor(bordered_matrix(hessian, system.constraint_jacobian))
+    rhs = np.concatenate([-system.gradient, -system.residual])
 
-    factored, regularized = _with_ridge(factor, system.hessian.diagonal)
-    sol = factored.solve(np.concatenate([-system.gradient, -system.residual]))
+    def attempt(ridge: float):
+        hessian = system.hessian + ridge * scipy.sparse.eye_array(system.n_states) if ridge else system.hessian
+        return _direct_solve(bordered_matrix(hessian, system.constraint_jacobian), rhs)
+
+    sol, regularized = _with_ridge(attempt, system.hessian.diagonal)
     return KktSolution(step=sol[:system.n_states], multipliers=sol[system.n_states:], regularized=regularized)
 
 
@@ -377,9 +355,9 @@ def solve_reduced_kkt(jacobian, constraint_jacobian, identity_columns, shift, gr
     kappa = -(H d + gradient)_w.  Either Jacobian may be dense or
     scipy.sparse; both are read as canonical CSR through their pattern's
     _ReducedPlan, so a step touches only their data arrays, and
-    SparseFactor factors Z^T H Z (positive semidefinite for shift >= 0).
-    A singular factor gets solve_kkt's ridge retry, the ridge added to
-    shift.
+    _direct_solve factors Z^T H Z (positive semidefinite for shift >= 0)
+    by SuperLU.  A singular Z^T H Z gets solve_kkt's ridge retry, the
+    ridge added to shift.
     """
     b, c = _canonical_csr(jacobian), _canonical_csr(constraint_jacobian)
     g, h, shift = (np.asarray(a, dtype=float) for a in (gradient, residual, shift))
@@ -506,7 +484,7 @@ class _ReducedPlan:
         rhs = (2.0 * np.bincount(self.bz_cols, bz * b_w_h[self.bz_rows], minlength=self.nu) - g[u]
                + np.bincount(self.cu_cols, cu * (g[w] - s_w * h)[self.cu_rows], minlength=self.nu))
         step = np.empty(self.n)
-        step[u] = du = SparseFactor(reduced).solve(rhs)
+        step[u] = du = _direct_solve(reduced, rhs)
         step[w] = -h - np.bincount(self.cu_rows, cu * du[self.cu_cols], minlength=len(w))
         b_step = np.bincount(self.b_rows, b_data * step[self.b_cols], minlength=self.m)
         b_w_t = np.bincount(self.bw_k, b_data[self.bw] * b_step[self.bw_rows], minlength=len(w))
@@ -518,13 +496,16 @@ def _pattern_bytes(m) -> tuple[str, bytes, bytes]:
     return m.indices.dtype.str, m.indptr.tobytes(), m.indices.tobytes()
 
 
+def _pattern_arrays(pattern: tuple[str, bytes, bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of a _pattern_bytes pattern, read-only views of its bytes."""
+    dtype, indptr, indices = pattern
+    return np.frombuffer(indptr, dtype=dtype), np.frombuffer(indices, dtype=dtype)
+
+
 @functools.lru_cache(maxsize=8)
 def _reduced_plan(b_shape, c_shape, b_pattern, c_pattern, w) -> _ReducedPlan:
     """The _ReducedPlan of one pattern, the last few kept: a central solve
     meets the same pattern at every step.  The key is the patterns' bytes,
     copies that a later write into the caller's matrices cannot reach."""
-    def arrays(pattern):
-        dtype, indptr, indices = pattern
-        return np.frombuffer(indptr, dtype=dtype), np.frombuffer(indices, dtype=dtype)
-
-    return _ReducedPlan(b_shape, c_shape, *arrays(b_pattern), *arrays(c_pattern), np.frombuffer(w, dtype=np.intp))
+    return _ReducedPlan(b_shape, c_shape, *_pattern_arrays(b_pattern), *_pattern_arrays(c_pattern),
+                        np.frombuffer(w, dtype=np.intp))

@@ -117,7 +117,7 @@ def covariance_bound(
     # The n_coupling rows join 2 n_coupling boundary states, 4 per boundary
     # bus, and each boundary bus has 2 power-flow rows: n_coupling shared
     # state unknowns and n_coupling power-flow unknowns.  Fortran order, so
-    # LuFactor factors the system without a copy.
+    # linalg's dense LU factors the system without a copy.
     system = np.zeros((2 * n_coupling, 2 * n_coupling), order="F")
     claims = np.zeros(n_coupling, dtype=int)
     interiors, maps, slots = [], [], []

@@ -549,7 +549,8 @@ def test_the_note_names_the_lowest_failing_region_while_the_others_solve(monkeyp
     [(f, v) for f in ("rho", "eps") for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)]
     + [("max_outer", 0), ("max_outer", -1), ("max_outer", 2.0)]
     + [(f, True) for f in ("rho", "eps", "max_outer")]
-    + [(f, np.True_) for f in ("rho", "eps", "max_outer")],
+    + [(f, np.True_) for f in ("rho", "eps", "max_outer")]
+    + [("rho", "1"), ("eps", None), ("rho", 1j)],
 )
 def test_run_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValidationError, match=field):

@@ -78,6 +78,38 @@ def test_malformed_yaml_reports_line_and_column(tmp_path):
     assert err.value.line is not None
 
 
+# Bus 2 overrides a merged p_load, as YAML merge keys allow; bus 3 repeats one.
+REPEATED_KEY_CASE = """\
+name: repeats
+base_mva: 100.0
+load: &load {kind: pq, p_load: 0.5}
+buses:
+- {id: 1, kind: slack}
+- {<<: *load, id: 2, p_load: 0.2}
+- {id: 3, p_load: 0.5, p_load: 0.1}
+lines:
+- {from: 1, to: 2, r: 0.1, x: 0.2}
+"""
+
+
+@pytest.mark.parametrize("load, text, line", [
+    (caseio.load_case, REPEATED_KEY_CASE, 7),
+    (caseio.load_partition_spec, "name: p\nregions:\n  a: [1, 2]\n  b: [3]\n  a: [4]\n", 5),
+    (caseio.load_measurements, "meta: {seed: 1}\nnodes: []\nlines: []\nmeta: {seed: 2}\n", 4),
+], ids=["case", "partition", "measurements"])
+def test_a_repeated_key_raises_parse_error_at_its_line(monkeypatch, tmp_path, load, text, line):
+    path = tmp_path / "repeats.yaml"
+    path.write_text(text)
+    messages = []
+    for with_libyaml in (yaml.__with_libyaml__, False):
+        monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+        with pytest.raises(ParseError, match="repeated key") as err:
+            load(path)
+        assert err.value.line == line
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_the_pure_python_loader_reads_the_same_data_and_errors(monkeypatch, tmp_path):
     broken = tmp_path / "broken.yaml"
     broken.write_text("name: ok\nbuses: [1, 2\n  x: 3\n")

@@ -198,6 +198,21 @@ def test_case_and_partition_paths_are_accepted(tmp_path):
     assert (out / "aladin_history.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--case", "{f}", "--out", "{out}"],
+    ["estimate", "--partition", "{f}", "--out", "{out}"],
+    ["convert", "{f}", "{out}/case.yaml"],
+], ids=["case", "partition", "convert"])
+def test_an_input_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "f"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert _run(*(a.format(f=path, out=tmp_path / "out") for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_partition_labels_that_read_alike_exit_two(tmp_path, capsys):
     path = tmp_path / "clash.yaml"
     path.write_text("name: clash\nregions:\n  1: [1, 2, 3, 4, 5, 6]\n  '1': [7, 8, 9, 10, 11, 12]\n")

@@ -357,9 +357,8 @@ def test_sparse_factor_indefinite_system():
     eig = np.array([-4.0, -2.0, -1.0, -0.5, 0.3, 1.0, 2.0, 3.0, 5.0])
     m = q @ np.diag(eig) @ q.T
     m = 0.5 * (m + m.T)
-    factor = linalg.SparseFactor(scipy.sparse.csc_array(m))
     b = rng.standard_normal((9, 3))
-    x = factor.solve(b)
+    x = linalg.solve_linear(scipy.sparse.csc_array(m), b)
     assert np.abs(m @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
@@ -368,7 +367,7 @@ def test_sparse_factor_rejects_singular_matrix():
     # (SuperLU refuses) and one below PIVOT_RTOL.
     for m in ([[0.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2e-16]]):
         with pytest.raises(SingularMatrix):
-            linalg.SparseFactor(scipy.sparse.csc_array(m))
+            linalg.solve_linear(scipy.sparse.csc_array(m), np.ones(2))
 
 
 def _counting_structural_rank(monkeypatch):
@@ -388,40 +387,40 @@ def _counting_structural_rank(monkeypatch):
 def test_sparse_factor_checks_each_pattern_structure_once(monkeypatch):
     calls = _counting_structural_rank(monkeypatch)
     m = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
-    linalg.SparseFactor(scipy.sparse.csc_array(m))
-    linalg.SparseFactor(scipy.sparse.csc_array(2.0 * m))
+    linalg.solve_linear(scipy.sparse.csc_array(m), np.ones(3))
+    linalg.solve_linear(scipy.sparse.csc_array(2.0 * m), np.ones(3))
     assert len(calls) == 1
     # The same shape and nonzero count in other places is another pattern.
-    linalg.SparseFactor(scipy.sparse.csc_array(m[::-1]))
+    linalg.solve_linear(scipy.sparse.csc_array(m[::-1]), np.ones(3))
     assert len(calls) == 2
 
 
 def test_a_structurally_singular_pattern_raises_after_full_rank_patterns_are_cached(monkeypatch):
     calls = _counting_structural_rank(monkeypatch)
     for n in range(2, 6):
-        linalg.SparseFactor(scipy.sparse.csc_array(np.eye(n)))
+        linalg.solve_linear(scipy.sparse.csc_array(np.eye(n)), np.ones(n))
     # The shape and nonzero count of the cached 3x3 identity, first column empty.
     singular = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for _ in range(2):
         with pytest.raises(SingularMatrix, match="structurally singular"):
-            linalg.SparseFactor(scipy.sparse.csc_array(singular))
+            linalg.solve_linear(scipy.sparse.csc_array(singular), np.ones(3))
     assert len(calls) == 5
 
 
 def test_a_write_into_a_factored_matrix_does_not_reach_the_cached_verdict():
     linalg._full_structural_rank.cache_clear()
     m = scipy.sparse.csc_array(np.eye(3))
-    linalg.SparseFactor(m)
+    linalg.solve_linear(m, np.ones(3))
     # Column 0 now stores row 1, as column 1 does, so row 0 is empty.
     m.indices[0] = 1
     with pytest.raises(SingularMatrix, match="structurally singular"):
-        linalg.SparseFactor(m)
+        linalg.solve_linear(m, np.ones(3))
 
 
 def test_the_structural_rank_cache_stays_bounded():
     linalg._full_structural_rank.cache_clear()
     for n in range(1, 41):
-        linalg.SparseFactor(scipy.sparse.csc_array(np.eye(n)))
+        linalg.solve_linear(scipy.sparse.csc_array(np.eye(n)), np.ones(n))
     info = linalg._full_structural_rank.cache_info()
     assert info.currsize <= info.maxsize <= 16
 

@@ -9,10 +9,14 @@ first on sys.path, and writes into a fresh directory:
 - every file that `gridest estimate`, `admm`, `compare` and `posterior`
   write on ieee30/default4 at seeds 1, 2 and 7, beside each command's
   stdout, stderr and exit code;
-- the same record of `gridest check --partition default4`;
+- the same of `gridest simulate` at seeds 1, 2 and 7, with and without
+  `--partition default4`, of `gridest check --partition default4`, and of
+  `gridest convert` on the bundled ieee30 tables;
+- the central solve's iteration count, fit, KKT residual and a SHA-256 of
+  its state, on the ieee30/default4 measurements at seeds 1, 2 and 7;
 - the ALADIN and ADMM (max_outer=30) history rows, the outcome and a
   SHA-256 of the final region states, on 8 and 16 ieee30 tiles
-  (perfbench/tiling.py) at seed 1.
+  (perfbench/tiling.py) at seed 1, and the central record on 8 tiles.
 
 It prints every output that differs or exists on one side only, and
 exits 1 if there is any, 0 when every output is the same.
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("estimate", "admm", "compare", "posterior")
 SEEDS = (1, 2, 7)
 TILES = (8, 16)
+CENTRAL_TILES = (8,)
 TILE_SEED = 1
 TILE_MAX_OUTER = 30
 
@@ -47,19 +52,39 @@ def _cli(main, argv: list[str], record: Path) -> None:
     record.write_text(f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n")
 
 
+def _central(central, case, mset, record: Path) -> None:
+    """Run the central solve and write its iteration count, the reprs of
+    its fit and KKT residual and a SHA-256 of its state to record."""
+    sol = central.solve_central(case, mset)
+    record.write_text(f"iterations={sol.inner_iterations} fit={sol.fit!r} kkt_residual={sol.kkt_residual!r}\n"
+                      f"x sha256 {hashlib.sha256(sol.x.tobytes()).hexdigest()}\n")
+
+
 def produce(checkout: Path, out: Path) -> None:
     """Write every compared output of checkout into out."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-    from gridest import admm, aladin, caseio, cli, measurements, partition, powerflow
+    from gridest import admm, aladin, caseio, central, cli, measurements, partition, powerflow
     import tiling
 
     # Relative --out paths keep the directory out of the recorded stdout.
     os.chdir(out)
+    case = caseio.builtin_case("ieee30")
+    part = partition.partition_grid(case, caseio.builtin_partition_spec("default4")[1])
+    truth = powerflow.solve_power_flow(case).state
     for seed in SEEDS:
         for command in COMMANDS:
             name = f"{command}-seed{seed}"
             _cli(cli.main, [command, "--seed", str(seed), "--out", name], Path(name, "stdout.txt"))
+        for flags in ([], ["--partition", "default4"]):
+            name = "-".join(["simulate", *flags[1:], f"seed{seed}"])
+            _cli(cli.main, ["simulate", "--seed", str(seed), "--out", name, *flags], Path(name, "stdout.txt"))
+        mset = measurements.simulate_measurements(
+            case, truth, rng=seed, measured_lines=partition.internal_line_keys(part)
+        )
+        _central(central, case, mset, Path(f"central-seed{seed}.txt"))
     _cli(cli.main, ["check", "--partition", "default4"], Path("check.txt"))
+    tables = checkout / "src" / "gridest" / "data" / "ieee30_tables.txt"
+    _cli(cli.main, ["convert", str(tables), "convert-ieee30.yaml"], Path("convert.txt"))
     config = aladin.RunConfig(max_outer=TILE_MAX_OUTER)
     for n_tiles in TILES:
         case = tiling.tiled_case(n_tiles)
@@ -74,6 +99,8 @@ def produce(checkout: Path, out: Path) -> None:
             lines = [caseio.history_row(rec) for rec in result.history]
             lines += [f"converged={result.converged} note={result.note}", f"states sha256 {digest}"]
             Path(f"tiles{n_tiles}-{method}.txt").write_text("\n".join(lines) + "\n")
+        if n_tiles in CENTRAL_TILES:
+            _central(central, case, mset, Path(f"tiles{n_tiles}-central.txt"))
 
 
 def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:

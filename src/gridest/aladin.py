@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,30 +192,30 @@ def _region_batch(part, mset):
     The union case holds each fragment's buses and lines in fragment order,
     with the bus ids of region i shifted by i times the id span, so its
     states and physics rows are the regions', region after region.  The
-    union residual measures each region's own nodes and lines; it lists
-    every region's node rows first and then every region's line rows, so
-    Blocks labels each row with its region.
+    union measurement set is mset relabelled in one pass: every measured
+    node and line keeps its row, values and weights and takes the id shift
+    of its region (measurements.row_regions, which rejects a node outside
+    every region or a line across two).  RegionResidual orders its rows by union
+    position and endpoint ids, so whatever mset's order, the union residual
+    lists region 0's node rows, then region 1's, ..., and then the line
+    rows in the same region order, and Blocks labels each row with its
+    region.  The shifts stay Python integers: bus ids are unbounded.
     """
-    region_sets = measurements.split_by_region(mset, part)
+    node_region, line_region = measurements.row_regions(mset, part)
     ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
     low, span = min(ids), max(ids) - min(ids) + 1
-    buses, lines, node_ids, line_ends = [], [], [], []
-    for i, (region, rset) in enumerate(zip(part.regions, region_sets)):
-        shift = i * span - low
+    shifts = [i * span - low for i in range(part.n_regions)]
+    buses, lines = [], []
+    for region, shift in zip(part.regions, shifts):
         buses += [grid.Bus(bus.id + shift, bus.kind, bus.p_load, bus.q_load, bus.p_gen, bus.q_gen, bus.v_setpoint)
                   for bus in region.case.buses]
         lines += [grid.Line(line.from_bus + shift, line.to_bus + shift, line.r, line.x) for line in region.case.lines]
-        node_ids += [node + shift for node in rset.node_ids]
-        line_ends += [(k + shift, l + shift) for k, l in rset.line_ends]
     case = grid.GridCase(name=f"{part.case.name}/regions", base_mva=part.case.base_mva,
                          buses=tuple(buses), lines=tuple(lines))
-    union_set = measurements.MeasurementSet(
-        node_ids=tuple(node_ids),
-        node_values=np.concatenate([s.node_values for s in region_sets]),
-        node_weights=np.concatenate([s.node_weights for s in region_sets]),
-        line_ends=tuple(line_ends),
-        line_values=np.concatenate([s.line_values for s in region_sets]),
-        line_weights=np.concatenate([s.line_weights for s in region_sets]),
+    union_set = replace(
+        mset,
+        node_ids=tuple(node + shifts[i] for node, i in zip(mset.node_ids, node_region)),
+        line_ends=tuple((k + shifts[i], l + shifts[i]) for (k, l), i in zip(mset.line_ends, line_region)),
     )
     residual = measurements.RegionResidual(case, union_set)
     sizes = [region.case.n_bus for region in part.regions]
@@ -342,8 +342,15 @@ def run_aladin(
 
     def coordinate(sols, y, gap, record):
         nonlocal lam
+        # The upload is counted by shape, so the final iteration, which
+        # stops before the consensus QP, counts it without building it.
+        record.upload_floats = sum(
+            coordinator.upload_floats(sol.y.size, sol.constraint_jacobian.shape, part.n_coupling_rows) for sol in sols
+        )
+        if record.consensus_violation <= config.eps and record.step_norm <= config.eps:
+            return y, True
         # The paper's upload.  B_i^T B_i and C_i stay CSR, so the
-        # coordinator stacks them as they are; float_count goes by shape.
+        # coordinator stacks them as they are.
         uploads = [
             coordinator.SensitivityUpload(
                 region=i,
@@ -354,9 +361,6 @@ def run_aladin(
             )
             for i, sol in enumerate(sols)
         ]
-        record.upload_floats = sum(up.float_count() for up in uploads)
-        if record.consensus_violation <= config.eps and record.step_norm <= config.eps:
-            return y, True
         consensus = coordinator.solve_consensus(uploads, list(part.coupling))
         record.download_floats = sum(consensus.float_count(i) for i in range(part.n_regions))
         record.regularized = consensus.regularized

@@ -52,11 +52,16 @@ class SensitivityUpload:
     coupling_image: np.ndarray
 
     def float_count(self) -> int:
-        """Floats on the wire: packed symmetric Hessian, dense rest, counted
-        by shape whether the arrays are dense or scipy.sparse."""
-        n = self.fit_hessian.shape[0]
-        c_rows, c_cols = self.constraint_jacobian.shape
-        return n * (n + 1) // 2 + c_rows * c_cols + self.fit_gradient.size + self.coupling_image.size
+        """Floats on the wire, by upload_floats."""
+        return upload_floats(self.fit_hessian.shape[0], self.constraint_jacobian.shape, self.coupling_image.size)
+
+
+def upload_floats(n_states: int, constraint_shape: tuple[int, int], n_coupling: int) -> int:
+    """Floats of one region's upload, counted by shape whether its arrays
+    are dense or scipy.sparse: the n_states square B_i^T B_i packed
+    symmetric, C_i in full, and the dense B_i^T b_i and A_i y_i."""
+    c_rows, c_cols = constraint_shape
+    return n_states * (n_states + 1) // 2 + c_rows * c_cols + n_states + n_coupling
 
 
 @dataclass

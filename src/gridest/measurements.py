@@ -20,6 +20,13 @@ grid.line_flow_derivatives); the positions of its Jacobian entries are
 fixed when it is built, and jacobian() returns them as CSR.  Both name
 lines by endpoint pairs and get their index and admittance arrays from
 grid.line_arrays.
+
+row_regions labels every node and line row of a measurement set with its
+region under a partition and is the one place that rejects a node outside
+every region or a line across two.  split_by_region groups the rows by
+that label into one set per region; the region batch of the distributed
+estimators (aladin._region_batch) builds no per-region set but relabels
+the global set in one pass, shifting each row's ids by its region's offset.
 """
 
 from __future__ import annotations
@@ -66,7 +73,9 @@ class MeasurementSet:
     node_values[i] holds the measured (theta, v, p, q) of node_ids[i];
     line_values[j] the measured (f_p, f_q, f_i) of the directed line
     line_ends[j] = (k, l) seen from the k side.  Weights are the diagonals
-    of the corresponding weighting matrices.
+    of the corresponding weighting matrices.  The node arrays must have
+    shape (len(node_ids), 4) and the line arrays (len(line_ends), 3);
+    any other shape raises DimensionMismatch naming the field.
     """
 
     node_ids: tuple[int, ...]
@@ -78,10 +87,12 @@ class MeasurementSet:
 
     def __post_init__(self):
         n, m = len(self.node_ids), len(self.line_ends)
-        object.__setattr__(self, "node_values", np.asarray(self.node_values, dtype=float).reshape(n, 4))
-        object.__setattr__(self, "node_weights", np.asarray(self.node_weights, dtype=float).reshape(n, 4))
-        object.__setattr__(self, "line_values", np.asarray(self.line_values, dtype=float).reshape(m, 3))
-        object.__setattr__(self, "line_weights", np.asarray(self.line_weights, dtype=float).reshape(m, 3))
+        for name, shape in (("node_values", (n, 4)), ("node_weights", (n, 4)),
+                            ("line_values", (m, 3)), ("line_weights", (m, 3))):
+            array = np.asarray(getattr(self, name), dtype=float)
+            if array.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {array.shape}, expected {shape}")
+            object.__setattr__(self, name, array)
         if len(set(self.node_ids)) != n:
             raise ValidationError("duplicate node ids in measurement set")
         if len(set(tuple(sorted(e)) for e in self.line_ends)) != m:
@@ -115,7 +126,9 @@ def simulate_measurements(
     noise=None turns the perturbation off entirely, giving exact values.
     rng accepts a seed or a Generator; None draws an unseeded Generator.
     truth is read as a float array; a wrong length raises DimensionMismatch
-    and a non-finite entry ValidationError.
+    and a non-finite entry ValidationError.  node_weights and line_weights,
+    the diagonals every node and every line share, must have shapes (4,)
+    and (3,), or DimensionMismatch is raised before any draw.
     """
     if noise is None:
         noise = NoiseConfig(rel_var_theta=0.0, rel_var_v=0.0, rel_var_p=0.0,
@@ -131,6 +144,8 @@ def simulate_measurements(
         raise ValidationError("truth has non-finite entries")
     nw = default_node_weights() if node_weights is None else np.asarray(node_weights, dtype=float)
     lw = default_line_weights() if line_weights is None else np.asarray(line_weights, dtype=float)
+    if nw.shape != (4,) or lw.shape != (3,):
+        raise DimensionMismatch(f"node and line weights have shapes {nw.shape} and {lw.shape}, expected (4,) and (3,)")
 
     node_ids = case.bus_ids
     true_nodes = truth.reshape(-1, 4)
@@ -148,13 +163,12 @@ def simulate_measurements(
     )
 
 
-def split_by_region(mset: MeasurementSet, partition) -> list[MeasurementSet]:
-    """Restrict a global measurement set to each region of a partition.
+def row_regions(mset: MeasurementSet, partition) -> tuple[np.ndarray, np.ndarray]:
+    """The region index of every node row and of every line row of mset.
 
-    Every measured node and line must fall inside exactly one region;
-    a measured line spanning two regions violates the modeling contract
-    and raises ValidationError.  Each region keeps its nodes and lines in
-    input order.
+    Every measured node and line must fall inside exactly one region: a
+    node outside every region, or a measured line spanning two regions,
+    violates the modeling contract and raises ValidationError.
     """
     region_of = partition.assignment
     node_region = np.array([region_of.get(node, -1) for node in mset.node_ids], dtype=int)
@@ -170,24 +184,29 @@ def split_by_region(mset: MeasurementSet, partition) -> list[MeasurementSet]:
         raise ValidationError(
             f"measured lines must connect original nodes within one region, offending: {stray_lines}"
         )
-    node_groups = _group_rows(node_region, partition.n_regions)
-    line_groups = _group_rows(line_region, partition.n_regions)
-    return [
-        MeasurementSet(
-            node_ids=tuple(mset.node_ids[i] for i in node_rows),
+    return node_region, line_region
+
+
+def split_by_region(mset: MeasurementSet, partition) -> list[MeasurementSet]:
+    """Restrict a global measurement set to each region of a partition.
+
+    The rows are labelled by row_regions, which raises ValidationError on
+    a node outside every region or a line across two.  Each region keeps
+    its nodes and lines in input order.
+    """
+    node_region, line_region = row_regions(mset, partition)
+    sets = []
+    for i in range(partition.n_regions):
+        node_rows, line_rows = np.flatnonzero(node_region == i), np.flatnonzero(line_region == i)
+        sets.append(MeasurementSet(
+            node_ids=tuple(mset.node_ids[j] for j in node_rows),
             node_values=mset.node_values[node_rows],
             node_weights=mset.node_weights[node_rows],
             line_ends=tuple(mset.line_ends[j] for j in line_rows),
             line_values=mset.line_values[line_rows],
             line_weights=mset.line_weights[line_rows],
-        )
-        for node_rows, line_rows in zip(node_groups, line_groups)
-    ]
-
-
-def _group_rows(region: np.ndarray, n_regions: int) -> list[np.ndarray]:
-    """Row indices of each region 0..n_regions-1, each in ascending order."""
-    return np.split(np.argsort(region, kind="stable"), np.cumsum(np.bincount(region, minlength=n_regions))[:-1])
+        ))
+    return sets
 
 
 class RegionResidual:
@@ -207,14 +226,14 @@ class RegionResidual:
         node_order = sorted(range(len(mset.node_ids)), key=lambda i: case.index[mset.node_ids[i]])
         self.node_ids = tuple(mset.node_ids[i] for i in node_order)
         self.node_pos = np.array([case.index[n] for n in self.node_ids], dtype=int)
-        self.node_values = mset.node_values[node_order].reshape(len(node_order), 4)
-        self.node_sqrt_w = np.sqrt(mset.node_weights[node_order].reshape(len(node_order), 4))
+        self.node_values = mset.node_values[node_order]
+        self.node_sqrt_w = np.sqrt(mset.node_weights[node_order])
 
         rows = sorted(range(len(mset.line_ends)), key=lambda j: mset.line_ends[j])
         self.line_ends = tuple(mset.line_ends[j] for j in rows)
         self.line_k, self.line_l, self.line_g, self.line_b = grid.line_arrays(case, self.line_ends)
-        self.line_values = mset.line_values[rows].reshape(len(rows), 3)
-        self.line_sqrt_w = np.sqrt(mset.line_weights[rows].reshape(len(rows), 3))
+        self.line_values = mset.line_values[rows]
+        self.line_sqrt_w = np.sqrt(mset.line_weights[rows])
 
         # Jacobian entries: node row 4 i + c has one, in column 4 pos + c;
         # line row r of line j has four, in the theta and v columns of its

@@ -576,3 +576,120 @@ def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
     for record in result.history:
         assert not record.regularized
         assert record.note == ""
+
+
+def test_the_final_iteration_builds_no_upload(monkeypatch, part30, mset30):
+    """The last iteration stops before the consensus QP, so it counts its
+    upload by shape without building one."""
+    built = []
+    upload = coordinator.SensitivityUpload
+
+    def counting(**kwargs):
+        built.append(kwargs["region"])
+        return upload(**kwargs)
+
+    monkeypatch.setattr(coordinator, "SensitivityUpload", counting)
+    result = aladin.run_aladin(part30, mset30)
+    assert result.converged and result.iterations >= 2
+    assert len(built) == (result.iterations - 1) * part30.n_regions
+    assert [r.upload_floats for r in result.history] == [result.formula.upload_total] * result.iterations
+
+
+@pytest.mark.parametrize("run", METHODS)
+@pytest.mark.parametrize("stray", ["cut-line", "node-outside"])
+def test_a_stray_measurement_fails_as_split_by_region_does(monkeypatch, case30, part30, truth30, mset30, run, stray):
+    if stray == "cut-line":
+        cut = part30.aux_pairs[0]
+        lines = [*partition.internal_line_keys(part30), (cut.low_bus, cut.high_bus)]
+        mset = measurements.simulate_measurements(case30, truth30, rng=1, measured_lines=lines)
+    else:
+        mset = dataclasses.replace(mset30, node_ids=(*mset30.node_ids[:-1], 999))
+    with pytest.raises(ValidationError) as expected:
+        measurements.split_by_region(mset, part30)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a region solve ran with a stray measurement")
+
+    monkeypatch.setattr(local_solver, "solve_batch", no_solve)
+    with pytest.raises(ValidationError) as raised:
+        run(part30, mset)
+    assert str(raised.value) == str(expected.value)
+    assert ("999" if stray == "node-outside" else f"({cut.low_bus}, {cut.high_bus})") in str(raised.value)
+
+
+def _reversed(mset):
+    return measurements.MeasurementSet(
+        mset.node_ids[::-1], mset.node_values[::-1], mset.node_weights[::-1],
+        mset.line_ends[::-1], mset.line_values[::-1], mset.line_weights[::-1],
+    )
+
+
+def _split_and_glued(part, mset, case):
+    """The union residual on case built from per-region sets: split mset by
+    region, shift each region's ids by its multiple of the id span, and
+    concatenate the pieces in region order."""
+    region_sets = measurements.split_by_region(mset, part)
+    ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
+    low, span = min(ids), max(ids) - min(ids) + 1
+    node_ids, line_ends = [], []
+    for i, rset in enumerate(region_sets):
+        node_ids += [node + i * span - low for node in rset.node_ids]
+        line_ends += [(k + i * span - low, l + i * span - low) for k, l in rset.line_ends]
+    glued = measurements.MeasurementSet(
+        tuple(node_ids), np.concatenate([s.node_values for s in region_sets]),
+        np.concatenate([s.node_weights for s in region_sets]), tuple(line_ends),
+        np.concatenate([s.line_values for s in region_sets]), np.concatenate([s.line_weights for s in region_sets]),
+    )
+    return measurements.RegionResidual(case, glued)
+
+
+@pytest.mark.parametrize("order", ["input", "reversed"])
+@pytest.mark.parametrize("grid_name", ["part30", "two_tile30", "grid240"])
+def test_the_batch_residual_rows_are_the_split_and_glued_ones(request, grid_name, order):
+    if grid_name == "part30":
+        part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
+    elif grid_name == "two_tile30":
+        part, mset = request.getfixturevalue("two_tile30")
+    else:
+        _, part, _, mset = request.getfixturevalue("grid240")
+    if order == "reversed":
+        mset = _reversed(mset)
+    residual, _, _ = aladin._region_batch(part, mset)
+    reference = _split_and_glued(part, mset, residual.case)
+    assert residual.node_ids == reference.node_ids
+    assert residual.line_ends == reference.line_ends
+    for name in ("node_values", "node_sqrt_w", "line_values", "line_sqrt_w"):
+        assert getattr(residual, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert getattr(residual, name).shape == getattr(reference, name).shape, name
+
+
+def _renamed(case, old, new):
+    def rename(bus_id):
+        return new if bus_id == old else bus_id
+
+    return grid.GridCase(
+        name=case.name, base_mva=case.base_mva,
+        buses=tuple(dataclasses.replace(bus, id=rename(bus.id)) for bus in case.buses),
+        lines=tuple(dataclasses.replace(line, from_bus=rename(line.from_bus), to_bus=rename(line.to_bus))
+                    for line in case.lines),
+    )
+
+
+@pytest.mark.parametrize("run", METHODS)
+def test_a_bus_id_beyond_int64_gives_the_same_history(case6, run):
+    """Bus ids are unbounded integers; the union's id shifts must not wrap."""
+    _, assignment = caseio.builtin_partition_spec("six2")
+    outcomes = []
+    for new_id in (6, 10**20):
+        case = _renamed(case6, 6, new_id)
+        part = partition.partition_grid(case, {(new_id if bus == 6 else bus): r for bus, r in assignment.items()})
+        truth = powerflow.solve_power_flow(case).state
+        mset = measurements.simulate_measurements(
+            case, truth, rng=DEFAULT_SEED, measured_lines=partition.internal_line_keys(part)
+        )
+        result = run(part, mset, truth=truth)
+        outcomes.append(([caseio.history_row(r) for r in result.history], result.converged, result.zs))
+    (rows, converged, zs), (big_rows, big_converged, big_zs) = outcomes
+    assert max(case6.bus_ids) == 6 and converged and big_converged
+    assert big_rows == rows
+    assert all(np.array_equal(a, b) for a, b in zip(zs, big_zs))

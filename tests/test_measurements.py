@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,31 @@ def test_split_rejects_cross_region_lines(case30, part30, truth30):
     )
     with pytest.raises(ValidationError):
         measurements.split_by_region(mset, part30)
+
+
+@pytest.mark.parametrize("field", ["node_values", "node_weights", "line_values", "line_weights"])
+@pytest.mark.parametrize("bad", ["transposed", "short", "row-width"])
+def test_measurement_set_rejects_arrays_of_the_wrong_shape(case6, truth6, field, bad):
+    """Six nodes and eight lines: a transposed array has the right number
+    of entries, and reshaping it would scramble the rows."""
+    mset = measurements.simulate_measurements(case6, truth6, rng=0)
+    good = getattr(mset, field)
+    array = {"transposed": good.T, "short": good[:-1], "row-width": np.ones((good.shape[0], good.shape[1] + 1))}[bad]
+    with pytest.raises(DimensionMismatch, match=field):
+        dataclasses.replace(mset, **{field: array})
+
+
+@pytest.mark.parametrize("weights", [
+    {"node_weights": np.ones((6, 4))}, {"line_weights": np.ones((8, 3))},
+    {"node_weights": np.ones(3)}, {"line_weights": np.ones(4)},
+])
+def test_simulation_rejects_weights_that_are_not_one_diagonal(monkeypatch, case6, truth6, weights):
+    def no_flows(*args, **kwargs):
+        raise AssertionError("line flows were evaluated before the weights were checked")
+
+    monkeypatch.setattr(grid, "line_flows", no_flows)
+    with pytest.raises(DimensionMismatch, match="weights"):
+        measurements.simulate_measurements(case6, truth6, rng=0, **weights)
 
 
 def test_region_residual_shape_and_zero_point(case6, truth6):

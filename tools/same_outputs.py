@@ -16,7 +16,9 @@ first on sys.path, and writes into a fresh directory:
   its state, on the ieee30/default4 measurements at seeds 1, 2 and 7;
 - the ALADIN and ADMM (max_outer=30) history rows, the outcome and a
   SHA-256 of the final region states, on 8 and 16 ieee30 tiles
-  (perfbench/tiling.py) at seed 1, and the central record on 8 tiles.
+  (perfbench/tiling.py) at seed 1, and the central record on 8 tiles;
+- the same ALADIN and ADMM records on 8 tiles at seed 1 with the
+  measurement set in reversed order.
 
 It prints every output that differs or exists on one side only, and
 exits 1 if there is any, 0 when every output is the same.
@@ -38,6 +40,7 @@ COMMANDS = ("estimate", "admm", "compare", "posterior")
 SEEDS = (1, 2, 7)
 TILES = (8, 16)
 CENTRAL_TILES = (8,)
+REVERSED_TILES = (8,)
 TILE_SEED = 1
 TILE_MAX_OUTER = 30
 
@@ -58,6 +61,19 @@ def _central(central, case, mset, record: Path) -> None:
     sol = central.solve_central(case, mset)
     record.write_text(f"iterations={sol.inner_iterations} fit={sol.fit!r} kkt_residual={sol.kkt_residual!r}\n"
                       f"x sha256 {hashlib.sha256(sol.x.tobytes()).hexdigest()}\n")
+
+
+def _runs(aladin, admm, caseio, part, mset, truth, name: str) -> None:
+    """Run ALADIN and ADMM (max_outer=TILE_MAX_OUTER) and write each one's
+    history rows, outcome and a SHA-256 of its final region states to
+    name-METHOD.txt."""
+    config = aladin.RunConfig(max_outer=TILE_MAX_OUTER)
+    for method, run in (("aladin", aladin.run_aladin), ("admm", admm.run_admm)):
+        result = run(part, mset, config=config, truth=truth)
+        digest = hashlib.sha256(b"".join(z.tobytes() for z in result.zs)).hexdigest()
+        lines = [caseio.history_row(rec) for rec in result.history]
+        lines += [f"converged={result.converged} note={result.note}", f"states sha256 {digest}"]
+        Path(f"{name}-{method}.txt").write_text("\n".join(lines) + "\n")
 
 
 def produce(checkout: Path, out: Path) -> None:
@@ -85,7 +101,6 @@ def produce(checkout: Path, out: Path) -> None:
     _cli(cli.main, ["check", "--partition", "default4"], Path("check.txt"))
     tables = checkout / "src" / "gridest" / "data" / "ieee30_tables.txt"
     _cli(cli.main, ["convert", str(tables), "convert-ieee30.yaml"], Path("convert.txt"))
-    config = aladin.RunConfig(max_outer=TILE_MAX_OUTER)
     for n_tiles in TILES:
         case = tiling.tiled_case(n_tiles)
         part = partition.partition_grid(case, tiling.tile_assignment(case))
@@ -93,12 +108,13 @@ def produce(checkout: Path, out: Path) -> None:
         mset = measurements.simulate_measurements(
             case, truth, rng=TILE_SEED, measured_lines=partition.internal_line_keys(part)
         )
-        for method, run in (("aladin", aladin.run_aladin), ("admm", admm.run_admm)):
-            result = run(part, mset, config=config, truth=truth)
-            digest = hashlib.sha256(b"".join(z.tobytes() for z in result.zs)).hexdigest()
-            lines = [caseio.history_row(rec) for rec in result.history]
-            lines += [f"converged={result.converged} note={result.note}", f"states sha256 {digest}"]
-            Path(f"tiles{n_tiles}-{method}.txt").write_text("\n".join(lines) + "\n")
+        _runs(aladin, admm, caseio, part, mset, truth, f"tiles{n_tiles}")
+        if n_tiles in REVERSED_TILES:
+            reversed_set = measurements.MeasurementSet(
+                mset.node_ids[::-1], mset.node_values[::-1], mset.node_weights[::-1],
+                mset.line_ends[::-1], mset.line_values[::-1], mset.line_weights[::-1],
+            )
+            _runs(aladin, admm, caseio, part, reversed_set, truth, f"tiles{n_tiles}-reversed")
         if n_tiles in CENTRAL_TILES:
             _central(central, case, mset, Path(f"tiles{n_tiles}-central.txt"))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, measurements, partition as partition_mod
-from .aladin import RunConfig, RunResult, _initial_states, _outer_loop
+from .aladin import RunConfig, RunResult, _initial_states, _outer_loop, _region_batch
 
 #: ADMM needs a larger outer budget than ALADIN's default of 50.
 DEFAULT_CONFIG = RunConfig(max_outer=200)
@@ -71,5 +71,6 @@ def run_admm(
         record.upload_floats = record.download_floats = len(cols)
         return y, record.consensus_violation <= config.eps
 
-    zs, converged, history, note = _outer_loop(part, mset, config, z, truth, prox_terms, coordinate)
+    zs, converged, history, note = _outer_loop(part, _region_batch(part, mset), config, z, truth, prox_terms,
+                                               coordinate)
     return RunResult(zs=zs, converged=converged, iterations=len(history), history=history, note=note)

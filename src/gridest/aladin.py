@@ -54,12 +54,14 @@ n_c + 4|N_i| per region, |N_i| counting original plus auxiliary nodes and
 n_c = n_coupling_rows = 4 per auxiliary pair, i.e. 2 per auxiliary bus)
 and the measured number of floats crossing the region to coordinator
 boundary (B_i^T B_i packed symmetric, C_i in full, B_i^T b_i, A_i y_i up;
-lam and dy_i down).  B_i^T B_i and C_i travel as CSR and go into the
-consensus system without a dense copy, but every upload is counted by its
-shape, as the paper's dense payload, so the count does not depend on the
-sparsity.  The two books agree exactly with this payload set; both are
-reported so the agreement stays an observable fact rather than an
-assumption.
+lam and dy_i down).  The batch goes to the coordinator as one upload
+formed on the regions' union, whose block-diagonal B^T B and C hold every
+B_i^T B_i and C_i as CSR and go into the consensus system without a dense
+copy.  The meter still counts each region's own payload, by its shapes
+(coordinator.upload_floats), as the paper's dense payload, so the count
+depends neither on the sparsity nor on the batching.  The two books agree
+exactly with this payload set; both are reported so the agreement stays
+an observable fact rather than an assumption.
 """
 
 from __future__ import annotations
@@ -229,25 +231,28 @@ def _region_batch(part, mset):
     return residual, grid.PowerFlowModel(case), blocks
 
 
-def _outer_loop(part, mset, config, z, truth, prox_terms, coordinate):
+def _outer_loop(part, batch, config, z, truth, prox_terms, coordinate):
     """The outer loop shared by ALADIN and the ADMM baseline.
 
     The iterate z is one vector on the regions' union, the region states
     z_i concatenated in region order; both methods couple the regions
     through the stacked border Partition.border = [A_1 ... A_N] on that
-    union.  Each outer iteration solves the regions' subproblems from z as
-    one batch (local_solver.solve_batch over _region_batch).
+    union.  batch is _region_batch(part, mset), built once per run by the
+    caller, which may evaluate its models too.  Each outer iteration
+    solves the regions' subproblems from z as one batch
+    (local_solver.solve_batch over batch).
     prox_terms(z) gives the batch's (lin, prox_target, prox_idx) on the
     union, which go to solve_batch as they are; prox_idx (None for every
     state) indexes the union.  The iteration record reads the union
     solution y, the solutions' y_i concatenated: the consensus gap is
     border @ y and the step norm ||y - z||_inf.  The loop hands the
-    solutions (one LocalSolution per region, with CSR Jacobians), y, the
-    gap and the record to coordinate(sols, y, gap, record), which fills in
-    the record's communication fields and returns the next union iterate
-    and whether the method has terminated.  config is the run's
-    RunConfig; each region solve uses config.rho, MAX_INNER and the tolerance
-    min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
+    solutions (one LocalSolution per region), y, the gap and the record
+    to coordinate(sols, y, gap, record), which fills in the record's
+    communication fields and returns the next union iterate and whether
+    the method has terminated.  ALADIN's coordinate forms its one upload
+    from batch's models at y; the solutions carry no Jacobians.  config is
+    the run's RunConfig; each region solve uses config.rho, MAX_INNER and
+    the tolerance min(INNER_TOL_START, max(INNER_TOL, INNER_FORCING * v)), v the previous
     iteration's consensus violation, with the module constants read at
     call time.  In the first iteration, which has no v, that tolerance is
     INNER_TOL_START relative to each solve's start residual r0: the solve
@@ -260,7 +265,7 @@ def _outer_loop(part, mset, config, z, truth, prox_terms, coordinate):
     holds the iterations completed before it.  Returns (zs, converged,
     history, note), zs the last iterate split by region.
     """
-    residual, model, blocks = _region_batch(part, mset)
+    residual, model, blocks = batch
     bounds = blocks.state_ptr[1:-1]
     history: list[IterationRecord] = []
     violation = math.inf
@@ -331,6 +336,8 @@ def run_aladin(
     """
     config = config or RunConfig()
     z = _initial_states(part, z0, truth)
+    batch = _region_batch(part, mset)
+    residual, model, _ = batch
     lam = np.zeros(part.n_coupling_rows)
     # [A_1 ... A_N]^T as CSR once per run; a transposed view costs more per
     # product than the product itself.  Each state of the union has at most
@@ -342,34 +349,35 @@ def run_aladin(
 
     def coordinate(sols, y, gap, record):
         nonlocal lam
-        # The upload is counted by shape, so the final iteration, which
-        # stops before the consensus QP, counts it without building it.
+        # The meter counts the paper's per-region payload by each region's
+        # own shapes (kappa has one entry per physics row), so the final
+        # iteration, which stops before the consensus QP, counts its upload
+        # without building it.
         record.upload_floats = sum(
-            coordinator.upload_floats(sol.y.size, sol.constraint_jacobian.shape, part.n_coupling_rows) for sol in sols
+            coordinator.upload_floats(sol.y.size, (sol.kappa.size, sol.y.size), part.n_coupling_rows) for sol in sols
         )
         if record.consensus_violation <= config.eps and record.step_norm <= config.eps:
             return y, True
-        # The paper's upload.  B_i^T B_i and C_i stay CSR, so the
-        # coordinator stacks them as they are.
-        uploads = [
-            coordinator.SensitivityUpload(
-                region=i,
-                fit_hessian=linalg.gram(sol.residual_jacobian),
-                fit_gradient=linalg.matvec(sol.residual_jacobian, sol.residual, trans=True),
-                constraint_jacobian=sol.constraint_jacobian,
-                coupling_image=linalg.matvec(part.coupling[i], sol.y),
-            )
-            for i, sol in enumerate(sols)
-        ]
-        consensus = coordinator.solve_consensus(uploads, list(part.coupling))
-        record.download_floats = sum(consensus.float_count(i) for i in range(part.n_regions))
+        # The paper's upload for the whole batch at once: on the union the
+        # residual and physics Jacobians are block diagonal by region, so
+        # B^T B and C hold every region's B_i^T B_i and C_i on the diagonal,
+        # B^T b stacks the B_i^T b_i, and the gap is sum_i A_i y_i.  The
+        # models are pure functions of y, so they repeat the values the
+        # region solves stopped at.
+        jac = residual.jacobian(y)
+        upload = coordinator.SensitivityUpload(
+            fit_hessian=linalg.gram(jac), fit_gradient=linalg.matvec(jac, residual.eval(y), trans=True),
+            constraint_jacobian=model.jacobian(y), coupling_image=gap,
+        )
+        consensus = coordinator.solve_consensus([upload], [part.border])
+        record.download_floats = sum(consensus.lam.size + sol.y.size for sol in sols)
         record.regularized = consensus.regularized
         if consensus.regularized:
             record.note = "ridge-regularized consensus step"
         lam = consensus.lam
-        return y + np.concatenate(consensus.steps), False
+        return y + consensus.steps[0], False
 
-    zs, converged, history, note = _outer_loop(part, mset, config, z, truth, prox_terms, coordinate)
+    zs, converged, history, note = _outer_loop(part, batch, config, z, truth, prox_terms, coordinate)
     return AladinResult(
         zs=zs,
         lam=lam,

@@ -68,9 +68,6 @@ MERIT_NOISE = 1e-12
 class LocalSolution:
     y: np.ndarray
     kappa: np.ndarray
-    residual: np.ndarray
-    residual_jacobian: scipy.sparse.csr_array
-    constraint_jacobian: scipy.sparse.csr_array
     fit: float
     inner_iterations: int
     kkt_residual: float
@@ -179,9 +176,9 @@ def solve_local(
     raises DimensionMismatch before any evaluation when lin, prox_idx or
     prox_target does not fit y0, TypeError when the Jacobians at y0 are
     not scipy.sparse, InnerDiverged when the line search cannot
-    produce decrease, SingularKkt when a step's system stays singular and
-    ZeroVoltage when the residual is undefined at y0.  This is solve_batch
-    with one block.
+    produce decrease (a trial with a NaN merit is no decrease),
+    SingularKkt when a step's system stays singular and ZeroVoltage when
+    the residual is undefined at y0.  This is solve_batch with one block.
     """
     (outcome,) = solve_batch(residual, constraints, y0, rho=rho, lin=lin, prox_target=prox_target,
                              prox_idx=prox_idx, mu=mu, tol=tol, max_inner=max_inner, relative=relative)
@@ -210,8 +207,7 @@ def solve_batch(
     (one block when None) says which states and rows form each block.
     Every block stops by solve_local's rules on its own tolerance, relative
     to its own start residual when relative.  Returns one entry per block:
-    its LocalSolution, whose y, kappa, residual and Jacobians are the
-    block's own (CSR cut from the whole problem's Jacobians), or the
+    its LocalSolution, whose y and kappa are the block's own, or the
     InnerDiverged, SingularKkt or ZeroVoltage that ended its solve.
     Arguments that do not fit y0 raise DimensionMismatch, as in solve_local.
     """
@@ -263,12 +259,10 @@ def solve_batch(
         return new if active.all() else np.where(active if labels is None else active[labels], new, old)
 
     def solution(i: int, converged: bool) -> LocalSolution:
-        s, c, rows = blocks.states(i), blocks.constraints(i), blocks.residual_rows[i]
-        b_i = b[rows]
+        b_i = b[blocks.residual_rows[i]]
         return LocalSolution(
-            y=y[s].copy(), kappa=kappa[c].copy(), residual=b_i, residual_jacobian=_block(big_b, rows, s),
-            constraint_jacobian=_block(big_c, c, s), fit=float(b_i @ b_i), inner_iterations=inner,
-            kkt_residual=float(kkt_res[i]), tol=float(tol[i]), converged=converged,
+            y=y[blocks.states(i)].copy(), kappa=kappa[blocks.constraints(i)].copy(), fit=float(b_i @ b_i),
+            inner_iterations=inner, kkt_residual=float(kkt_res[i]), tol=float(tol[i]), converged=converged,
         )
 
     def fail(i: int, exc: GridestError) -> None:
@@ -370,7 +364,8 @@ def solve_batch(
             if (searching & ~bad).any():
                 trial_terms = merit_terms(trial, b_trial, h_trial)
                 merit = trial_terms[0] + nu * trial_terms[3]
-                searching &= bad | (merit > merit0 + ARMIJO_C1 * alpha * slope + slack)
+                # Written so that a NaN merit, which compares False, backtracks.
+                searching &= bad | ~(merit <= merit0 + ARMIJO_C1 * alpha * slope + slack)
             if not searching.any():
                 break
             alpha[searching] *= BACKTRACK_FACTOR

@@ -71,17 +71,19 @@ def _split_region(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def covariance_bound(
-    fit_jacobians: Sequence[np.ndarray],
-    constraint_jacobians: Sequence[np.ndarray],
+    fit_jacobians: Sequence[np.ndarray | scipy.sparse.sparray],
+    constraint_jacobians: Sequence[np.ndarray | scipy.sparse.sparray],
     couplings: Sequence[scipy.sparse.sparray | np.ndarray],
 ) -> np.ndarray:
     """State block of the inverse bordered matrix, in region state order.
 
-    The couplings must be shaped as partition.partition_grid builds them:
-    every boundary state has exactly one coupling entry, and every
-    coupling row joins exactly two states, of two regions; anything else
-    raises DimensionMismatch.  The centralized bound of a single block
-    passes its one-region partition's coupling, which has zero rows.
+    The Jacobians may be dense or scipy.sparse (the package's models give
+    CSR); each is densified once.  The couplings must be shaped as
+    partition.partition_grid builds them: every boundary state has exactly
+    one coupling entry, and every coupling row joins exactly two states,
+    of two regions; anything else raises DimensionMismatch.  The
+    centralized bound of a single block passes its one-region partition's
+    coupling, which has zero rows.
 
     Each region's interior is eliminated with a dense LU of its interior
     KKT block K_II, giving W = K_II^{-1} K_IB and the boundary Schur
@@ -122,7 +124,7 @@ def covariance_bound(
     claims = np.zeros(n_coupling, dtype=int)
     interiors, maps, slots = [], [], []
     for i, (fit, cons, coupling) in enumerate(zip(fit_jacobians, constraint_jacobians, couplings)):
-        fit, cons = (np.asarray(a, dtype=float) for a in (fit, cons))
+        fit, cons = (np.asarray(a.toarray() if scipy.sparse.issparse(a) else a, dtype=float) for a in (fit, cons))
         n = fit.shape[1]
         if n % 4 or cons.shape != (n // 2, n) or np.shape(coupling) != (n_coupling, n):
             raise DimensionMismatch(
@@ -223,8 +225,8 @@ def analyze(
     fit_jacobians = []
     constraint_jacobians = []
     for region, region_set, z in zip(part.regions, region_sets, zs):
-        fit_jacobians.append(measurements.RegionResidual(region.case, region_set).jacobian(z).toarray())
-        constraint_jacobians.append(grid.PowerFlowModel(region.case).jacobian(z).toarray())
+        fit_jacobians.append(measurements.RegionResidual(region.case, region_set).jacobian(z))
+        constraint_jacobians.append(grid.PowerFlowModel(region.case).jacobian(z))
     covariance = covariance_bound(fit_jacobians, constraint_jacobians, list(part.coupling))
     diag = np.diag(covariance)
     if diag.min(initial=0.0) < -1e-10 * max(1.0, diag.max(initial=1.0)):

@@ -321,11 +321,9 @@ def _region_batches(monkeypatch, run, part, mset, **kwargs):
 
 
 def _bitwise_equal(a, b):
-    arrays = ("y", "kappa", "residual")
-    jacobians = ("residual_jacobian", "constraint_jacobian")
+    arrays = ("y", "kappa")
     scalars = ("fit", "inner_iterations", "kkt_residual", "tol", "converged")
     return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in arrays)
-            and all(np.array_equal(getattr(a, f).toarray(), getattr(b, f).toarray()) for f in jacobians)
             and all(getattr(a, f) == getattr(b, f) for f in scalars))
 
 
@@ -349,8 +347,7 @@ def test_a_region_batch_keeps_every_other_region_bit_for_bit(monkeypatch, reques
 @pytest.mark.parametrize("run", METHODS)
 def test_each_batched_region_solution_is_the_single_region_solution(monkeypatch, part30, mset30, two_tile30, run):
     """Every region solve of whole runs on part30 and two_tile30, solved
-    again alone on that region's own models from the same start and terms;
-    the batch hands back each region's Jacobians as CSR."""
+    again alone on that region's own models from the same start and terms."""
     for part, mset in ((part30, mset30), two_tile30):
         region_sets = measurements.split_by_region(mset, part)
         problems = [(measurements.RegionResidual(r.case, s), grid.PowerFlowModel(r.case))
@@ -372,9 +369,6 @@ def test_each_batched_region_solution_is_the_single_region_solution(monkeypatch,
                 assert alone.converged == batched.converged
                 assert np.abs(alone.y - batched.y).max() <= 1e-10
                 assert np.abs(alone.kappa - batched.kappa).max() <= 1e-10
-                assert batched.residual_jacobian.format == batched.constraint_jacobian.format == "csr"
-                assert np.array_equal(alone.residual_jacobian.toarray() != 0.0,
-                                      batched.residual_jacobian.toarray() != 0.0)
 
 
 @pytest.mark.parametrize("run", METHODS)
@@ -383,9 +377,9 @@ def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, requ
                                                                run, grid_name):
     """The outer loop carries one iterate on the regions' union.  Every
     history row still reads the per-region definitions of its batch, each
-    next iterate is the batch's solutions plus the consensus steps (ALADIN)
-    or the solutions (ADMM), region by region, and RunResult.zs is the last
-    iterate split by region."""
+    next iterate is the batch's union solution plus the one consensus step
+    (ALADIN) or that solution (ADMM), and RunResult.zs is the last iterate
+    split by region."""
     if grid_name == "part30":
         part, mset, truth = part30, mset30, truth30
     else:
@@ -394,7 +388,8 @@ def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, requ
 
     def recording(*args, **kwargs):
         sol = consensus(*args, **kwargs)
-        steps.append(sol.steps)
+        (step,) = sol.steps
+        steps.append(step)
         return sol
 
     monkeypatch.setattr(coordinator, "solve_consensus", recording)
@@ -414,10 +409,56 @@ def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, requ
         assert record.consensus_violation == np.abs(gap).max()
         assert record.step_norm == max(np.abs(y - z).max() for y, z in zip(ys, zs))
         assert record.state_error == np.abs(partition.restrict_state(part, ys) - truth).max()
-        expected = ys if step is None else [y + dy for y, dy in zip(ys, step)]
-        for i, z in enumerate(expected):
-            assert np.array_equal(z_next[blocks.states(i)], z), (record.iteration, i)
+        y = np.concatenate(ys)
+        assert np.array_equal(z_next, y if step is None else y + step), record.iteration
     assert [z.shape for z in result.zs] == [(region.n_states,) for region in part.regions]
+
+
+def _per_region_uploads(part, residual, model, blocks, y):
+    """Each region's own upload at the union solution y, cut from the
+    batch's Jacobians region by region: B_i^T B_i, B_i^T b_i, C_i, A_i y_i."""
+    big_b, b, big_c = residual.jacobian(y), residual.eval(y), model.jacobian(y)
+    uploads = []
+    for i, coupling in enumerate(part.coupling):
+        s, rows = blocks.states(i), blocks.residual_rows[i]
+        b_i = local_solver._block(big_b, rows, s)
+        uploads.append(coordinator.SensitivityUpload(
+            fit_hessian=linalg.gram(b_i), fit_gradient=linalg.matvec(b_i, b[rows], trans=True),
+            constraint_jacobian=local_solver._block(big_c, blocks.constraints(i), s),
+            coupling_image=linalg.matvec(coupling, y[s]),
+        ))
+    return uploads
+
+
+@pytest.mark.parametrize("grid_name", ["part30", "two_tile30", "grid240"])
+def test_the_union_upload_solves_as_the_per_region_uploads(monkeypatch, request, part30, mset30, grid_name):
+    """Every consensus call of a run gets one upload for the whole batch.
+    The region-by-region uploads at the same solution, solved with the
+    regions' own coupling blocks, give the same steps, lam and ridge flag
+    to the last bit."""
+    if grid_name == "part30":
+        part, mset = part30, mset30
+    elif grid_name == "two_tile30":
+        part, mset = request.getfixturevalue("two_tile30")
+    else:
+        _, part, _, mset = request.getfixturevalue("grid240")
+    consensus, calls = coordinator.solve_consensus, []
+
+    def recording(uploads, couplings):
+        calls.append((uploads, couplings, consensus(uploads, couplings)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(coordinator, "solve_consensus", recording)
+    batches = _region_batches(monkeypatch, aladin.run_aladin, part, mset)
+    assert len(calls) == len(batches) - 1 >= 2
+    residual, model, _ = aladin._region_batch(part, mset)
+    for (_, blocks, _, sols), (uploads, couplings, union) in zip(batches, calls):
+        assert len(uploads) == len(couplings) == 1 and couplings[0] is part.border
+        y = np.concatenate([sol.y for sol in sols])
+        per_region = consensus(_per_region_uploads(part, residual, model, blocks, y), list(part.coupling))
+        assert np.concatenate(per_region.steps).tobytes() == union.steps[0].tobytes()
+        assert per_region.lam.tobytes() == union.lam.tobytes()
+        assert per_region.regularized == union.regularized
 
 
 def test_a_singular_consensus_qp_ends_the_run_with_a_note(monkeypatch, part30, mset30):
@@ -579,19 +620,20 @@ def test_random_connected_partitions_converge(case30, truth30, n_regions, seed):
 
 
 def test_the_final_iteration_builds_no_upload(monkeypatch, part30, mset30):
-    """The last iteration stops before the consensus QP, so it counts its
+    """Every coordinating iteration builds one upload for the whole batch;
+    the last iteration stops before the consensus QP, so it counts its
     upload by shape without building one."""
     built = []
     upload = coordinator.SensitivityUpload
 
     def counting(**kwargs):
-        built.append(kwargs["region"])
+        built.append(kwargs)
         return upload(**kwargs)
 
     monkeypatch.setattr(coordinator, "SensitivityUpload", counting)
     result = aladin.run_aladin(part30, mset30)
     assert result.converged and result.iterations >= 2
-    assert len(built) == (result.iterations - 1) * part30.n_regions
+    assert len(built) == result.iterations - 1
     assert [r.upload_floats for r in result.history] == [result.formula.upload_total] * result.iterations
 
 

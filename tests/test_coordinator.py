@@ -13,10 +13,9 @@ from gridest.errors import DimensionMismatch
 from conftest import coupling_form_params
 
 
-def _upload(region, rng, n, m, n_coupling):
+def _upload(rng, n, m, n_coupling):
     root = rng.standard_normal((n + 2, n))
     return coordinator.SensitivityUpload(
-        region=region,
         fit_hessian=root.T @ root + 0.5 * np.eye(n),
         fit_gradient=rng.standard_normal(n),
         constraint_jacobian=rng.standard_normal((m, n)),
@@ -29,8 +28,8 @@ def test_consensus_solution_matches_a_hand_assembled_system():
     and compare every returned piece against its exact solve."""
     rng = np.random.default_rng(42)
     n1, n2, m1, m2, nc = 4, 3, 2, 1, 2
-    up1 = _upload(0, rng, n1, m1, nc)
-    up2 = _upload(1, rng, n2, m2, nc)
+    up1 = _upload(rng, n1, m1, nc)
+    up2 = _upload(rng, n2, m2, nc)
     a1 = rng.standard_normal((nc, n1))
     a2 = rng.standard_normal((nc, n2))
 
@@ -65,10 +64,10 @@ def test_consensus_steps_close_the_gap_within_the_linear_model():
     # Feasibility rows force sum_i A_i (y_i + step_i) = 0 exactly.
     rng = np.random.default_rng(7)
     n1, n2, nc = 5, 4, 3
-    up1 = _upload(0, rng, n1, 0, nc)
-    up2 = _upload(1, rng, n2, 0, nc)
+    up1 = _upload(rng, n1, 0, nc)
+    up2 = _upload(rng, n2, 0, nc)
     up1 = coordinator.SensitivityUpload(
-        region=0, fit_hessian=up1.fit_hessian, fit_gradient=up1.fit_gradient,
+        fit_hessian=up1.fit_hessian, fit_gradient=up1.fit_gradient,
         constraint_jacobian=np.zeros((0, n1)), coupling_image=up1.coupling_image,
     )
     a1 = rng.standard_normal((nc, n1))
@@ -80,40 +79,22 @@ def test_consensus_steps_close_the_gap_within_the_linear_model():
 
 
 def test_upload_float_count_is_packed_symmetric_plus_dense_rest():
-    rng = np.random.default_rng(1)
     n, m, nc = 6, 4, 3
-    up = _upload(0, rng, n, m, nc)
-    assert up.float_count() == n * (n + 1) // 2 + m * n + n + nc
+    assert coordinator.upload_floats(n, (m, n), nc) == n * (n + 1) // 2 + m * n + n + nc
     # 30-bus sized region: 4 * 12 states, 2 * 12 constraint rows, 16 coupling rows.
-    n, m, nc = 48, 24, 16
-    up = _upload(0, rng, n, m, nc)
-    assert up.float_count() == 48 * 49 // 2 + 24 * 48 + 48 + 16
+    assert coordinator.upload_floats(48, (24, 48), 16) == 48 * 49 // 2 + 24 * 48 + 48 + 16
 
 
-def test_upload_float_count_counts_a_sparse_constraint_jacobian_by_shape():
-    rng = np.random.default_rng(3)
-    dense = _upload(0, rng, 4, 2, 3)
-    one_entry = np.zeros((2, 4))
-    one_entry[1, 2] = 1.5
-    counts = [dataclasses.replace(dense, constraint_jacobian=kind(one_entry)).float_count()
-              for kind in (np.asarray, scipy.sparse.csr_array)]
-    assert counts == [4 * 5 // 2 + 2 * 4 + 4 + 3] * 2
-
-
-def test_download_float_count_is_lambda_plus_own_step():
-    rng = np.random.default_rng(2)
-    up1 = _upload(0, rng, 4, 2, 2)
-    up2 = _upload(1, rng, 3, 1, 2)
-    sol = coordinator.solve_consensus(
-        [up1, up2], [rng.standard_normal((2, 4)), rng.standard_normal((2, 3))]
-    )
-    assert sol.float_count(0) == 2 + 4
-    assert sol.float_count(1) == 2 + 3
+def test_download_float_count_is_lambda_plus_own_step(aladin30, part30):
+    """Each coordinating iteration sends every region lam and its own step;
+    the final iteration sends nothing."""
+    expected = sum(part30.n_coupling_rows + region.n_states for region in part30.regions)
+    assert [r.download_floats for r in aladin30.history] == [expected] * (aladin30.iterations - 1) + [0]
 
 
 def test_dimension_mismatches_are_rejected():
     rng = np.random.default_rng(3)
-    up = _upload(0, rng, 4, 2, 2)
+    up = _upload(rng, 4, 2, 2)
     with pytest.raises(DimensionMismatch):
         coordinator.solve_consensus([up], [])
     with pytest.raises(DimensionMismatch):
@@ -121,7 +102,6 @@ def test_dimension_mismatches_are_rejected():
     with pytest.raises(DimensionMismatch):
         coordinator.solve_consensus([up], [rng.standard_normal((2, 5))])
     bad = coordinator.SensitivityUpload(
-        region=0,
         fit_hessian=up.fit_hessian,
         fit_gradient=np.zeros(5),
         constraint_jacobian=up.constraint_jacobian,
@@ -189,9 +169,13 @@ def test_sparse_consensus_matches_the_dense_reference(request, monkeypatch, name
 def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name):
     # Region 0 without a fit term leaves its states free along the null
     # space of its physics and coupling rows: the bordered matrix is singular.
-    uploads, couplings = _consensus_calls(monkeypatch, *_scenario(request, name))[0]
-    zero = scipy.sparse.csr_array(uploads[0].fit_hessian.shape)
-    uploads = [dataclasses.replace(uploads[0], fit_hessian=zero)] + uploads[1:]
+    # The run uploads its whole batch at once, so region 0's rows and
+    # columns of the union fit Hessian are zeroed.
+    part, mset = _scenario(request, name)
+    uploads, couplings = _consensus_calls(monkeypatch, part, mset)[0]
+    region0 = np.arange(uploads[0].fit_hessian.shape[0]) < part.regions[0].n_states
+    zeroed = np.where(region0[:, None] | region0, 0.0, uploads[0].fit_hessian.toarray())
+    uploads = [dataclasses.replace(uploads[0], fit_hessian=scipy.sparse.csr_array(zeroed))] + uploads[1:]
     with pytest.warns(UserWarning, match="ridge"):
         sol = coordinator.solve_consensus(uploads, couplings)
     assert sol.regularized
@@ -204,8 +188,7 @@ def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name
 @pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
 def test_csr_uploads_and_their_dense_copies_give_the_same_step(request, monkeypatch, name):
     """The run uploads CSR blocks; their .toarray() copies, which store no
-    exact zeros, give the same steps and lam, and both count their floats
-    by shape."""
+    exact zeros, give the same steps and lam."""
     for uploads, couplings in _consensus_calls(monkeypatch, *_scenario(request, name)):
         dense = [dataclasses.replace(up, fit_hessian=up.fit_hessian.toarray(),
                                      constraint_jacobian=up.constraint_jacobian.toarray()) for up in uploads]
@@ -214,10 +197,8 @@ def test_csr_uploads_and_their_dense_copies_give_the_same_step(request, monkeypa
         steps = np.concatenate(dense_sol.steps)
         assert np.abs(np.concatenate(sparse_sol.steps) - steps).max() <= 1e-12 * np.abs(steps).max()
         assert np.abs(sparse_sol.lam - dense_sol.lam).max() <= 1e-12 * np.abs(dense_sol.lam).max()
-        for up, copy in zip(uploads, dense):
+        for up in uploads:
             assert up.fit_hessian.format == up.constraint_jacobian.format == "csr"
-            (m, n), n_c = up.constraint_jacobian.shape, up.coupling_image.size
-            assert up.float_count() == copy.float_count() == n * (n + 1) // 2 + m * n + n + n_c
 
 
 def _non_2d_blocks():
@@ -238,7 +219,7 @@ def _non_2d_blocks():
 @pytest.mark.parametrize("field, value", _non_2d_blocks())
 def test_non_2d_blocks_are_rejected_before_assembly(monkeypatch, field, value):
     rng = np.random.default_rng(3)
-    up, coupling = _upload(0, rng, 4, 2, 2), rng.standard_normal((2, 4))
+    up, coupling = _upload(rng, 4, 2, 2), rng.standard_normal((2, 4))
     if field == "coupling":
         coupling = value
     else:

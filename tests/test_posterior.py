@@ -226,6 +226,19 @@ def test_covariance_bound_matches_the_dense_reference(request, name, form):
     _assert_matches_the_dense_reference(_covariance_inputs(request, name), form)
 
 
+def test_csr_and_dense_jacobians_give_the_same_covariance_bits(part30, mset30, aladin30):
+    """The models' CSR Jacobians go to covariance_bound as they are, as
+    analyze passes them, and give the covariance of their dense copies."""
+    zs, sets = aladin30.zs, measurements.split_by_region(mset30, part30)
+    fit = [measurements.RegionResidual(r.case, s).jacobian(z) for r, s, z in zip(part30.regions, sets, zs)]
+    cons = [grid.PowerFlowModel(r.case).jacobian(z) for r, z in zip(part30.regions, zs)]
+    assert all(a.format == "csr" for a in fit + cons)
+    sparse = posterior.covariance_bound(fit, cons, list(part30.coupling))
+    dense = posterior.covariance_bound([a.toarray() for a in fit], [a.toarray() for a in cons], list(part30.coupling))
+    assert sparse.tobytes() == dense.tobytes()
+    assert posterior.analyze(part30, mset30, zs).covariance.tobytes() == dense.tobytes()
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_covariance_bound_matches_the_dense_reference_on_random_partitions(case30, truth30, n_regions, seed):

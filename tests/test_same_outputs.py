@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location("same_outputs", Path(__file__).parents[1] / "tools" / "same_outputs.py")
@@ -33,3 +34,14 @@ def test_every_changed_or_unmatched_file_is_named(tmp_path):
         f"only in {b}: only_b/x.txt",
         "differs: run/changed.csv",
     ]
+
+
+def test_a_cli_warning_is_recorded_without_its_source_location(tmp_path):
+    def main(argv):
+        warnings.warn("ridge retry")
+        print("ran", *argv)
+        return 3
+
+    record = tmp_path / "run" / "stdout.txt"
+    same_outputs._cli(main, ["estimate"], record)
+    assert record.read_text() == "ran estimate\n--- stderr\n--- warnings\nUserWarning: ridge retry\n--- exit 3\n"

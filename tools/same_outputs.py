@@ -8,7 +8,10 @@ first on sys.path, and writes into a fresh directory:
 
 - every file that `gridest estimate`, `admm`, `compare` and `posterior`
   write on ieee30/default4 at seeds 1, 2 and 7, beside each command's
-  stdout, stderr and exit code;
+  stdout, stderr, warnings and exit code;
+- the same of `gridest estimate --rho 10 --seed 7`, which ends "consensus
+  QP singular" after a ridge retry, and `--rho 3 --seed 1`, which
+  coordinates 8 times;
 - the same of `gridest simulate` at seeds 1, 2 and 7, with and without
   `--partition default4`, of `gridest check --partition default4`, and of
   `gridest convert` on the bundled ieee30 tables;
@@ -33,11 +36,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("estimate", "admm", "compare", "posterior")
 SEEDS = (1, 2, 7)
+#: Extra `gridest estimate` runs on ieee30/default4, as (rho, seed).
+ESTIMATE_RUNS = ((10, 7), (3, 1))
 TILES = (8, 16)
 CENTRAL_TILES = (8,)
 REVERSED_TILES = (8,)
@@ -46,13 +52,18 @@ TILE_MAX_OUTER = 30
 
 
 def _cli(main, argv: list[str], record: Path) -> None:
-    """Run gridest's CLI main on argv and write its stdout, stderr and
-    exit code to record."""
+    """Run gridest's CLI main on argv and write its stdout, stderr,
+    warnings and exit code to record.  Each warning is written as its
+    category and message only: the default display names the warning's
+    source file by absolute path and line, which differ between checkouts."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
     record.parent.mkdir(parents=True, exist_ok=True)
-    record.write_text(f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n")
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    record.write_text(f"{out.getvalue()}--- stderr\n{err.getvalue()}--- warnings\n{shown}--- exit {code}\n")
 
 
 def _central(central, case, mset, record: Path) -> None:
@@ -98,6 +109,9 @@ def produce(checkout: Path, out: Path) -> None:
             case, truth, rng=seed, measured_lines=partition.internal_line_keys(part)
         )
         _central(central, case, mset, Path(f"central-seed{seed}.txt"))
+    for rho, seed in ESTIMATE_RUNS:
+        name = f"estimate-rho{rho}-seed{seed}"
+        _cli(cli.main, ["estimate", "--rho", str(rho), "--seed", str(seed), "--out", name], Path(name, "stdout.txt"))
     _cli(cli.main, ["check", "--partition", "default4"], Path("check.txt"))
     tables = checkout / "src" / "gridest" / "data" / "ieee30_tables.txt"
     _cli(cli.main, ["convert", str(tables), "convert-ieee30.yaml"], Path("convert.txt"))

@@ -226,7 +226,6 @@ def _region_batch(part, mset):
     blocks = local_solver.Blocks(
         4 * bus_ptr, 2 * bus_ptr,
         np.concatenate([np.repeat(bus_block[residual.node_pos], 4), np.repeat(bus_block[residual.line_k], 3)]),
-        voltage_cols=4 * residual.line_k + grid.V,
     )
     return residual, grid.PowerFlowModel(case), blocks
 
@@ -262,7 +261,10 @@ def _outer_loop(part, batch, config, z, truth, prox_terms, coordinate):
     SingularKkt or ZeroVoltage that ends a region's solve, or a SingularKkt
     from coordinate, ends the run unconverged with a note naming the
     lowest-index failing region or the consensus QP; the history then
-    holds the iterations completed before it.  Returns (zs, converged,
+    holds the iterations completed before it.  The region that a
+    ZeroVoltage fails is the one owning the states it names (grid names
+    every line-end v_k <= 0 of the union); an InnerDiverged also ends a
+    region whose Gauss-Newton system is not finite.  Returns (zs, converged,
     history, note), zs the last iterate split by region.
     """
     residual, model, blocks = batch

@@ -40,7 +40,16 @@ class UnknownBusReference(ValidationError):
 
 
 class ZeroVoltage(GridestError):
-    """A measurement function was evaluated at a non-positive voltage magnitude."""
+    """A measurement function was evaluated at a non-positive voltage magnitude.
+
+    columns lists the state entries it rejected (grid.line_flows names
+    every v_k <= 0 of its state vector); it is empty when the raise names
+    none.
+    """
+
+    def __init__(self, message: str, columns=()):
+        self.columns = columns
+        super().__init__(message)
 
 
 class DimensionMismatch(GridestError):

@@ -364,7 +364,7 @@ def line_arrays(case: GridCase, ends) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _line_terms(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np.ndarray):
     vk, vl = x[4 * k + V], x[4 * l + V]
     if np.any(vk <= 0.0):
-        raise ZeroVoltage("line measurement functions need v_k > 0")
+        raise ZeroVoltage("line measurement functions need v_k > 0", columns=4 * k[vk <= 0.0] + V)
     th = x[4 * k + THETA] - x[4 * l + THETA]
     cos, sin = np.cos(th), np.sin(th)
     f_p = vk * (vk * g - vl * g * cos) - vk * vl * b * sin
@@ -377,7 +377,8 @@ def line_flows(x: np.ndarray, k: np.ndarray, l: np.ndarray, g: np.ndarray, b: np
 
     x is a network state; line j runs from node position k[j] to l[j] and
     has series admittance parts g[j], b[j].  Raises ZeroVoltage when any
-    v_k <= 0, because f_i divides by v_k^2.
+    v_k <= 0, because f_i divides by v_k^2; its columns are the entries
+    4 k[j] + V of x with v_k <= 0, one per such line.
     """
     vk, _, _, _, f_p, f_q = _line_terms(x, k, l, g, b)
     return np.stack([f_p, f_q, (f_p * f_p + f_q * f_q) / (vk * vk)], axis=1)

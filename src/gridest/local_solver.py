@@ -83,17 +83,14 @@ class Blocks:
     rows constraint_ptr[i]:constraint_ptr[i+1] and the residual rows
     labelled i in residual_block.  Each row may depend on its own block's
     states only, so both Jacobians are block diagonal up to a permutation
-    of the residual rows.  voltage_cols lists the states that the residual
-    divides by (grid.line_flows needs v_k > 0): residual.eval raises
-    ZeroVoltage when one of them is <= 0, and the block owning it is the
-    one whose solve fails.
+    of the residual rows.  A ZeroVoltage from the residual is about the
+    blocks that own the states its columns name.
     """
 
-    def __init__(self, state_ptr, constraint_ptr, residual_block, voltage_cols=()):
+    def __init__(self, state_ptr, constraint_ptr, residual_block):
         self.state_ptr = np.asarray(state_ptr, dtype=np.intp)
         self.constraint_ptr = np.asarray(constraint_ptr, dtype=np.intp)
         self.residual_block = np.asarray(residual_block, dtype=np.intp)
-        self.voltage_cols = np.asarray(voltage_cols, dtype=np.intp)
         self.n = len(self.state_ptr) - 1
         blocks = np.arange(self.n)
         self.state_block = np.repeat(blocks, np.diff(self.state_ptr))
@@ -110,17 +107,6 @@ class Blocks:
 
     def constraints(self, i: int) -> slice:
         return slice(self.constraint_ptr[i], self.constraint_ptr[i + 1])
-
-    def zero_voltage(self, y: np.ndarray) -> np.ndarray:
-        """Per block, whether one of its voltage_cols is <= 0 in y."""
-        low = self.voltage_cols[y[self.voltage_cols] <= 0.0]
-        return np.bincount(self.state_block[low], minlength=self.n) > 0
-
-    def with_unit_voltages(self, y: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """y with the voltage_cols of the blocks marked in which set to 1."""
-        y = y.copy()
-        y[self.voltage_cols[which[self.state_block[self.voltage_cols]]]] = 1.0
-        return y
 
 
 def _segment_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -176,9 +162,12 @@ def solve_local(
     raises DimensionMismatch before any evaluation when lin, prox_idx or
     prox_target does not fit y0, TypeError when the Jacobians at y0 are
     not scipy.sparse, InnerDiverged when the line search cannot
-    produce decrease (a trial with a NaN merit is no decrease),
-    SingularKkt when a step's system stays singular and ZeroVoltage when
-    the residual is undefined at y0.  This is solve_batch with one block.
+    produce decrease (a trial with a NaN merit is no decrease) or a
+    step's Gauss-Newton system is not finite, SingularKkt when a step's
+    system stays singular and ZeroVoltage, with the residual's message,
+    when the residual raises it at y0.  A trial where the residual raises
+    ZeroVoltage backtracks, whether or not the error names columns.  This
+    is solve_batch with one block.
     """
     (outcome,) = solve_batch(residual, constraints, y0, rho=rho, lin=lin, prox_target=prox_target,
                              prox_idx=prox_idx, mu=mu, tol=tol, max_inner=max_inner, relative=relative)
@@ -210,6 +199,14 @@ def solve_batch(
     its LocalSolution, whose y and kappa are the block's own, or the
     InnerDiverged, SingularKkt or ZeroVoltage that ended its solve.
     Arguments that do not fit y0 raise DimensionMismatch, as in solve_local.
+
+    A ZeroVoltage from the residual is about the blocks that own the
+    states its columns name, or about every block when it names none.
+    Those blocks fail with the error's message at y0 and backtrack at a
+    trial; the others are evaluated again with the named states set to 1,
+    which they do not read.  A union step whose system is singular or not
+    finite is solved again block by block, and a block whose own system
+    is not finite fails with InnerDiverged.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -229,21 +226,35 @@ def solve_batch(
         # Every prox term below then sums over no entries and adds 0.0.
         idx, target = np.arange(0, dtype=int), np.zeros(0)
 
-    outcomes: list = [None] * (1 if blocks is None else blocks.n)
-    try:
-        b, h = residual.eval(y), constraints.eval(y)
-    except ZeroVoltage as exc:
-        if blocks is None:
-            return [exc]
-        bad = blocks.zero_voltage(y)
-        outcomes = [ZeroVoltage(str(exc)) if fail else None for fail in bad]
-        y = blocks.with_unit_voltages(y, bad)
-        b, h = residual.eval(y), constraints.eval(y)
+    nb, state_block = (1, np.zeros(n, dtype=np.intp)) if blocks is None else (blocks.n, blocks.state_block)
+
+    def evaluate(yv: np.ndarray, searching: np.ndarray):
+        """(yv, b, h, bad, exc): the residual and physics at yv, with no
+        bad block and exc None, unless the residual raises ZeroVoltage exc
+        there.  Then bad marks the blocks that own the states exc names,
+        or every block when it names none, and when a block that is not
+        bad is still searching, yv is returned with those states set to 1
+        and b and h are evaluated there; otherwise b and h are None."""
+        try:
+            return yv, residual.eval(yv), constraints.eval(yv), np.zeros(nb, dtype=bool), None
+        except ZeroVoltage as exc:
+            cols = np.asarray(exc.columns, dtype=np.intp)
+            bad = np.bincount(state_block[cols], minlength=nb) > 0 if len(cols) else np.ones(nb, dtype=bool)
+            if not (searching & ~bad).any():
+                return yv, None, None, bad, exc
+            yv = yv.copy()
+            yv[cols] = 1.0
+            return yv, residual.eval(yv), constraints.eval(yv), bad, exc
+
+    # A block that starts outside the residual's domain fails.
+    y, b, h, bad, exc = evaluate(y, np.ones(nb, dtype=bool))
+    outcomes: list = [ZeroVoltage(str(exc)) if is_bad else None for is_bad in bad]
+    active = ~bad
+    if not active.any():
+        return outcomes
     blocks = blocks or Blocks.single(n, len(h), len(b))
-    nb, state_block, con_block = blocks.n, blocks.state_block, blocks.constraint_block
-    row_block = blocks.residual_block
+    con_block, row_block = blocks.constraint_block, blocks.residual_block
     idx_block = state_block[idx]
-    active = np.array([o is None for o in outcomes])
 
     def sums(labels, values):
         return np.bincount(labels, values, minlength=nb)
@@ -281,7 +292,6 @@ def solve_batch(
     nu = np.full(nb, 10.0)
     dust_steps = np.zeros(nb, dtype=int)
     kkt_res = np.full(nb, np.inf)
-    no_block = np.zeros(nb, dtype=bool)
     terms = merit_terms(y, b, h)
     inner = 0
     for inner in range(max_inner + 1):
@@ -321,7 +331,7 @@ def solve_batch(
                 warnings.filterwarnings("ignore", "KKT factorization failed")
                 sol = linalg.solve_reduced_kkt(big_b, big_c, w, shift, grad, h)
             step, kappa_new, by_block = sol.step, sol.multipliers, sol.regularized
-        except SingularKkt:
+        except (SingularKkt, ValueError):
             by_block = True
         if by_block:
             step, kappa_new = np.zeros(n), np.zeros(len(kappa))
@@ -332,8 +342,9 @@ def solve_batch(
                         _block(big_b, blocks.residual_rows[i], s), _block(big_c, c, s), w[c] - s.start,
                         shift[s], grad[s], h[c],
                     )
-                except SingularKkt as block_exc:
-                    fail(i, block_exc)
+                except (SingularKkt, ValueError) as block_exc:
+                    # linalg's ValueError: this block's system is not finite.
+                    fail(i, block_exc if isinstance(block_exc, SingularKkt) else InnerDiverged(str(block_exc)))
                     continue
                 step[s], kappa_new[c] = sol.step, sol.multipliers
             if not active.any():
@@ -350,19 +361,11 @@ def solve_batch(
         alpha = np.ones(nb)
         searching = active.copy()
         for _ in range(MAX_BACKTRACKS + 1):
+            # A block whose trial leaves the residual's domain backtracks.
             trial = keep_active(y + alpha[state_block] * step, y, state_block)
-            try:
-                b_trial, h_trial = residual.eval(trial), constraints.eval(trial)
-                bad = no_block
-            except ZeroVoltage:
-                # The blocks with a voltage <= 0 backtrack; the others are
-                # evaluated with those blocks' voltages at 1.
-                bad = blocks.zero_voltage(trial) if nb > 1 else np.ones(1, dtype=bool)
-                if (searching & ~bad).any():
-                    safe = blocks.with_unit_voltages(trial, bad)
-                    b_trial, h_trial = residual.eval(safe), constraints.eval(safe)
-            if (searching & ~bad).any():
-                trial_terms = merit_terms(trial, b_trial, h_trial)
+            trial, b_new, h_new, bad, _ = evaluate(trial, searching)
+            if b_new is not None:
+                b_trial, h_trial, trial_terms = b_new, h_new, merit_terms(trial, b_new, h_new)
                 merit = trial_terms[0] + nu * trial_terms[3]
                 # Written so that a NaN merit, which compares False, backtracks.
                 searching &= bad | ~(merit <= merit0 + ARMIJO_C1 * alpha * slope + slack)

@@ -103,6 +103,20 @@ def test_a_consensus_step_to_a_zero_voltage_exits_one_with_the_partial_history(t
     assert len(history) == 5  # three comment lines, the header and outer iteration 1
 
 
+def test_a_region_that_starts_at_a_zero_voltage_ends_the_run_with_its_note(tmp_path, capsys):
+    """At rho 1 and seed 2 the third consensus step leaves a measured line
+    end of region 1 at v <= 0, so its fourth solve fails at the start; no
+    solver is patched."""
+    assert _run("estimate", "--rho", 1, "--seed", 2, "--out", tmp_path) == 1
+    note = "inner solve diverged at outer iteration 4 in region 1: line measurement functions need v_k > 0"
+    assert capsys.readouterr().err.strip().endswith(note)
+    history = (tmp_path / "aladin_history.csv").read_text().splitlines()
+    assert history[3] == ",".join(caseio.HISTORY_COLUMNS)
+    assert [row.split(",")[0] for row in history[4:]] == ["1", "2", "3"]
+    summary = yaml.safe_load((tmp_path / "aladin_summary.yaml").read_text())
+    assert summary["converged"] is False and summary["iterations"] == 3 and summary["note"] == note
+
+
 def test_the_package_runs_as_a_module(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -299,6 +299,16 @@ def test_line_flow_rejects_zero_voltage():
         grid.line_flows(*_one_line(x_k, x_l, 1.0, -3.0))
     with pytest.raises(ZeroVoltage):
         grid.line_flow_derivatives(*_one_line(x_k, x_l, 1.0, -3.0))
+    # Four nodes with v = (0, 1, -0.5, 1); the lines from nodes 0 and 2 are
+    # rejected, and the error names their v_k entries 4 pos + V in line order.
+    x = np.zeros(16)
+    x[grid.V::4] = [0.0, 1.0, -0.5, 1.0]
+    k, l = np.array([1, 0, 3, 2]), np.array([0, 1, 2, 3])
+    g, b = np.ones(4), np.full(4, -3.0)
+    for function in (grid.line_flows, grid.line_flow_derivatives):
+        with pytest.raises(ZeroVoltage) as info:
+            function(x, k, l, g, b)
+        assert list(info.value.columns) == [4 * 0 + grid.V, 4 * 2 + grid.V]
 
 
 @settings(max_examples=30, deadline=None)

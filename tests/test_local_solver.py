@@ -246,11 +246,15 @@ def test_a_trial_with_a_nan_merit_is_not_accepted():
 
 class _LogFit:
     """eval(y) = (y_0 - 3, log y_1 - log 0.01): the second entry is, like a
-    line flow at v_k <= 0, undefined for y_1 <= 0."""
+    line flow at v_k <= 0, undefined for y_1 <= 0, and the ZeroVoltage it
+    raises there names columns (grid.line_flows names the rejected v_k)."""
+
+    def __init__(self, columns=(1,)):
+        self.columns = columns
 
     def eval(self, y):
         if y[1] <= 0.0:
-            raise ZeroVoltage("needs y_1 > 0")
+            raise ZeroVoltage("needs y_1 > 0", columns=self.columns)
         return np.array([y[0] - 3.0, np.log(y[1]) - np.log(0.01)])
 
     def jacobian(self, y):
@@ -261,7 +265,7 @@ def test_a_block_whose_trial_leaves_its_domain_backtracks_alone():
     """Two one-state blocks: block 0 is linear and takes its full step;
     block 1's full Gauss-Newton step, 1 - log(100), leaves y_1 > 0 and is
     halved until it returns, without holding block 0 back."""
-    blocks = local_solver.Blocks([0, 1, 2], [0, 0, 0], [0, 1], voltage_cols=[1])
+    blocks = local_solver.Blocks([0, 1, 2], [0, 0, 0], [0, 1])
     sols = local_solver.solve_batch(_LogFit(), _no_constraints(2), np.array([0.0, 1.0]), blocks)
     assert all(sol.converged for sol in sols)
     assert sols[0].y == pytest.approx([3.0]) and sols[0].inner_iterations == 1
@@ -269,6 +273,33 @@ def test_a_block_whose_trial_leaves_its_domain_backtracks_alone():
     # Block 1 starts outside its domain: only it fails.
     sols = local_solver.solve_batch(_LogFit(), _no_constraints(2), np.array([0.0, -1.0]), blocks)
     assert sols[0].converged and isinstance(sols[1], ZeroVoltage)
+
+
+def test_a_zero_voltage_that_names_no_columns_is_about_every_block():
+    """A residual outside the package may raise ZeroVoltage without naming
+    the states it rejected: the one block of solve_local backtracks from
+    such a trial as from one that names them, and fails at such a start."""
+    sol = local_solver.solve_local(_LogFit(columns=()), _no_constraints(2), np.array([0.0, 1.0]))
+    assert sol.converged and sol.y == pytest.approx([3.0, 0.01])
+    with pytest.raises(ZeroVoltage, match="needs y_1 > 0"):
+        local_solver.solve_local(_LogFit(columns=()), _no_constraints(2), np.array([0.0, -1.0]))
+
+
+def test_a_gauss_newton_system_that_is_not_finite_fails_its_block_alone():
+    """From (5, 2.5) the residual of _NanAbove2([0, 1]) is NaN, so the first
+    Gauss-Newton system is not finite: that block ends with InnerDiverged,
+    and a third, well-behaved block in the same batch is its solve alone."""
+    physics = _Affine([[-0.5, 1.0]], [0.0], identity_columns=[1])
+    with pytest.raises(InnerDiverged, match="non-finite entries in the Gauss-Newton system"):
+        local_solver.solve_local(_NanAbove2([0, 1]), physics, np.array([5.0, 2.5]))
+    blocks = local_solver.Blocks([0, 2, 3], [0, 1, 1], [0, 0, 1])
+    batch_physics = _Affine([[-0.5, 1.0, 0.0]], [0.0], identity_columns=[1])
+    failed, solved = local_solver.solve_batch(_NanAbove2([0, 1]), batch_physics, np.array([5.0, 2.5, 0.0]), blocks)
+    alone = local_solver.solve_local(_NanAbove2([]), _no_constraints(1), np.zeros(1))
+    assert isinstance(failed, InnerDiverged)
+    assert alone.converged and alone.y == pytest.approx([3.0])
+    for field in dataclasses.fields(alone):
+        assert np.array_equal(getattr(solved, field.name), getattr(alone, field.name)), field.name
 
 
 def test_a_block_left_singular_after_the_ridge_fails_alone(monkeypatch):

@@ -296,3 +296,14 @@ def test_region_residual_rejects_zero_voltage_at_a_measured_line_end(case6, trut
         residual.eval(x)
     with pytest.raises(ZeroVoltage):
         residual.jacobian(x)
+    # Two measured line ends at v = 0: the error names the v_k entry of
+    # every measured line that leaves either of them, in line order.
+    ends = sorted({k for k, _ in residual.line_ends})[:2]
+    assert len(ends) == 2
+    x = truth6.copy()
+    x[[4 * case6.index[k] + grid.V for k in ends]] = 0.0
+    expected = [4 * case6.index[k] + grid.V for k, _ in residual.line_ends if k in ends]
+    for function in (residual.eval, residual.jacobian):
+        with pytest.raises(ZeroVoltage) as info:
+            function(x)
+        assert list(info.value.columns) == expected

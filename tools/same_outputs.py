@@ -10,8 +10,10 @@ first on sys.path, and writes into a fresh directory:
   write on ieee30/default4 at seeds 1, 2 and 7, beside each command's
   stdout, stderr, warnings and exit code;
 - the same of `gridest estimate --rho 10 --seed 7`, which ends "consensus
-  QP singular" after a ridge retry, and `--rho 3 --seed 1`, which
-  coordinates 8 times;
+  QP singular" after a ridge retry, `--rho 3 --seed 1`, which coordinates
+  8 times, `--rho 1 --seed 2`, where a region starts an inner solve at a
+  line-end voltage <= 0, and `--rho 1 --seed 1`, which ends on a stalled
+  line search;
 - the same of `gridest simulate` at seeds 1, 2 and 7, with and without
   `--partition default4`, of `gridest check --partition default4`, and of
   `gridest convert` on the bundled ieee30 tables;
@@ -43,7 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("estimate", "admm", "compare", "posterior")
 SEEDS = (1, 2, 7)
 #: Extra `gridest estimate` runs on ieee30/default4, as (rho, seed).
-ESTIMATE_RUNS = ((10, 7), (3, 1))
+ESTIMATE_RUNS = ((10, 7), (3, 1), (1, 2), (1, 1))
 TILES = (8, 16)
 CENTRAL_TILES = (8,)
 REVERSED_TILES = (8,)

@@ -191,34 +191,29 @@ def _region_batch(part, mset):
     """Every region's subproblem as one problem over the disjoint union of
     the fragments: (residual, constraints, blocks) for local_solver.solve_batch.
 
-    The union case holds each fragment's buses and lines in fragment order,
-    with the bus ids of region i shifted by i times the id span, so its
-    states and physics rows are the regions', region after region.  The
-    union measurement set is mset relabelled in one pass: every measured
-    node and line keeps its row, values and weights and takes the id shift
-    of its region (measurements.row_regions, which rejects a node outside
-    every region or a line across two).  RegionResidual orders its rows by union
-    position and endpoint ids, so whatever mset's order, the union residual
-    lists region 0's node rows, then region 1's, ..., and then the line
-    rows in the same region order, and Blocks labels each row with its
-    region.  The shifts stay Python integers: bus ids are unbounded.
+    The union case numbers the fragments' buses by union position: region
+    0's buses in id order, then region 1's, ..., bus k taking id k, so its
+    states and physics rows are the regions', region after region.  Its
+    lines and the union measurement set go through the same map, which
+    fragment ids make one to one: each original id sits in one region and
+    each auxiliary id is new.  Every measured node and line keeps its row,
+    values and weights (measurements.row_regions first rejects a node
+    outside every region or a line across two).  RegionResidual orders its
+    rows by union position and endpoint ids, so whatever mset's order, the
+    union residual lists region 0's node rows, then region 1's, ..., and
+    then the line rows in the same region order, and Blocks labels each
+    row with its region.
     """
-    node_region, line_region = measurements.row_regions(mset, part)
-    ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
-    low, span = min(ids), max(ids) - min(ids) + 1
-    shifts = [i * span - low for i in range(part.n_regions)]
-    buses, lines = [], []
-    for region, shift in zip(part.regions, shifts):
-        buses += [grid.Bus(bus.id + shift, bus.kind, bus.p_load, bus.q_load, bus.p_gen, bus.q_gen, bus.v_setpoint)
-                  for bus in region.case.buses]
-        lines += [grid.Line(line.from_bus + shift, line.to_bus + shift, line.r, line.x) for line in region.case.lines]
-    case = grid.GridCase(name=f"{part.case.name}/regions", base_mva=part.case.base_mva,
-                         buses=tuple(buses), lines=tuple(lines))
-    union_set = replace(
-        mset,
-        node_ids=tuple(node + shifts[i] for node, i in zip(mset.node_ids, node_region)),
-        line_ends=tuple((k + shifts[i], l + shifts[i]) for (k, l), i in zip(mset.line_ends, line_region)),
-    )
+    measurements.row_regions(mset, part)
+    fragment_buses = [bus for region in part.regions for bus in region.case.buses]
+    pos = {bus.id: k for k, bus in enumerate(fragment_buses)}
+    buses = tuple(grid.Bus(k, bus.kind, bus.p_load, bus.q_load, bus.p_gen, bus.q_gen, bus.v_setpoint)
+                  for k, bus in enumerate(fragment_buses))
+    lines = tuple(grid.Line(pos[line.from_bus], pos[line.to_bus], line.r, line.x)
+                  for region in part.regions for line in region.case.lines)
+    case = grid.GridCase(name=f"{part.case.name}/regions", base_mva=part.case.base_mva, buses=buses, lines=lines)
+    union_set = replace(mset, node_ids=tuple(pos[node] for node in mset.node_ids),
+                        line_ends=tuple((pos[k], pos[l]) for k, l in mset.line_ends))
     residual = measurements.RegionResidual(case, union_set)
     sizes = [region.case.n_bus for region in part.regions]
     bus_ptr = np.concatenate(([0], np.cumsum(sizes)))
@@ -372,12 +367,12 @@ def run_aladin(
             constraint_jacobian=model.jacobian(y), coupling_image=gap,
         )
         consensus = coordinator.solve_consensus([upload], [part.border])
-        record.download_floats = sum(consensus.lam.size + sol.y.size for sol in sols)
+        record.download_floats = sum(consensus.multipliers.size + sol.y.size for sol in sols)
         record.regularized = consensus.regularized
         if consensus.regularized:
             record.note = "ridge-regularized consensus step"
-        lam = consensus.lam
-        return y + consensus.steps[0], False
+        lam = consensus.multipliers
+        return y + consensus.step, False
 
     zs, converged, history, note = _outer_loop(part, batch, config, z, truth, prox_terms, coordinate)
     return AladinResult(

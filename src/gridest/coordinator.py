@@ -68,17 +68,12 @@ def upload_floats(n_states: int, constraint_shape: tuple[int, int], n_coupling: 
     return n_states * (n_states + 1) // 2 + c_rows * c_cols + n_states + n_coupling
 
 
-@dataclass
-class ConsensusSolution:
-    steps: list[np.ndarray]
-    lam: np.ndarray
-    regularized: bool
-
-
 def solve_consensus(
     uploads: list[SensitivityUpload], couplings: list[scipy.sparse.sparray | np.ndarray]
-) -> ConsensusSolution:
-    """Solve the coupled QP and split the step back per upload.
+) -> linalg.KktSolution:
+    """Solve the coupled QP: the solution's step is the step on the
+    uploads' stacked states, in upload order, and its multipliers are the
+    consensus multipliers lam, one per coupling row.
 
     Raises DimensionMismatch before any assembly when an upload's matrices
     or a coupling matrix are not 2-D or their shapes do not fit together;
@@ -121,5 +116,4 @@ def solve_consensus(
             hessian=hessian, constraint_jacobian=jac, gradient=gradient, residual=residual
         )
     )
-    steps = np.split(sol.step, np.cumsum([up.fit_hessian.shape[0] for up in uploads])[:-1])
-    return ConsensusSolution(steps=steps, lam=sol.multipliers[m_total:], regularized=sol.regularized)
+    return linalg.KktSolution(sol.step, sol.multipliers[m_total:], sol.regularized)

@@ -206,7 +206,8 @@ def solve_batch(
     trial; the others are evaluated again with the named states set to 1,
     which they do not read.  A union step whose system is singular or not
     finite is solved again block by block, and a block whose own system
-    is not finite fails with InnerDiverged.
+    is not finite fails with InnerDiverged.  Once a block has failed its
+    own solve, every later step of the batch is solved block by block.
     """
     y = np.array(y0, dtype=float)
     n = len(y)
@@ -294,6 +295,7 @@ def solve_batch(
     kkt_res = np.full(nb, np.inf)
     terms = merit_terms(y, b, h)
     inner = 0
+    split = False
     for inner in range(max_inner + 1):
         grad = 2.0 * linalg.matvec(big_b, b, trans=True) + lin
         grad[idx] += rho * (y[idx] - target)
@@ -326,13 +328,18 @@ def solve_batch(
         # block, each with its own pivot threshold and ridge, for one block
         # as for many.  The union's ridge warning is dropped; a block that
         # needs the ridge warns in its own solve, so one block warns once.
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "KKT factorization failed")
-                sol = linalg.solve_reduced_kkt(big_b, big_c, w, shift, grad, h)
-            step, kappa_new, by_block = sol.step, sol.multipliers, sol.regularized
-        except (SingularKkt, ValueError):
-            by_block = True
+        # A block that failed alone keeps its frozen rows in the union,
+        # which would fail every later union step too, so from then on
+        # every step is solved block by block.
+        by_block = split
+        if not split:
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "KKT factorization failed")
+                    sol = linalg.solve_reduced_kkt(big_b, big_c, w, shift, grad, h)
+                step, kappa_new, by_block = sol.step, sol.multipliers, sol.regularized
+            except (SingularKkt, ValueError):
+                by_block = True
         if by_block:
             step, kappa_new = np.zeros(n), np.zeros(len(kappa))
             for i in np.flatnonzero(active):
@@ -345,6 +352,7 @@ def solve_batch(
                 except (SingularKkt, ValueError) as block_exc:
                     # linalg's ValueError: this block's system is not finite.
                     fail(i, block_exc if isinstance(block_exc, SingularKkt) else InnerDiverged(str(block_exc)))
+                    split = True
                     continue
                 step[s], kappa_new[c] = sol.step, sol.multipliers
             if not active.any():

@@ -26,7 +26,8 @@ region under a partition and is the one place that rejects a node outside
 every region or a line across two.  split_by_region groups the rows by
 that label into one set per region; the region batch of the distributed
 estimators (aladin._region_batch) builds no per-region set but relabels
-the global set in one pass, shifting each row's ids by its region's offset.
+the global set in one pass, mapping each id to its bus's position in the
+regions' union, after row_regions has checked the rows.
 """
 
 from __future__ import annotations

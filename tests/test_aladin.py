@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -388,8 +389,8 @@ def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, requ
 
     def recording(*args, **kwargs):
         sol = consensus(*args, **kwargs)
-        (step,) = sol.steps
-        steps.append(step)
+        assert sol.step.shape == (part.border.shape[1],)
+        steps.append(sol.step)
         return sol
 
     monkeypatch.setattr(coordinator, "solve_consensus", recording)
@@ -414,6 +415,41 @@ def test_the_union_loop_keeps_the_region_by_region_definitions(monkeypatch, requ
     assert [z.shape for z in result.zs] == [(region.n_states,) for region in part.regions]
 
 
+def _scenario(request, grid_name):
+    """(partition, measurement set) of part30, two_tile30 or grid240."""
+    if grid_name == "part30":
+        return request.getfixturevalue("part30"), request.getfixturevalue("mset30")
+    if grid_name == "two_tile30":
+        return request.getfixturevalue("two_tile30")
+    _, part, _, mset = request.getfixturevalue("grid240")
+    return part, mset
+
+
+@pytest.mark.parametrize("grid_name", ["part30", "two_tile30", "grid240"])
+def test_the_union_physics_is_the_fragments_side_by_side(request, grid_name):
+    """The batch's power flow model is the fragments' models on the
+    diagonal: its admittance is the block diagonal of theirs, values and
+    pattern, and at a union state each region's rows and columns of its
+    Jacobian are the fragment's Jacobian at the region's state, bit for
+    bit, with no entry outside those blocks."""
+    part, mset = _scenario(request, grid_name)
+    _, model, blocks = aladin._region_batch(part, mset)
+    fragments = [grid.PowerFlowModel(region.case) for region in part.regions]
+    union, expected = model.admittance, scipy.sparse.block_diag([f.admittance for f in fragments], format="csr")
+    for name in ("indptr", "indices", "data"):
+        assert getattr(union, name).tobytes() == getattr(expected, name).tobytes(), name
+    rng = np.random.default_rng(DEFAULT_SEED)
+    y = np.concatenate([grid.flat_state(region.case.n_bus) for region in part.regions])
+    y += 0.1 * rng.standard_normal(y.shape)
+    jac = model.jacobian(y)
+    assert jac.nnz == sum(f.jacobian(y[blocks.states(i)]).nnz for i, f in enumerate(fragments))
+    for i, fragment in enumerate(fragments):
+        s = blocks.states(i)
+        mine, alone = local_solver._block(jac, blocks.constraints(i), s), fragment.jacobian(y[s]).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(mine, name).tobytes() == getattr(alone, name).tobytes(), (i, name)
+
+
 def _per_region_uploads(part, residual, model, blocks, y):
     """Each region's own upload at the union solution y, cut from the
     batch's Jacobians region by region: B_i^T B_i, B_i^T b_i, C_i, A_i y_i."""
@@ -431,17 +467,12 @@ def _per_region_uploads(part, residual, model, blocks, y):
 
 
 @pytest.mark.parametrize("grid_name", ["part30", "two_tile30", "grid240"])
-def test_the_union_upload_solves_as_the_per_region_uploads(monkeypatch, request, part30, mset30, grid_name):
+def test_the_union_upload_solves_as_the_per_region_uploads(monkeypatch, request, grid_name):
     """Every consensus call of a run gets one upload for the whole batch.
     The region-by-region uploads at the same solution, solved with the
     regions' own coupling blocks, give the same steps, lam and ridge flag
     to the last bit."""
-    if grid_name == "part30":
-        part, mset = part30, mset30
-    elif grid_name == "two_tile30":
-        part, mset = request.getfixturevalue("two_tile30")
-    else:
-        _, part, _, mset = request.getfixturevalue("grid240")
+    part, mset = _scenario(request, grid_name)
     consensus, calls = coordinator.solve_consensus, []
 
     def recording(uploads, couplings):
@@ -456,8 +487,8 @@ def test_the_union_upload_solves_as_the_per_region_uploads(monkeypatch, request,
         assert len(uploads) == len(couplings) == 1 and couplings[0] is part.border
         y = np.concatenate([sol.y for sol in sols])
         per_region = consensus(_per_region_uploads(part, residual, model, blocks, y), list(part.coupling))
-        assert np.concatenate(per_region.steps).tobytes() == union.steps[0].tobytes()
-        assert per_region.lam.tobytes() == union.lam.tobytes()
+        assert per_region.step.tobytes() == union.step.tobytes()
+        assert per_region.multipliers.tobytes() == union.multipliers.tobytes()
         assert per_region.regularized == union.regularized
 
 
@@ -541,12 +572,13 @@ def test_a_consensus_step_to_a_zero_voltage_ends_the_run_with_a_note(monkeypatch
     calls = 0
 
     def dropping(*args, **kwargs):
-        # The second consensus step leaves every voltage of region 0 <= 0.
+        # The second consensus step leaves every voltage of the union <= 0;
+        # the note names region 0, the lowest.
         nonlocal calls
         calls += 1
         sol = consensus(*args, **kwargs)
         if calls == 2:
-            sol.steps[0][grid.V::4] -= 2.0
+            sol.step[grid.V::4] -= 2.0
         return sol
 
     monkeypatch.setattr(coordinator, "solve_consensus", dropping)
@@ -668,15 +700,15 @@ def _reversed(mset):
 
 def _split_and_glued(part, mset, case):
     """The union residual on case built from per-region sets: split mset by
-    region, shift each region's ids by its multiple of the id span, and
-    concatenate the pieces in region order."""
+    region, label each region's ids by the region's bus offset plus their
+    position in its fragment, and concatenate the pieces in region order."""
     region_sets = measurements.split_by_region(mset, part)
-    ids = [bus_id for region in part.regions for bus_id in region.case.bus_ids]
-    low, span = min(ids), max(ids) - min(ids) + 1
-    node_ids, line_ends = [], []
-    for i, rset in enumerate(region_sets):
-        node_ids += [node + i * span - low for node in rset.node_ids]
-        line_ends += [(k + i * span - low, l + i * span - low) for k, l in rset.line_ends]
+    node_ids, line_ends, offset = [], [], 0
+    for region, rset in zip(part.regions, region_sets):
+        index = region.case.index
+        node_ids += [offset + index[node] for node in rset.node_ids]
+        line_ends += [(offset + index[k], offset + index[l]) for k, l in rset.line_ends]
+        offset += region.case.n_bus
     glued = measurements.MeasurementSet(
         tuple(node_ids), np.concatenate([s.node_values for s in region_sets]),
         np.concatenate([s.node_weights for s in region_sets]), tuple(line_ends),
@@ -688,12 +720,7 @@ def _split_and_glued(part, mset, case):
 @pytest.mark.parametrize("order", ["input", "reversed"])
 @pytest.mark.parametrize("grid_name", ["part30", "two_tile30", "grid240"])
 def test_the_batch_residual_rows_are_the_split_and_glued_ones(request, grid_name, order):
-    if grid_name == "part30":
-        part, mset = request.getfixturevalue("part30"), request.getfixturevalue("mset30")
-    elif grid_name == "two_tile30":
-        part, mset = request.getfixturevalue("two_tile30")
-    else:
-        _, part, _, mset = request.getfixturevalue("grid240")
+    part, mset = _scenario(request, grid_name)
     if order == "reversed":
         mset = _reversed(mset)
     residual, _, _ = aladin._region_batch(part, mset)
@@ -719,7 +746,8 @@ def _renamed(case, old, new):
 
 @pytest.mark.parametrize("run", METHODS)
 def test_a_bus_id_beyond_int64_gives_the_same_history(case6, run):
-    """Bus ids are unbounded integers; the union's id shifts must not wrap."""
+    """Bus ids are unbounded integers: a fragment id beyond int64 is mapped
+    to its union position like any other."""
     _, assignment = caseio.builtin_partition_spec("six2")
     outcomes = []
     for new_id in (6, 10**20):

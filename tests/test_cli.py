@@ -90,9 +90,9 @@ def test_a_consensus_step_to_a_zero_voltage_exits_one_with_the_partial_history(t
     consensus = coordinator.solve_consensus
 
     def to_zero_voltage(*args, **kwargs):
-        # Every voltage of region 0 ends up <= 0.
+        # Every voltage of the union ends up <= 0.
         sol = consensus(*args, **kwargs)
-        sol.steps[0][grid.V::4] -= 2.0
+        sol.step[grid.V::4] -= 2.0
         return sol
 
     monkeypatch.setattr(coordinator, "solve_consensus", to_zero_voltage)

@@ -55,8 +55,8 @@ def test_consensus_solution_matches_a_hand_assembled_system():
     ])
     direct = np.linalg.solve(kkt, rhs)
 
-    assert np.allclose(np.concatenate(sol.steps), direct[:n], atol=1e-9)
-    assert np.allclose(sol.lam, direct[n + m :], atol=1e-9)
+    assert np.allclose(sol.step, direct[:n], atol=1e-9)
+    assert np.allclose(sol.multipliers, direct[n + m :], atol=1e-9)
     assert not sol.regularized
 
 
@@ -74,7 +74,7 @@ def test_consensus_steps_close_the_gap_within_the_linear_model():
     a2 = rng.standard_normal((nc, n2))
     sol = coordinator.solve_consensus([up1, up2], [a1, a2])
     gap = up1.coupling_image + up2.coupling_image
-    closed = gap + a1 @ sol.steps[0] + a2 @ sol.steps[1]
+    closed = gap + a1 @ sol.step[:n1] + a2 @ sol.step[n1:]
     assert np.abs(closed).max() <= 1e-8
 
 
@@ -161,8 +161,8 @@ def test_sparse_consensus_matches_the_dense_reference(request, monkeypatch, name
         sol = coordinator.solve_consensus(uploads, form(couplings))
         steps, lam = _dense_consensus(uploads, couplings)
         assert not sol.regularized
-        assert np.abs(np.concatenate(sol.steps) - steps).max() <= 1e-10
-        assert np.abs(sol.lam - lam).max() <= 1e-10 * np.abs(lam).max()
+        assert np.abs(sol.step - steps).max() <= 1e-10
+        assert np.abs(sol.multipliers - lam).max() <= 1e-10 * np.abs(lam).max()
 
 
 @pytest.mark.parametrize("name", ["ieee30", "two_tile30"])
@@ -181,7 +181,7 @@ def test_zero_fit_hessian_upload_is_ridge_regularized(request, monkeypatch, name
     assert sol.regularized
     # The ridge touches only the Hessian block, so consensus still closes.
     gap = np.sum([up.coupling_image for up in uploads], axis=0)
-    closed = gap + sum(a @ step for a, step in zip(couplings, sol.steps))
+    closed = gap + scipy.sparse.hstack(couplings, format="csr") @ sol.step
     assert np.abs(closed).max() <= 1e-8
 
 
@@ -194,9 +194,9 @@ def test_csr_uploads_and_their_dense_copies_give_the_same_step(request, monkeypa
                                      constraint_jacobian=up.constraint_jacobian.toarray()) for up in uploads]
         sparse_sol = coordinator.solve_consensus(uploads, couplings)
         dense_sol = coordinator.solve_consensus(dense, couplings)
-        steps = np.concatenate(dense_sol.steps)
-        assert np.abs(np.concatenate(sparse_sol.steps) - steps).max() <= 1e-12 * np.abs(steps).max()
-        assert np.abs(sparse_sol.lam - dense_sol.lam).max() <= 1e-12 * np.abs(dense_sol.lam).max()
+        steps, lam = dense_sol.step, dense_sol.multipliers
+        assert np.abs(sparse_sol.step - steps).max() <= 1e-12 * np.abs(steps).max()
+        assert np.abs(sparse_sol.multipliers - lam).max() <= 1e-12 * np.abs(lam).max()
         for up in uploads:
             assert up.fit_hessian.format == up.constraint_jacobian.format == "csr"
 

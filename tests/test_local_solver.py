@@ -315,6 +315,71 @@ def test_a_block_left_singular_after_the_ridge_fails_alone(monkeypatch):
     assert sols[1].converged and sols[1].y == pytest.approx([2.0])
 
 
+class _ExpLast:
+    """wrapped's residual with its last entry replaced by exp(y_last) - 3,
+    which takes several Gauss-Newton steps from 0, and the Jacobian to
+    match."""
+
+    def __init__(self, wrapped):
+        self.wrapped = wrapped
+
+    def eval(self, y):
+        res = self.wrapped.eval(y)
+        res[-1] = np.exp(y[-1]) - 3.0
+        return res
+
+    def jacobian(self, y):
+        jac = self.wrapped.jacobian(y).toarray()
+        jac[-1] = 0.0
+        jac[-1, -1] = np.exp(y[-1])
+        return scipy.sparse.csr_array(jac)
+
+
+def _union_attempts(monkeypatch, n_states, solve_batch):
+    """The number of solve_reduced_kkt calls on all n_states states that
+    solve_batch() makes, and its outcomes."""
+    solve, sizes = linalg.solve_reduced_kkt, []
+    monkeypatch.setattr(linalg, "solve_reduced_kkt", lambda *args: sizes.append(args[0].shape[1]) or solve(*args))
+    outcomes = solve_batch()
+    return sizes.count(n_states), outcomes
+
+
+def test_a_block_whose_system_is_not_finite_leaves_the_later_steps_block_by_block(monkeypatch):
+    """Block 0's first Gauss-Newton system is not finite, so the first union
+    step fails and block 0 fails alone.  Its frozen rows would fail every
+    later union step too, so block 1 takes its later steps alone: one
+    union attempt in all, and block 1 is its solve alone."""
+    blocks = local_solver.Blocks([0, 2, 3], [0, 1, 1], [0, 0, 1])
+    physics = _Affine([[-0.5, 1.0, 0.0]], [0.0], identity_columns=[1])
+    attempts, (failed, solved) = _union_attempts(monkeypatch, 3, lambda: local_solver.solve_batch(
+        _ExpLast(_NanAbove2([0, 1])), physics, np.array([5.0, 2.5, 0.0]), blocks))
+    alone = local_solver.solve_local(_ExpLast(_NanAbove2([])), _no_constraints(1), np.zeros(1))
+    assert isinstance(failed, InnerDiverged)
+    assert alone.converged and alone.inner_iterations >= 3 and alone.y == pytest.approx([np.log(3.0)])
+    assert attempts == 1
+    for field in dataclasses.fields(alone):
+        assert np.array_equal(getattr(solved, field.name), getattr(alone, field.name)), field.name
+
+
+def test_a_block_left_singular_leaves_the_later_steps_block_by_block(monkeypatch):
+    """test_a_block_left_singular_after_the_ridge_fails_alone with block 1
+    nonlinear: block 0 fails in the first step, and block 1 takes its
+    later steps alone, without another union factorization or ridge
+    retry, to its solve alone."""
+    monkeypatch.setattr(linalg, "RIDGE_SCALE", 0.0)
+    blocks = local_solver.Blocks([0, 1, 2], [0, 0, 0], [0, 1])
+    residual = _ExpLast(_Affine(np.diag([0.0, 1.0]), np.array([0.0, 2.0])))
+    with pytest.warns(UserWarning, match="KKT factorization failed"):
+        attempts, (failed, solved) = _union_attempts(monkeypatch, 2, lambda: local_solver.solve_batch(
+            residual, _no_constraints(2), np.zeros(2), blocks, lin=np.array([1.0, 0.0])))
+    alone = local_solver.solve_local(_ExpLast(_Affine(np.eye(1), np.zeros(1))), _no_constraints(1), np.zeros(1))
+    assert isinstance(failed, SingularKkt)
+    assert alone.converged and alone.inner_iterations >= 3 and alone.y == pytest.approx([np.log(3.0)])
+    assert attempts == 1
+    for field in dataclasses.fields(alone):
+        assert np.array_equal(getattr(solved, field.name), getattr(alone, field.name)), field.name
+
+
 def test_a_batch_that_needs_the_ridge_recovers_block_by_block(monkeypatch):
     """Block 0's residual y0 + y1 - 2 leaves its reduced system singular,
     block 1's y2 - 3 does not.  The batch is solved again block by block:

@@ -14,6 +14,9 @@ first on sys.path, and writes into a fresh directory:
   8 times, `--rho 1 --seed 2`, where a region starts an inner solve at a
   line-end voltage <= 0, and `--rho 1 --seed 1`, which ends on a stalled
   line search;
+- every file that `gridest estimate`, `admm` and `posterior` write on
+  six_bus/six2 and twelve_bus/twelve3 at the default seed, with the same
+  records;
 - the same of `gridest simulate` at seeds 1, 2 and 7, with and without
   `--partition default4`, of `gridest check --partition default4`, and of
   `gridest convert` on the bundled ieee30 tables;
@@ -46,6 +49,9 @@ COMMANDS = ("estimate", "admm", "compare", "posterior")
 SEEDS = (1, 2, 7)
 #: Extra `gridest estimate` runs on ieee30/default4, as (rho, seed).
 ESTIMATE_RUNS = ((10, 7), (3, 1), (1, 2), (1, 1))
+#: The small bundled cases, as (case, partition), and what runs on them.
+SMALL_CASES = (("six_bus", "six2"), ("twelve_bus", "twelve3"))
+SMALL_COMMANDS = ("estimate", "admm", "posterior")
 TILES = (8, 16)
 CENTRAL_TILES = (8,)
 REVERSED_TILES = (8,)
@@ -114,6 +120,11 @@ def produce(checkout: Path, out: Path) -> None:
     for rho, seed in ESTIMATE_RUNS:
         name = f"estimate-rho{rho}-seed{seed}"
         _cli(cli.main, ["estimate", "--rho", str(rho), "--seed", str(seed), "--out", name], Path(name, "stdout.txt"))
+    for case_name, partition_name in SMALL_CASES:
+        for command in SMALL_COMMANDS:
+            name = f"{command}-{case_name}"
+            _cli(cli.main, [command, "--case", case_name, "--partition", partition_name, "--out", name],
+                 Path(name, "stdout.txt"))
     _cli(cli.main, ["check", "--partition", "default4"], Path("check.txt"))
     tables = checkout / "src" / "gridest" / "data" / "ieee30_tables.txt"
     _cli(cli.main, ["convert", str(tables), "convert-ieee30.yaml"], Path("convert.txt"))
